@@ -17,9 +17,8 @@ two must agree everywhere; the tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, render_word
 from .shi import EXITS, NEGATIVE, elementary_walls
 
 
@@ -50,9 +49,6 @@ class Automaton:
     @property
     def n_states(self) -> int:
         return len(self.state_labels)
-
-    def out_edges(self, state: int):
-        return [(dst, labels) for src, dst, labels in self.edges if src == state]
 
     # -- acceptance: subword-decomposition dynamic programming -------------
 
@@ -101,12 +97,6 @@ class Automaton:
 
     # -- exports ------------------------------------------------------------
 
-    def _render(self, word: Word) -> str:
-        names = [self.generator_names[s] for s in word]
-        if all(len(n) == 1 for n in self.generator_names):
-            return "".join(names)
-        return " ".join(names)
-
     def to_text(self) -> str:
         lines = ["# automaton v1"]
         lines.append(f"alphabet: {' '.join(self.generator_names)}")
@@ -119,7 +109,7 @@ class Automaton:
                 flags.append("accept")
             lines.append(f"state: {i} label={label} {' '.join(flags)}".rstrip())
         for src, dst, labels in self.edges:
-            rendered = ",".join(self._render(w) for w in labels)
+            rendered = ",".join(render_word(self.generator_names, w) for w in labels)
             lines.append(f"edge: {src} -> {dst} labels={rendered}")
         return "\n".join(lines) + "\n"
 
@@ -130,7 +120,7 @@ class Automaton:
             lines.append(f'  n{i} [label="{label}",shape={shape}];')
         lines.append(f"  __start -> n{self.start};")
         for src, dst, labels in self.edges:
-            rendered = ",".join(self._render(w) for w in labels)
+            rendered = ",".join(render_word(self.generator_names, w) for w in labels)
             lines.append(f'  n{src} -> n{dst} [label="{rendered}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -302,7 +292,9 @@ def minimize(aut: Automaton) -> Automaton:
         for j in sorted(merged):
             edges.append((i, j, tuple(sorted(merged[j]))))
     accepts = frozenset(i for i, q in enumerate(rep) if q in aut.accepts)
-    labels = tuple(aut.state_labels[0] if not w else _render_with(aut, w) for w in witness)
+    labels = tuple(
+        aut.state_labels[0] if not w else render_word(aut.generator_names, w) for w in witness
+    )
     return Automaton(
         generator_names=aut.generator_names,
         state_labels=labels,
@@ -312,26 +304,16 @@ def minimize(aut: Automaton) -> Automaton:
     )
 
 
-def _render_with(aut: Automaton, word: Word) -> str:
-    names = [aut.generator_names[s] for s in word]
-    if all(len(n) == 1 for n in aut.generator_names):
-        return "".join(names)
-    return " ".join(names)
-
-
 # ---------------------------------------------------------------------------
 # Cone types
-
-_cone_caches: "WeakKeyDictionary[CoxeterSystem, Automaton]" = WeakKeyDictionary()
 
 
 def cone_type_automaton(system: CoxeterSystem) -> Automaton:
     """Minimal automaton for the reduced words; states are the cone types."""
-    aut = _cone_caches.get(system)
-    if aut is None:
-        aut = minimize(canonical_automaton(system, 0))
-        _cone_caches[system] = aut
-    return aut
+    cache = system.cache("cone_types")
+    if not cache:
+        cache[0] = minimize(canonical_automaton(system, 0))
+    return cache[0]
 
 
 def cone_type_id(g: Element) -> int:

@@ -6,22 +6,24 @@ Subcommands: ``shadow`` (compute and serialize a Garside shadow),
 verification suite), ``project`` (inspect projections of one word).
 
 All outputs are deterministic; the file-producing commands go through a
-content-addressed cache keyed by the group matrix, the computation kind
-and its parameters (directory from GARSIDE_CACHE_DIR, default
+content-addressed cache keyed by the group matrix, the computation kind,
+its parameters and the code (directory from GARSIDE_CACHE_DIR, default
 ~/.cache/garside; ``--no-cache`` bypasses it).  Exit codes: 0 success,
-1 I/O or parse errors, 2 shadow validation or group mismatch, 3 failed
-verification checks.
+1 I/O, parse or argument errors, 2 shadow validation or group mismatch,
+3 failed verification checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
 from hashlib import sha256
 from pathlib import Path
 
+from . import __version__
 from .coxeter import (
     CoxeterSystem,
     GroupFileError,
@@ -67,8 +69,19 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "garside"
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """Package version and a hash of the package sources, once per process."""
+    digest = sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return f"{__version__}:{digest.hexdigest()}"
+
+
 def _cache_key(*parts: str) -> str:
-    return sha256("\x1f".join((FORMAT_VERSION,) + parts).encode("utf-8")).hexdigest()
+    """Key of a cached result: the format, the code that made it, the inputs."""
+    head = (FORMAT_VERSION, _code_fingerprint())
+    return sha256("\x1f".join(head + parts).encode("utf-8")).hexdigest()
 
 
 def _cache_get(key: str) -> str | None:
@@ -126,6 +139,11 @@ def _load_shadow(system: CoxeterSystem, shadow_path: str):
         raise CliError(EXIT_VALIDATION, "shadow-invalid", str(exc)) from exc
 
 
+def _check_radius(flag: str, value: int) -> None:
+    if value < 0:
+        raise CliError(EXIT_IO, "bad-radius", f"{flag} must be >= 0, got {value}")
+
+
 def _produce(args, key: str, compute) -> str:
     """Cache-aware computation of a deterministic text artifact."""
     if not args.no_cache:
@@ -149,7 +167,9 @@ def cmd_shadow(args) -> int:
         try:
             m = int(kind.split("=", 1)[1])
         except ValueError:
-            raise CliError(EXIT_IO, "bad-kind", f"bad m in {kind!r}") from None
+            m = -1
+        if m < 0:
+            raise CliError(EXIT_IO, "bad-kind", f"bad m in {kind!r}")
         kind_key, builder = (
             f"mlow={m}",
             lambda: shadow_from_gates(system, "m-low", m),
@@ -215,6 +235,7 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_language(args) -> int:
+    _check_radius("--max-len", args.max_len)
     system = _load_system(args.group)
     shadow, shadow_text = _load_shadow(system, args.shadow)
     key = _cache_key(
@@ -234,6 +255,7 @@ def cmd_language(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_radius("--radius", args.radius)
     system = _load_system(args.group)
     shadow, shadow_text = _load_shadow(system, args.shadow)
     key = _cache_key(

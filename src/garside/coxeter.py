@@ -259,6 +259,20 @@ def word_infix(v: Word, i: int, j: int) -> Word:
     return word_prefix(v, j)[i - 1 :]
 
 
+def render_word(generator_names: Sequence[str], word: Word) -> str:
+    """Deterministic textual form of a word; the empty word prints as '-'.
+
+    Single-character generator names concatenate; otherwise names are
+    space-separated.
+    """
+    if not word:
+        return "-"
+    names = [generator_names[s] for s in word]
+    if all(len(n) == 1 for n in generator_names):
+        return "".join(names)
+    return " ".join(names)
+
+
 # ---------------------------------------------------------------------------
 # Elements
 
@@ -338,8 +352,9 @@ class CoxeterSystem:
     """A finitely generated Coxeter system with exact root arithmetic.
 
     All values handed out (elements, roots, balls) are immutable; internal
-    caches only grow and never change published results, so read sharing
-    across threads is safe.
+    caches only grow and never change published results.  Results derived
+    from the system elsewhere in the package live in its named memo tables
+    (`cache`), so they are freed together with the system.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -378,6 +393,7 @@ class CoxeterSystem:
         self._ball_layers: list[list[Element]] = [[self.identity]]
         self._root_depth: dict[Root, int] = {}
         self._simple_set = frozenset(self.simple_roots)
+        self._memo: dict[str, dict] = {}
 
     # -- basic plumbing ----------------------------------------------------
 
@@ -388,6 +404,10 @@ class CoxeterSystem:
             self._elements[word] = el
         return el
 
+    def cache(self, name: str) -> dict:
+        """The memo table of that name for results derived from this system."""
+        return self._memo.setdefault(name, {})
+
     def generator(self, name: str) -> Element:
         try:
             return self.gens[self._gen_index[name]]
@@ -395,17 +415,7 @@ class CoxeterSystem:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def render_word(self, word: Word) -> str:
-        """Deterministic textual form of a word; the empty word prints as '-'.
-
-        Single-character generator names concatenate; otherwise names are
-        space-separated.
-        """
-        if not word:
-            return "-"
-        names = [self.generator_names[s] for s in word]
-        if all(len(n) == 1 for n in self.generator_names):
-            return "".join(names)
-        return " ".join(names)
+        return render_word(self.generator_names, word)
 
     def parse_word(self, text: str) -> Word:
         text = text.strip()
@@ -597,10 +607,6 @@ class CoxeterSystem:
         """Walls with g and h in different half-spaces; size equals d(g, h)."""
         return self.inversion_walls(g) ^ self.inversion_walls(h)
 
-    def wall_side(self, g: Element, wall: Root) -> int:
-        """+1 if g is on the identity side of the wall, -1 otherwise."""
-        return self.act_inverse_word(g.word, wall).sign()
-
     def is_suffix(self, w: Element, g: Element) -> bool:
         """True iff g = u*w with l(g) = l(u) + l(w)."""
         return g.length == self.multiply(g, self.inverse(w)).length + w.length
@@ -609,6 +615,8 @@ class CoxeterSystem:
 
     def ball(self, radius: int) -> CayleyBall:
         """All elements of length <= radius, ShortLex-ordered, cached."""
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         while len(self._ball_layers) <= radius:
             frontier = self._ball_layers[-1]
             depth = len(self._ball_layers)

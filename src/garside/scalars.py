@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isqrt, sqrt
+from math import gcd, isfinite, isqrt, nan, sqrt
 
 #: Squarefree divisors of 30, indexing the basis (sqrt(1), sqrt(2), ..., sqrt(30)).
 BASIS = (1, 2, 3, 5, 6, 10, 15, 30)
@@ -121,12 +121,16 @@ class Scalar:
             return 1 if nonzero[0][0] > 0 else -1
         approx = 0.0
         magnitude = 1.0
-        for c, d in nonzero:
-            cf = float(c)
-            approx += cf * _FLOAT_SQRT[d]
-            magnitude += abs(cf)
-        # each term carries relative float error < 4 ulp, summed over <= 8 terms
-        if abs(approx) > 1e-11 * magnitude:
+        try:
+            for c, d in nonzero:
+                cf = float(c)
+                approx += cf * _FLOAT_SQRT[d]
+                magnitude += abs(cf)
+        except OverflowError:
+            approx = nan  # a coefficient beyond the float range
+        # each term carries relative float error < 4 ulp, summed over <= 8 terms;
+        # a sum that left the float range is inf or nan and decides nothing
+        if isfinite(approx) and abs(approx) > 1e-11 * magnitude:
             return 1 if approx > 0 else -1
         bits = 32
         while True:

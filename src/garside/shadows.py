@@ -17,8 +17,7 @@ all other candidates asserted rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
 from .shi import shi_gates
@@ -48,13 +47,19 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class GarsideShadow:
-    """A validated finite Garside shadow with its length constant."""
+    """A validated finite Garside shadow with its length constant.
+
+    The last two fields memoise the projection onto the shadow and the
+    voracious language of each element; they take no part in equality.
+    """
 
     system: CoxeterSystem
     ordered: tuple[Element, ...]
     members: frozenset[Element]
     constant_m: int
     provenance: str
+    projection_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    language_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self):
         return len(self.ordered)
@@ -89,6 +94,25 @@ def _suffixes(g: Element) -> set[Element]:
     return {system.inverse(x) for x in _lower_set(system.inverse(g))}
 
 
+def _join_failures(system: CoxeterSystem, members, radius: int):
+    """The join-closure scan: for each ball element x in turn, the pairs of
+    members below x that have no maximum among the members below x.
+
+    Yields (top, b, x) with top the longest member below x and b a member
+    below x but not below top; their join exists and lies below x.
+    """
+    inv = {b: system.inversion_walls(b) for b in members}
+    for x in system.ball(radius):
+        inv_x = system.inversion_walls(x)
+        below = [b for b, inv_b in inv.items() if inv_b <= inv_x]
+        if not below:
+            continue
+        top = max(below, key=lambda b: (b.length, b.word))
+        for b in below:
+            if not inv[b] <= inv[top]:
+                yield top, b, x
+
+
 def validate_shadow(
     system: CoxeterSystem, elements, search_radius: int | None = None
 ) -> ValidationResult:
@@ -117,22 +141,14 @@ def validate_shadow(
                     search_radius,
                 )
 
-    inv = {b: system.inversion_walls(b) for b in members}
-    for x in system.ball(search_radius):
-        inv_x = system.inversion_walls(x)
-        below = [b for b in members if inv[b] <= inv_x]
-        if not below:
-            continue
-        top = max(below, key=lambda b: (b.length, b.word))
-        for b in below:
-            if not inv[b] <= inv[top]:
-                j = join_bounded([top, b], x)
-                return ValidationResult(
-                    False,
-                    f"join {j} of {top} and {b} missing",
-                    (top, b, j),
-                    search_radius,
-                )
+    for top, b, x in _join_failures(system, members, search_radius):
+        j = join_bounded([top, b], x)
+        return ValidationResult(
+            False,
+            f"join {j} of {top} and {b} missing",
+            (top, b, j),
+            search_radius,
+        )
     return ValidationResult(True, None, (), search_radius)
 
 
@@ -156,9 +172,6 @@ def make_shadow(
     )
 
 
-_gate_shadow_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-
-
 def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) -> GarsideShadow:
     """The shadows of gates: low elements, m-low elements, or cone-type gates.
 
@@ -166,7 +179,7 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
     Results are cached per system, so repeated calls share one validated
     object (and its projection cache).
     """
-    cache = _gate_shadow_caches.setdefault(system, {})
+    cache = system.cache("gate_shadows")
     cache_key = (kind, m)
     if cache_key in cache:
         return cache[cache_key]
@@ -210,34 +223,18 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
             raise CutoffExceeded(
                 f"join search needs radius {radius}, cutoff is {cutoff}"
             )
-        added = False
+        size = len(current)
         for b in list(current):
-            for w in _suffixes(b):
-                if w not in current:
-                    current.add(w)
-                    added = True
-        inv = {b: system.inversion_walls(b) for b in current}
-        for x in system.ball(radius):
-            inv_x = system.inversion_walls(x)
-            below = [b for b in current if inv[b] <= inv_x]
-            if not below:
-                continue
-            top = max(below, key=lambda b: (b.length, b.word))
-            for b in below:
-                if not inv[b] <= inv[top]:
-                    j = join_bounded([top, b], x)
-                    if j not in current:
-                        current.add(j)
-                        added = True
-        if not added:
+            current |= _suffixes(b)
+        bounds = {(top, b): x for top, b, x in _join_failures(system, current, radius)}
+        current |= {join_bounded(pair, x) for pair, x in bounds.items()}
+        if len(current) == size:
             break
     return make_shadow(system, current, "closure-of-seed")
 
 
 # ---------------------------------------------------------------------------
 # Projection and partition
-
-_projection_caches: "WeakKeyDictionary[GarsideShadow, dict]" = WeakKeyDictionary()
 
 
 def b_projection(shadow: GarsideShadow, g: Element) -> Element:
@@ -246,7 +243,7 @@ def b_projection(shadow: GarsideShadow, g: Element) -> Element:
     The result is the longest shadow member below g; that it bounds every
     other candidate is asserted, since for a valid shadow the join of the
     candidates is itself a candidate."""
-    cache = _projection_caches.setdefault(shadow, {})
+    cache = shadow.projection_cache
     hit = cache.get(g)
     if hit is not None:
         return hit

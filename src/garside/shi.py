@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .coxeter import (
     CoxeterSystem,
@@ -66,11 +65,6 @@ class SignVector:
         return len(self.bits)
 
 
-_nsep_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-_small_root_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-_low_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-
-
 def separation_count(system: CoxeterSystem, root: Root) -> int:
     """Number of walls separating the identity vertex from this wall.
 
@@ -78,7 +72,7 @@ def separation_count(system: CoxeterSystem, root: Root) -> int:
     B(alpha_s, root) >= 1 sheds exactly one separating wall, steps with
     0 < B < 1 shed none.
     """
-    cache = _nsep_caches.setdefault(system, {})
+    cache = system.cache("separation_counts")
     root = root.abs()
     chain: list[tuple[Root, int]] = []
     current = root
@@ -108,7 +102,7 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
     """The finite set of m-elementary walls (fast inner-product route)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    per_system = _small_root_caches.setdefault(system, {})
+    per_system = system.cache("small_roots")
     if m in per_system:
         return per_system[m]
 
@@ -274,7 +268,7 @@ def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
     whose element sends exactly that pattern of m-elementary walls
     negative.
     """
-    per_system = _low_caches.setdefault(system, {})
+    per_system = system.cache("shi_gates")
     if m in per_system:
         return per_system[m]
     witnesses = pattern_witnesses(system, m)

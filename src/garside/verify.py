@@ -116,15 +116,40 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> ConditionOneRepor
 # Fellow traveller properties
 
 
-def _prefix_elements(system: CoxeterSystem, word: Word) -> tuple[Element, ...]:
-    out = [system.identity]
-    for s in word:
-        out.append(system.right_multiply(out[-1], s))
-    return tuple(out)
+def _prefix_table(system: CoxeterSystem):
+    """A memoising map from a word to the elements of its prefixes, by length."""
+    table: dict[Word, tuple[Element, ...]] = {}
+
+    def prefixes(word: Word) -> tuple[Element, ...]:
+        hit = table.get(word)
+        if hit is None:
+            out = [system.identity]
+            for s in word:
+                out.append(system.right_multiply(out[-1], s))
+            hit = table[word] = tuple(out)
+        return hit
+
+    return prefixes
 
 
-def _prefix_at(prefixes: tuple[Element, ...], i: int) -> Element:
-    return prefixes[min(i, len(prefixes) - 1)]
+def _max_deviation(system: CoxeterSystem, words, words2, path, prefixes):
+    """Largest distance between the i-th point of path(v) and the length-i
+    prefix of v2, over v in words, v2 in words2 and i up to the longer word;
+    paths and prefixes stay at their last point past the end of the word.
+
+    Returns the maximum and its first witness (v, v2, i) in iteration order,
+    or (0, None) when no distance is positive.
+    """
+    best, witness = 0, None
+    for v in words:
+        pv = path(v)
+        for v2 in words2:
+            pv2 = prefixes(v2)
+            for i in range(1, max(len(v), len(v2)) + 1):
+                d = system.word_metric(pv[min(i, len(v))], pv2[min(i, len(v2))])
+                if d > best:
+                    best, witness = d, (v, v2, i)
+    return best, witness
 
 
 def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
@@ -132,37 +157,24 @@ def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport
     system = shadow.system
     slice_ = enumerate_language(shadow, radius)
     bound = 2 * shadow.constant_m
-    prefix_cache: dict[Word, tuple[Element, ...]] = {}
-
-    def prefixes(word: Word) -> tuple[Element, ...]:
-        hit = prefix_cache.get(word)
-        if hit is None:
-            hit = _prefix_elements(system, word)
-            prefix_cache[word] = hit
-        return hit
-
+    prefixes = _prefix_table(system)
     best = 0
     witness = ""
     pairs = 0
     for g, words_g in slice_.by_element.items():
         for s in system.gens:
-            g2 = system.multiply(g, s)
-            words_g2 = slice_.by_element.get(g2)
+            words_g2 = slice_.by_element.get(system.multiply(g, s))
             if words_g2 is None:
                 continue
-            for v in words_g:
-                pv = prefixes(v)
-                for v2 in words_g2:
-                    pv2 = prefixes(v2)
-                    pairs += 1
-                    for i in range(1, max(len(v), len(v2)) + 1):
-                        d = system.word_metric(_prefix_at(pv, i), _prefix_at(pv2, i))
-                        if d > best:
-                            best = d
-                            witness = (
-                                f"v={system.render_word(v)} "
-                                f"v'={system.render_word(v2)} i={i}"
-                            )
+            pairs += len(words_g) * len(words_g2)
+            d, at = _max_deviation(system, words_g, words_g2, prefixes, prefixes)
+            if d > best:
+                v, v2, i = at
+                best = d
+                witness = (
+                    f"v={system.render_word(v)} "
+                    f"v'={system.render_word(v2)} i={i}"
+                )
     return FellowTravellerReport(
         kind="first",
         radius=radius,
@@ -210,15 +222,7 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
     m_const = shadow.constant_m
     q_hat = estimate_parallel_wall(system, m_const, radius).q_hat
     bound = 4 * m_const * (m_const + q_hat) + 2 * q_hat
-    prefix_cache: dict[Word, tuple[Element, ...]] = {}
-
-    def prefixes(word: Word) -> tuple[Element, ...]:
-        hit = prefix_cache.get(word)
-        if hit is None:
-            hit = _prefix_elements(system, word)
-            prefix_cache[word] = hit
-        return hit
-
+    prefixes = _prefix_table(system)
     best_extended = 0
     best = 0
     witness = ""
@@ -229,25 +233,18 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
             words_g2 = slice_.by_element.get(g2)
             if words_g2 is None:
                 continue
-            inner = g.length <= radius and g2.length <= radius
-            for v in words_g:
-                pv = prefixes(v)
-                for v2 in words_g2:
-                    pv2 = prefixes(v2)
-                    pairs += 1
-                    for i in range(1, max(len(v), len(v2)) + 1):
-                        d = system.word_metric(
-                            system.multiply(s, _prefix_at(pv, i)),
-                            _prefix_at(pv2, i),
-                        )
-                        if d > best_extended:
-                            best_extended = d
-                            witness = (
-                                f"v={system.render_word(v)} "
-                                f"v'={system.render_word(v2)} s={s} i={i}"
-                            )
-                        if inner and d > best:
-                            best = d
+            pairs += len(words_g) * len(words_g2)
+            shifted = lambda v: tuple(system.multiply(s, p) for p in prefixes(v))
+            d, at = _max_deviation(system, words_g, words_g2, shifted, prefixes)
+            if d > best_extended:
+                v, v2, i = at
+                best_extended = d
+                witness = (
+                    f"v={system.render_word(v)} "
+                    f"v'={system.render_word(v2)} s={s} i={i}"
+                )
+            if g.length <= radius and g2.length <= radius and d > best:
+                best = d
     plateau = best == best_extended
     return FellowTravellerReport(
         kind="second",

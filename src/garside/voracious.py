@@ -18,7 +18,6 @@ the tests compare them exhaustively on balls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
@@ -106,12 +105,10 @@ def op_voracious_projection(g: Element) -> Element:
 # ---------------------------------------------------------------------------
 # Reduced words and the language
 
-_reduced_word_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-
 
 def reduced_words(g: Element) -> frozenset:
     """All reduced words of g (minimal-length words evaluating to it)."""
-    cache = _reduced_word_caches.setdefault(g.system, {})
+    cache = g.system.cache("reduced_words")
     stack = [g]
     while stack:
         top = stack[-1]
@@ -139,9 +136,6 @@ def reduced_words(g: Element) -> frozenset:
     return cache[g]
 
 
-_language_caches: "WeakKeyDictionary[GarsideShadow, dict]" = WeakKeyDictionary()
-
-
 def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     """The voracious words for g: minimal-length words built step by step.
 
@@ -149,7 +143,7 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     word for the projection of g extends by every reduced word of the
     remaining segment.  All results are reduced words of g.
     """
-    cache = _language_caches.setdefault(shadow, {})
+    cache = shadow.language_cache
     hit = cache.get(g)
     if hit is not None:
         return hit

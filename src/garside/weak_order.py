@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-from weakref import WeakKeyDictionary
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
 
@@ -58,11 +57,8 @@ def weak_leq_by_lengths(g: Element, h: Element) -> bool:
     return g.length + system.word_metric(g, h) == h.length
 
 
-_interval_caches: "WeakKeyDictionary[CoxeterSystem, dict]" = WeakKeyDictionary()
-
-
 def _lower_set(g: Element) -> frozenset[Element]:
-    cache = _interval_caches.setdefault(g.system, {})
+    cache = g.system.cache("lower_sets")
     stack = [g]
     while stack:
         top = stack[-1]

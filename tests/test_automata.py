@@ -10,6 +10,7 @@ from garside import (
     cone_type_gates,
     cone_type_id,
     letter_expanded,
+    make_system,
     minimize,
     nfa_accepting_states,
     shi_gates,
@@ -159,3 +160,11 @@ def test_exports_are_deterministic(system):
     assert dot.count("->") >= aut.n_states  # start edge plus transitions
     text = aut.to_text()
     assert f"states: {aut.n_states}" in text
+
+
+def test_multi_letter_names_render_with_spaces():
+    system = make_system(["x1", "y"], {("x1", "y"): 3})
+    aut = cone_type_automaton(system)
+    assert aut.state_labels == ("-", "x1", "y", "x1 y", "y x1", "x1 y x1")
+    assert "edge: 0 -> 1 labels=x1" in aut.to_text()
+    assert '[label="y"]' in aut.to_dot()

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from garside import cli
 from garside.cli import main
 
 DINF = "name: D-infinity\ngenerators: s t\nmatrix:\n1 0\n0 1\n"
@@ -52,6 +53,38 @@ def test_shadow_closure_with_seed(workspace):
     ) == 0
     body = out.read_text().strip().splitlines()
     assert body[-4:] == ["-", "s", "t", "st"]
+
+
+def test_shadow_closure_with_seed_that_needs_joins(workspace):
+    seed = workspace / "seed.txt"
+    seed.write_text("stu\n")
+    out = workspace / "closed.txt"
+    assert run(
+        "shadow", "--group", workspace / "a2.txt", "--kind", "closure",
+        "--seed", seed, "--out", out,
+    ) == 0
+    text = out.read_text()
+    assert "elements: 28" in text and "\nstu\n" in text
+
+
+def test_negative_m_is_a_bad_kind(workspace, capsys):
+    code = run("shadow", "--group", workspace / "a2.txt", "--kind", "mlow=-1",
+               "--out", workspace / "x.txt")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bad-kind:")
+
+
+def test_negative_radius_exits_1(workspace, capsys):
+    shadow = workspace / "L.txt"
+    run("shadow", "--group", workspace / "a2.txt", "--kind", "low", "--out", shadow)
+    capsys.readouterr()
+    for command, flag, value in (("verify", "--radius", "-1"), ("language", "--max-len", "-3")):
+        out = workspace / f"{command}.txt"
+        code = run(command, "--group", workspace / "a2.txt", "--shadow", shadow,
+                   flag, value, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad-radius:")
+        assert not out.exists()
 
 
 def test_malformed_matrix_exits_1(workspace, capsys):
@@ -193,3 +226,19 @@ def test_verify_failure_exit_code(workspace, monkeypatch):
     target.write_text(report.read_text().replace("result: pass", "result: FAIL"))
     assert run("verify", "--group", group, "--shadow", shadow,
                "--radius", "4", "--out", report) == 3
+
+
+def test_cached_results_are_keyed_on_the_code(workspace, monkeypatch):
+    shadow = workspace / "L.txt"
+    group = workspace / "dinf.txt"
+    run("shadow", "--group", group, "--kind", "low", "--out", shadow)
+    report = workspace / "report.txt"
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4", "--out", report)
+    assert run(*verify) == 0
+    cache_dir = Path(os.environ["GARSIDE_CACHE_DIR"])
+    target = max(cache_dir.glob("*.txt"), key=lambda p: p.stat().st_mtime)
+    target.write_text(report.read_text().replace("result: pass", "result: FAIL"))
+    assert run(*verify) == 3  # same code: the cached payload is served
+    monkeypatch.setattr(cli, "_code_fingerprint", lambda: "changed code")
+    assert run(*verify) == 0  # changed code: a miss, so the suite runs again
+    assert report.read_text().rstrip().endswith("result: pass")

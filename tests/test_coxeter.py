@@ -11,6 +11,7 @@ from garside import (
     word_infix,
     word_prefix,
 )
+from garside.coxeter import render_word
 from garside.scalars import ONE
 
 from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval
@@ -237,3 +238,15 @@ def test_render_parse_roundtrip(system):
         assert system.parse_word(system.render_word(g.word)) == g.word
     assert system.render_word(()) == "-"
     assert system.parse_word("-") == ()
+
+
+def test_negative_ball_radius_rejected(dinf):
+    dinf.ball(3)  # cached layers must not turn a negative radius into a slice
+    with pytest.raises(ValueError, match="radius"):
+        dinf.ball(-1)
+
+
+def test_render_word_joins_multi_letter_names_with_spaces():
+    assert render_word(("s", "t"), (0, 1, 0)) == "sts"
+    assert render_word(("x1", "y"), (0, 1)) == "x1 y"
+    assert render_word(("x1", "y"), ()) == "-"

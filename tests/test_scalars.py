@@ -88,3 +88,11 @@ def test_sign_consistent_with_float(x):
     if abs(approx) > 1e-9:
         assert x.sign() == (1 if approx > 0 else -1)
     assert (x - x).sign() == 0
+
+
+def test_sign_beyond_float_range_is_exact():
+    huge = Scalar([10**400, -1, 0, 0, 0, 0, 0, 0])
+    assert huge.sign() == 1 and (-huge).sign() == -1
+    # the sqrt2 term overflows to inf as a float, yet the sum is negative
+    x = Scalar([0, 1294 * 10**305, 0, 0, 0, -72 * 10**305, -18 * 10**306, -18 * 10**306])
+    assert x.sign() == -1 and (-x).sign() == 1

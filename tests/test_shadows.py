@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from garside import (
@@ -12,6 +15,8 @@ from garside import (
     shadow_from_gates,
     shadow_from_text,
     shadow_to_text,
+    language_of,
+    make_system,
     validate_shadow,
     weak_leq,
 )
@@ -79,6 +84,24 @@ def test_closure_is_fixed_point_on_valid_shadows(affine_a2):
     low = shadow_from_gates(affine_a2, "low")
     again = garside_closure(affine_a2, low.members, 10)
     assert again.members == low.members
+
+
+@pytest.mark.parametrize(
+    "name,cutoff", [("affine_a2", 8), ("triangle_334", 10), ("aa_product", 8)]
+)
+def test_closure_of_empty_seed_is_the_smallest_shadow(name, cutoff):
+    # the closure has to add joins here, which once raised KeyError mid-scan
+    system = get_system(name)
+    closure = garside_closure(system, [], cutoff)
+    assert closure.members == shadow_from_gates(system, "gamma").members
+
+
+def test_closure_of_seed_adds_its_joins(affine_a2):
+    stu = affine_a2.element("stu")
+    closure = garside_closure(affine_a2, [stu], 12)
+    assert stu in closure
+    assert len(closure) == 28
+    assert validate_shadow(affine_a2, closure.members).ok
 
 
 def test_closure_cutoff(s3):
@@ -172,3 +195,21 @@ def test_serialization_rejects_corruption(s3, dinf):
     broken = text.replace("\nsts", "\ntst")
     with pytest.raises(ShadowFileError, match="normal form"):
         shadow_from_text(s3, broken)
+
+
+def test_dropped_systems_are_freed():
+    # memo tables live on the system and the shadow, so nothing derived
+    # from a system keeps it alive once the caller lets go of it
+    refs = []
+    for _ in range(4):
+        system = make_system(
+            ["s", "t", "u"], {("s", "t"): 3, ("t", "u"): 3, ("s", "u"): 3}
+        )
+        low = shadow_from_gates(system, "low")
+        g = system.element("stsu")
+        assert b_projection(low, g) in low
+        assert language_of(low, g)
+        refs += [weakref.ref(system), weakref.ref(low)]
+    del system, low, g
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
