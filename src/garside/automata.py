@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, render_word
-from .shi import EXITS, NEGATIVE, elementary_walls
+from .shi import sign_patterns
 
 
 @dataclass(frozen=True)
@@ -182,49 +182,21 @@ def canonical_automaton(system: CoxeterSystem, m: int = 0) -> Automaton:
     """Deterministic automaton accepting exactly the reduced words.
 
     States are the reachable inversion patterns over the m-elementary
-    walls; reading a non-descent letter updates the pattern through the
-    reflection table.  All states accept (the language is prefix-closed);
-    descent letters lead to an implicit dead state.
+    walls (`shi.sign_patterns`), labelled by their shortest words; reading
+    a non-descent letter updates the pattern.  All states accept (the
+    language is prefix-closed); descent letters lead to an implicit dead
+    state.
     """
-    srs = elementary_walls(system, m)
-    table = srs.reflection_table
-    start = frozenset()
-    index: dict[frozenset, int] = {start: 0}
-    witness: list[Word] = [()]
-    order: list[frozenset] = [start]
-    edges: list[tuple[int, int, tuple[Word, ...]]] = []
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
-        i = index[state]
-        merged: dict[int, list[Word]] = {}
-        for s in range(system.rank):
-            alpha = system.simple_roots[s]
-            if alpha in state:
-                continue  # s is a right descent: not a reduced continuation
-            nxt = {alpha}
-            for beta in srs.ordered:
-                if beta == alpha:
-                    continue
-                image = table[(s, beta)]
-                if image is not EXITS and image is not NEGATIVE and image in state:
-                    nxt.add(beta)
-            nxt = frozenset(nxt)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                witness.append(witness[i] + (s,))
-                queue.append(nxt)
-            merged.setdefault(index[nxt], []).append((s,))
-        for j in sorted(merged):
-            edges.append((i, j, tuple(sorted(merged[j]))))
-    state_labels = tuple(system.render_word(w) for w in witness)
+    witnesses, transitions = sign_patterns(system, m)
+    merged: dict[tuple[int, int], list[Word]] = {}
+    for i, s, j in transitions:
+        merged.setdefault((i, j), []).append((s,))
     return Automaton(
         generator_names=system.generator_names,
-        state_labels=state_labels,
+        state_labels=tuple(system.render_word(w) for w in witnesses),
         start=0,
-        accepts=frozenset(range(len(order))),
-        edges=tuple(sorted(edges)),
+        accepts=frozenset(range(len(witnesses))),
+        edges=tuple(sorted((i, j, tuple(words)) for (i, j), words in merged.items())),
     )
 
 
@@ -342,12 +314,8 @@ def cone_type_gates(system: CoxeterSystem) -> tuple[Element, ...]:
     word reaching that state.  Each gate is the weak-order minimum of its
     part, which the tests check against ball enumerations.
     """
-    aut = cone_type_automaton(system)
-    gates = [
-        system.inverse(system.element(label if label != "-" else ""))
-        for label in aut.state_labels
-    ]
-    return tuple(sorted(gates))
+    labels = cone_type_automaton(system).state_labels
+    return tuple(sorted(system.inverse(system.element(label)) for label in labels))
 
 
 def cone_type_fingerprint(g: Element, radius: int) -> frozenset[Element]:

@@ -391,8 +391,9 @@ class CoxeterSystem:
             self.identity: frozenset()
         }
         self._ball_layers: list[list[Element]] = [[self.identity]]
-        self._root_depth: dict[Root, int] = {}
-        self._simple_set = frozenset(self.simple_roots)
+        # root_descent's tables; every descent ends at a simple root
+        self._root_depth: dict[Root, int] = dict.fromkeys(self.simple_roots, 1)
+        self._separation: dict[Root, int] = dict.fromkeys(self.simple_roots, 0)
         self._memo: dict[str, dict] = {}
 
     # -- basic plumbing ----------------------------------------------------
@@ -643,37 +644,47 @@ class CoxeterSystem:
                 walls.add(self.act_word(g.word, self.simple_roots[s]).abs())
         return tuple(sorted(walls, key=self.root_sort_key))
 
-    # -- root depth -------------------------------------------------------------
+    # -- root descent -----------------------------------------------------------
 
-    def root_depth(self, root: Root) -> int:
-        """Depth of a positive root: minimal length of w with w(root) negative.
+    def root_descent(self, root: Root) -> tuple[int, int]:
+        """Depth of a wall's positive root, and the walls separating it from id.
 
-        The vertex-to-wall distance in the Cayley graph is depth - 1.
+        The depth is the minimal length of w with w(root) negative; the
+        vertex-to-wall distance in the Cayley graph is depth - 1.  One walk
+        descends the root graph to a simple root, always through the first
+        s with B(alpha_s, root) > 0, and records both values on the way:
+        every step adds one to the depth, and a step with B >= 1 also sheds
+        exactly one separating wall, while a step with 0 < B < 1 sheds none.
         """
         root = root.abs()
-        cached = self._root_depth.get(root)
-        if cached is not None:
-            return cached
-        chain = []
+        depths, counts = self._root_depth, self._separation
+        depth = depths.get(root)
+        if depth is not None:
+            return depth, counts[root]
+        chain: list[tuple[Root, int]] = []
         current = root
-        while current not in self._root_depth:
-            if current in self._simple_set:
-                self._root_depth[current] = 1
-                break
+        while current not in depths:
             for s in range(self.rank):
-                if self.bilinear(self.simple_roots[s], current).sign() > 0:
-                    chain.append(current)
+                b = self.bilinear(self.simple_roots[s], current)
+                if b.sign() > 0:
+                    chain.append((current, 1 if (b - 1).sign() >= 0 else 0))
                     current = self.reflect(s, current)
                     break
             else:
                 raise InternalInconsistencyError(
                     f"positive root with no descent direction: {current}"
                 )
-        base = self._root_depth[current]
-        for r in reversed(chain):
-            base += 1
-            self._root_depth[r] = base
-        return self._root_depth[root]
+        depth, count = depths[current], counts[current]
+        for r, bump in reversed(chain):
+            depth += 1
+            count += bump
+            depths[r], counts[r] = depth, count
+        return depth, count
+
+    def root_depth(self, root: Root) -> int:
+        """Depth of a positive root (see `root_descent`)."""
+        depth = self._root_depth.get(root.abs())
+        return depth if depth is not None else self.root_descent(root)[0]
 
     def root_sort_key(self, root: Root):
         """Deterministic total order on roots: by depth, then coordinates."""

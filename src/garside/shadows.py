@@ -344,21 +344,27 @@ def shadow_from_text(system: CoxeterSystem, text: str) -> GarsideShadow:
             raise ShadowFileError(f"missing field {required!r}")
     if fields["group-hash"] != system.matrix.content_hash():
         raise ShadowFileError("shadow was computed for a different group")
-    if len(body) != int(fields["elements"]):
+    try:
+        n_elements, constant_m = int(fields["elements"]), int(fields["constant-m"])
+    except ValueError as exc:
+        raise ShadowFileError(f"a count field is not an integer: {exc}") from None
+    if len(body) != n_elements:
         raise ShadowFileError(
             f"expected {fields['elements']} elements, found {len(body)}"
         )
-    members = []
+    members = set()
     for word_text in body:
         g = system.element(word_text)
         if system.render_word(g.word) != word_text:
             raise ShadowFileError(f"word {word_text!r} is not a normal form")
-        members.append(g)
+        if g in members:
+            raise ShadowFileError(f"element {word_text!r} is listed twice")
+        members.add(g)
     try:
         shadow = make_shadow(system, members, fields["provenance"])
     except ValueError as exc:
         raise ShadowFileError(str(exc)) from None
-    if shadow.constant_m != int(fields["constant-m"]):
+    if shadow.constant_m != constant_m:
         raise ShadowFileError(
             f"constant-m mismatch: file says {fields['constant-m']}, "
             f"recomputed {shadow.constant_m}"

@@ -1,4 +1,4 @@
-"""Small roots, Shi sign vectors, and the gates of the Shi partitions.
+"""Small roots, Shi sign patterns, and the gates of the Shi partitions.
 
 A wall is m-elementary when at most m walls separate it from the identity
 vertex.  Two independent routes compute these sets:
@@ -11,10 +11,15 @@ vertex.  Two independent routes compute these sets:
   a finite Cayley ball, using nothing but half-space signs.
 
 The fast route is only trusted where the two agree; the test suite holds
-them against each other on every supported system.  Gates of the m-Shi
-partition are read off the sign-pattern automaton: the gate of a part is
-the inverse of the shortest word realizing the part's pattern.  The tests
-check the gates against per-part minima computed naively on balls.
+them against each other on every supported system.  The count of a single
+wall comes from the inward walk, `CoxeterSystem.root_descent`, which the
+tests also hold against the outward walk.
+
+`sign_patterns` walks the reachable sign patterns over the m-elementary
+walls once; they are the states of the canonical reduced-word automaton
+(`automata.canonical_automaton`), and the gate of each m-Shi part is the
+inverse of the shortest word realizing its pattern (`shi_gates`).  The
+tests check the gates against per-part minima computed naively on balls.
 """
 
 from __future__ import annotations
@@ -27,26 +32,24 @@ from .coxeter import (
     Element,
     InternalInconsistencyError,
     Root,
+    Word,
 )
-
-#: Reflection-table marker: the image root is no longer m-elementary.
-EXITS = "exits"
-#: Reflection-table marker: the image root is negative (root was alpha_s).
-NEGATIVE = "negative"
 
 _MAX_ROOTS = 200_000  # non-termination guard; the sets are provably finite
 
 
 @dataclass(frozen=True)
 class SmallRootSet:
-    """The m-elementary walls of a system, with their reflection table."""
+    """The m-elementary walls of a system, in `root_sort_key` order and as a set.
+
+    A simple reflection of one of them is found with `system.reflect`; it
+    stays m-elementary iff it is in `roots`.
+    """
 
     system: CoxeterSystem
     m: int
     ordered: tuple[Root, ...]
     roots: frozenset[Root]
-    reflection_table: dict  # (generator index, Root) -> Root | EXITS | NEGATIVE
-    counts: dict  # Root -> number of walls separating it from the identity
 
     def __len__(self):
         return len(self.ordered)
@@ -68,34 +71,9 @@ class SignVector:
 def separation_count(system: CoxeterSystem, root: Root) -> int:
     """Number of walls separating the identity vertex from this wall.
 
-    Computed by descending the root graph to a simple root; each step with
-    B(alpha_s, root) >= 1 sheds exactly one separating wall, steps with
-    0 < B < 1 shed none.
+    Read off the descent walk of `CoxeterSystem.root_descent`.
     """
-    cache = system.cache("separation_counts")
-    root = root.abs()
-    chain: list[tuple[Root, int]] = []
-    current = root
-    while current not in cache:
-        if current in system._simple_set:
-            cache[current] = 0
-            break
-        for s in range(system.rank):
-            b = system.bilinear(system.simple_roots[s], current)
-            if b.sign() > 0:
-                bump = 1 if (b - 1).sign() >= 0 else 0
-                chain.append((current, bump))
-                current = system.reflect(s, current)
-                break
-        else:
-            raise InternalInconsistencyError(
-                f"positive root with no descent direction: {current}"
-            )
-    value = cache[current]
-    for r, bump in reversed(chain):
-        value += bump
-        cache[r] = value
-    return cache[root]
+    return system.root_descent(root)[1]
 
 
 def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
@@ -107,7 +85,6 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
         return per_system[m]
 
     values: dict[Root, int] = {alpha: 0 for alpha in system.simple_roots}
-    kept: set[Root] = set(system.simple_roots)
     queue: deque[Root] = deque(system.simple_roots)
     while queue:
         beta = queue.popleft()
@@ -134,32 +111,15 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
                 continue
             values[gamma] = n_gamma
             if n_gamma <= m:
-                kept.add(gamma)
                 queue.append(gamma)
-                if len(kept) > _MAX_ROOTS:
+                if len(values) > _MAX_ROOTS:
                     raise InternalInconsistencyError(
                         "small-root enumeration exceeded the termination guard"
                     )
 
-    table: dict = {}
-    for beta in kept:
-        for s in range(system.rank):
-            if beta == system.simple_roots[s]:
-                table[(s, beta)] = NEGATIVE
-                continue
-            gamma = system.reflect(s, beta)
-            table[(s, beta)] = gamma if gamma in kept else EXITS
-
+    kept = [root for root, n in values.items() if n <= m]
     ordered = tuple(sorted(kept, key=system.root_sort_key))
-    out = SmallRootSet(
-        system=system,
-        m=m,
-        ordered=ordered,
-        roots=frozenset(kept),
-        reflection_table=table,
-        counts={r: values[r] for r in kept},
-    )
-    per_system[m] = out
+    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(kept))
     return out
 
 
@@ -224,40 +184,47 @@ def shi_sign_vector(g: Element, m: int) -> SignVector:
     return SignVector(tuple(root in inv for root in srs.ordered))
 
 
-def pattern_witnesses(system: CoxeterSystem, m: int) -> dict[frozenset, tuple]:
-    """Shortest reduced word realizing each reachable m-Shi sign pattern.
+def sign_patterns(
+    system: CoxeterSystem, m: int
+) -> tuple[list[Word], list[tuple[int, int, int]]]:
+    """The reachable m-Shi sign patterns, walked breadth-first from id.
 
+    Returns a shortest (ShortLex-first) reduced word for each pattern, in
+    the order the walk finds them, and the transitions ``(i, s, j)``:
+    reading the non-descent letter s in pattern i leads to pattern j.
     Patterns are tracked on inverses: reading a reduced word for g keeps
     the set of m-elementary walls sent negative by g, which is the
-    separation pattern of g^{-1}.  The reachable patterns form the states
-    of the canonical reduced-word automaton, so this BFS terminates.
+    separation pattern of g^{-1}.  The reachable patterns are the states
+    of the canonical reduced-word automaton, so the walk terminates.
     """
-    srs = elementary_walls(system, m)
-    table = srs.reflection_table
-    start: frozenset = frozenset()
-    witnesses: dict[frozenset, tuple] = {start: ()}
-    queue: deque[frozenset] = deque([start])
-    while queue:
-        state = queue.popleft()
-        word = witnesses[state]
+    roots = elementary_walls(system, m).roots
+    states: list[frozenset] = [frozenset()]
+    index: dict[frozenset, int] = {states[0]: 0}
+    witnesses: list[Word] = [()]
+    transitions: list[tuple[int, int, int]] = []
+    # `states` grows as new patterns are found; reading it in order is the BFS
+    for i, state in enumerate(states):
         for s in range(system.rank):
             alpha = system.simple_roots[s]
             if alpha in state:
                 continue  # s is a descent: not a reduced continuation
             nxt = {alpha}
             for gamma in state:
-                image = table[(s, gamma)]
-                if image is not EXITS and image is not NEGATIVE:
+                image = system.reflect(s, gamma)
+                if image in roots:
                     nxt.add(image)
             key = frozenset(nxt)
-            if key not in witnesses:
-                witnesses[key] = word + (s,)
-                queue.append(key)
-        if len(witnesses) > _MAX_ROOTS:
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(states)
+                states.append(key)
+                witnesses.append(witnesses[i] + (s,))
+            transitions.append((i, s, j))
+        if len(states) > _MAX_ROOTS:
             raise InternalInconsistencyError(
                 "sign-pattern enumeration exceeded the termination guard"
             )
-    return witnesses
+    return witnesses, transitions
 
 
 def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
@@ -271,12 +238,10 @@ def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
     per_system = system.cache("shi_gates")
     if m in per_system:
         return per_system[m]
-    witnesses = pattern_witnesses(system, m)
-    gates = sorted(
-        system.inverse(system.element(word)) for word in witnesses.values()
+    witnesses, _ = sign_patterns(system, m)
+    out = per_system[m] = tuple(
+        sorted(system.inverse(system.element(word)) for word in witnesses)
     )
-    out = tuple(gates)
-    per_system[m] = out
     return out
 
 

@@ -131,6 +131,21 @@ def test_corrupted_shadow_exits_2(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("elements: 6", "elements: many"),
+    lambda t: t.replace("constant-m: 3", "constant-m: x4"),
+    lambda t: t.replace("elements: 6", "elements: 7") + "sts\n",
+])
+def test_malformed_count_or_repeated_line_exits_2(workspace, edit, capsys):
+    shadow = workspace / "L.txt"
+    run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", shadow)
+    shadow.write_text(edit(shadow.read_text()))
+    code = run("verify", "--group", workspace / "s3.txt", "--shadow", shadow,
+               "--radius", "2", "--out", workspace / "x.txt")
+    assert code == 2
+    assert "shadow-invalid" in capsys.readouterr().err
+
+
 def test_language_slice(workspace):
     shadow = workspace / "L.txt"
     run("shadow", "--group", workspace / "dinf.txt", "--kind", "low", "--out", shadow)

@@ -195,6 +195,15 @@ def test_serialization_rejects_corruption(s3, dinf):
     broken = text.replace("\nsts", "\ntst")
     with pytest.raises(ShadowFileError, match="normal form"):
         shadow_from_text(s3, broken)
+    # a repeated member line, with the count raised to match
+    repeated = text.replace("elements: 6", "elements: 7") + "sts\n"
+    with pytest.raises(ShadowFileError, match="listed twice"):
+        shadow_from_text(s3, repeated)
+    # count fields that are not integers
+    for field, bad in (("elements: 6", "elements: many"), ("constant-m: 3", "constant-m: x4")):
+        assert field in text
+        with pytest.raises(ShadowFileError, match="not an integer"):
+            shadow_from_text(s3, text.replace(field, bad))
 
 
 def test_dropped_systems_are_freed():

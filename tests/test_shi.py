@@ -13,8 +13,6 @@ from garside import (
     wall_separation_oracle,
     weak_leq,
 )
-from garside.shi import EXITS, NEGATIVE
-
 from conftest import ALL_SYSTEMS, get_system
 
 
@@ -64,11 +62,27 @@ def test_m_close_spec_examples(dinf):
 
 
 def test_reflection_table_markers(dinf):
-    srs = elementary_walls(dinf, 0)
+    roots = elementary_walls(dinf, 0).roots
     alpha_s, alpha_t = dinf.simple_roots
-    assert srs.reflection_table[(0, alpha_s)] is NEGATIVE
-    assert srs.reflection_table[(0, alpha_t)] is EXITS  # leaves the set
-    assert srs.reflection_table[(1, alpha_s)] is EXITS
+    assert dinf.reflect(0, alpha_s).sign() < 0
+    assert dinf.reflect(0, alpha_t) not in roots  # leaves the set
+    assert dinf.reflect(1, alpha_s) not in roots
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_descent_walk_agrees_with_outward_walk(name):
+    # the inward walk of root_descent against the outward walk of
+    # elementary_walls: members count at most m walls, and each positive
+    # simple reflection of a member that leaves the set counts more
+    system = get_system(name)
+    for m in range(3):
+        srs = elementary_walls(system, m)
+        for beta in srs.ordered:
+            assert separation_count(system, beta) <= m
+            for s in range(system.rank):
+                gamma = system.reflect(s, beta)
+                if gamma.sign() > 0 and gamma not in srs:
+                    assert separation_count(system, gamma) > m
 
 
 def test_sign_vectors(dinf):
