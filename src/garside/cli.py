@@ -92,27 +92,24 @@ def _cache_get(key: str) -> str | None:
 
 
 def _cache_put(key: str, payload: str) -> None:
-    directory = _cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    _write_out(_cache_dir() / f"{key}.txt", payload)
+
+
+def _write_out(path: str | Path, payload: str) -> None:
+    """Write a file whole or not at all, through a temporary file beside it."""
+    target = Path(path)
+    tmp = None
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        os.replace(tmp, directory / f"{key}.txt")
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise CliError(EXIT_IO, "io", f"cannot write {target}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def _write_out(path: str, payload: str) -> None:
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    os.replace(tmp, target)
 
 
 def _load_system(group_path: str) -> CoxeterSystem:

@@ -480,60 +480,35 @@ class CoxeterSystem:
 
     # -- normal forms --------------------------------------------------------
 
-    def _left_exchange(self, s: int, word: Word) -> Word:
-        """Reduced word for s*w given reduced w with s a left descent."""
-        gamma = self.simple_roots[s]
-        for j, letter in enumerate(word):
-            if gamma == self.simple_roots[letter]:
-                return word[:j] + word[j + 1 :]
-            gamma = self.reflect(letter, gamma)
-        raise InternalInconsistencyError(
-            f"no exchange position for descent {s} in {word}"
-        )
-
-    def _smallest_left_descent(self, word: Word) -> int | None:
-        for s in range(self.rank):
-            if self.act_inverse_word(word, self.simple_roots[s]).sign() < 0:
-                return s
-        return None
-
-    def _normalize_reduced(self, word: Word) -> Word:
-        """ShortLex-least reduced word of the element of a reduced word."""
-        out: list[int] = []
-        rem = word
-        while rem:
-            s = self._smallest_left_descent(rem)
-            if s is None:
-                raise InternalInconsistencyError(f"nonempty word without descent: {rem}")
-            out.append(s)
-            if s == rem[0]:
-                rem = rem[1:]
-            else:
-                rem = self._left_exchange(s, rem)
-        return tuple(out)
-
     def right_multiply(self, g: Element, s: int) -> Element:
-        """Normal form of g * (generator s)."""
+        """Normal form of g * (generator s), found in one scan of g's word.
+
+        A suffix x = w[i:] of g's normal form w starts with its smallest left
+        descent, and x*s changes x's inversion set by gamma_i = x(alpha_s)
+        only.  So the first i with gamma_{i+1} = alpha_w[i] drops w[i], the
+        first with gamma_i = alpha_t, t < w[i], inserts t; else s is appended.
+        """
         key = (g, s)
         cached = self._rmul.get(key)
         if cached is not None:
             return cached
-        alpha = self.simple_roots[s]
-        if self.act_word(g.word, alpha).sign() < 0:
-            # right descent: strong exchange on the right
-            gamma = alpha
-            word = g.word
-            reduced = None
-            for j in range(len(word) - 1, -1, -1):
-                if gamma == self.simple_roots[word[j]]:
-                    reduced = word[:j] + word[j + 1 :]
-                    break
-                gamma = self.reflect(word[j], gamma)
-            if reduced is None:
-                raise InternalInconsistencyError(f"missing right exchange in {word}")
-            out = self._intern(self._normalize_reduced(reduced))
+        word, simple = g.word, self.simple_roots
+        gammas = [simple[s]]
+        for a in reversed(word):
+            gammas.append(self.reflect(a, gammas[-1]))
+        gammas.reverse()
+        for i, a in enumerate(word):
+            if gammas[i + 1] == simple[a]:
+                out = word[:i] + word[i + 1 :]
+                break
+            if gammas[i] in simple[:a]:
+                out = word[:i] + (simple.index(gammas[i]),) + word[i:]
+                break
         else:
-            out = self._intern(self._normalize_reduced(g.word + (s,)))
+            if gammas[0].sign() < 0:
+                raise InternalInconsistencyError(f"no letter of {word} drops for descent {s}")
+            out = word + (s,)
+        out = self._intern(out)
         self._rmul[key] = out
         return out
 
@@ -595,14 +570,17 @@ class CoxeterSystem:
         There are exactly l(g) of them; g <= h in right weak order iff the
         set for g is contained in the set for h.
         """
-        cached = self._inversions.get(g)
-        if cached is not None:
-            return cached
-        parent = self._intern(g.word[:-1])
-        new_wall = self.act_word(parent.word, self.simple_roots[g.word[-1]])
-        out = self.inversion_walls(parent) | {new_wall}
-        self._inversions[g] = out
-        return out
+        walls = self._inversions.get(g)
+        if walls is not None:
+            return walls
+        word = g.word
+        k = len(word) - 1
+        while (walls := self._inversions.get(self._intern(word[:k]))) is None:
+            k -= 1
+        for j in range(k, len(word)):
+            walls = walls | {self.act_word(word[:j], self.simple_roots[word[j]])}
+            self._inversions[self._intern(word[: j + 1])] = walls
+        return walls
 
     def separating_walls(self, g: Element, h: Element) -> frozenset[Root]:
         """Walls with g and h in different half-spaces; size equals d(g, h)."""
@@ -615,21 +593,20 @@ class CoxeterSystem:
     # -- balls ----------------------------------------------------------------
 
     def ball(self, radius: int) -> CayleyBall:
-        """All elements of length <= radius, ShortLex-ordered, cached."""
+        """All elements of length <= radius, ShortLex-ordered, cached.
+
+        A layer holds the products g*s, g in the previous layer in order and
+        s ascending, that grow and end in s: each element once, in order.
+        """
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         while len(self._ball_layers) <= radius:
-            frontier = self._ball_layers[-1]
-            depth = len(self._ball_layers)
-            seen = set()
             layer = []
-            for g in frontier:
+            for g in self._ball_layers[-1]:
                 for s in range(self.rank):
                     h = self.right_multiply(g, s)
-                    if h.length == depth and h not in seen:
-                        seen.add(h)
+                    if h.length > g.length and h.word[-1] == s:
                         layer.append(h)
-            layer.sort()
             self._ball_layers.append(layer)
         flat: list[Element] = []
         for layer in self._ball_layers[: radius + 1]:

@@ -354,7 +354,10 @@ def shadow_from_text(system: CoxeterSystem, text: str) -> GarsideShadow:
         )
     members = set()
     for word_text in body:
-        g = system.element(word_text)
+        try:
+            g = system.element(word_text)
+        except ValueError as exc:
+            raise ShadowFileError(str(exc)) from None
         if system.render_word(g.word) != word_text:
             raise ShadowFileError(f"word {word_text!r} is not a normal form")
         if g in members:

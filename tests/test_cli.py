@@ -96,6 +96,15 @@ def test_malformed_matrix_exits_1(workspace, capsys):
     assert "m[0,1]=3" in err
 
 
+def test_unwritable_out_exits_1_and_leaves_no_temp_file(workspace, capsys):
+    target = workspace / "taken"
+    target.mkdir()
+    code = run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", target)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: io:")
+    assert not list(workspace.rglob("*.tmp"))
+
+
 def test_automaton_export(workspace):
     shadow = workspace / "L.txt"
     run("shadow", "--group", workspace / "dinf.txt", "--kind", "low", "--out", shadow)
@@ -135,6 +144,7 @@ def test_corrupted_shadow_exits_2(workspace):
     lambda t: t.replace("elements: 6", "elements: many"),
     lambda t: t.replace("constant-m: 3", "constant-m: x4"),
     lambda t: t.replace("elements: 6", "elements: 7") + "sts\n",
+    lambda t: t.replace("\nsts", "\nstx"),
 ])
 def test_malformed_count_or_repeated_line_exits_2(workspace, edit, capsys):
     shadow = workspace / "L.txt"

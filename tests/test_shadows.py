@@ -199,6 +199,9 @@ def test_serialization_rejects_corruption(s3, dinf):
     repeated = text.replace("elements: 6", "elements: 7") + "sts\n"
     with pytest.raises(ShadowFileError, match="listed twice"):
         shadow_from_text(s3, repeated)
+    # a member line with an unknown generator
+    with pytest.raises(ShadowFileError, match="unknown generator"):
+        shadow_from_text(s3, text.replace("\nsts", "\nstx"))
     # count fields that are not integers
     for field, bad in (("elements: 6", "elements: many"), ("constant-m: 3", "constant-m: x4")):
         assert field in text
