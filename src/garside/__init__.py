@@ -89,7 +89,6 @@ from .voracious import (
 from .verify import (
     CheckResult,
     FellowTravellerReport,
-    ParallelWallEstimate,
     VerdictBundle,
     check_condition_one,
     check_first_ftp,
@@ -97,6 +96,7 @@ from .verify import (
     check_second_ftp,
     estimate_parallel_wall,
     full_suite,
+    parallel_wall_constant,
 )
 
 __version__ = "0.1.0"

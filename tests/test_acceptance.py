@@ -201,7 +201,7 @@ def test_criterion_08_second_fellow_traveller():
             )
     _report(
         8,
-        "second fellow-traveller deviation plateaus (radii 7-8) within the empirical bound",
+        "second fellow-traveller deviation plateaus (radii 7-8) within the proven bound",
         not failures,
         str(failures) if failures else "6 systems",
     )

@@ -198,6 +198,33 @@ def test_verify_affine_gamma(workspace):
                "--radius", "7", "--out", report) == 0
 
 
+def test_verify_affine_mlow1_passes_without_a_plateau(workspace):
+    # the second deviation still grows from radius 6 to 7 here; the proven
+    # bound holds, and it alone decides the verdict
+    shadow = workspace / "M1.txt"
+    run("shadow", "--group", workspace / "a2.txt", "--kind", "mlow=1", "--out", shadow)
+    report = workspace / "report.txt"
+    assert run("verify", "--group", workspace / "a2.txt", "--shadow", shadow,
+               "--radius", "6", "--out", report) == 0
+    text = report.read_text()
+    assert "plateau=False" in text
+    assert text.rstrip().endswith("result: pass")
+
+
+def test_second_ftp_bound_violation_exits_3(workspace, monkeypatch):
+    # a negative parallel-wall constant puts the bound below any deviation
+    monkeypatch.setattr("garside.verify.parallel_wall_constant", lambda system, m: -m)
+    shadow = workspace / "L.txt"
+    group = workspace / "dinf.txt"
+    run("shadow", "--group", group, "--kind", "low", "--out", shadow)
+    report = workspace / "report.txt"
+    assert run("verify", "--group", group, "--shadow", shadow,
+               "--radius", "4", "--out", report) == 3
+    text = report.read_text()
+    assert "check: second-ftp FAIL" in text
+    assert text.rstrip().endswith("result: FAIL")
+
+
 def test_project(workspace, capsys):
     shadow = workspace / "L.txt"
     run("shadow", "--group", workspace / "dinf.txt", "--kind", "low", "--out", shadow)

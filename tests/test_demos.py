@@ -23,3 +23,4 @@ def test_demo_exits_0(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("garside-demo-*"))

@@ -5,6 +5,8 @@ from garside import (
     check_second_ftp,
     estimate_parallel_wall,
     full_suite,
+    make_system,
+    parallel_wall_constant,
     shadow_from_gates,
 )
 from garside.verify import (
@@ -48,22 +50,39 @@ def test_first_ftp_affine(affine_a2):
 
 
 def test_parallel_wall_estimates(dinf, affine_a2):
-    assert estimate_parallel_wall(dinf, 0, 6).q_hat == 0
-    assert estimate_parallel_wall(affine_a2, 0, 6).q_hat == 0
-    est = estimate_parallel_wall(affine_a2, 1, 6)
-    assert est.lower_bound_only
+    assert estimate_parallel_wall(dinf, 0, 6) == 0
+    assert estimate_parallel_wall(affine_a2, 0, 6) == 0
+    # a lower bound for the exact constant
+    assert estimate_parallel_wall(affine_a2, 1, 6) <= parallel_wall_constant(affine_a2, 1)
     # monotone in the radius
     for m in (1, 2):
-        small = estimate_parallel_wall(affine_a2, m, 5).q_hat
-        large = estimate_parallel_wall(affine_a2, m, 7).q_hat
+        small = estimate_parallel_wall(affine_a2, m, 5)
+        large = estimate_parallel_wall(affine_a2, m, 7)
         assert small <= large
 
 
+def test_parallel_wall_constant_matches_its_oracle(system):
+    for m in range(6):
+        assert estimate_parallel_wall(system, m, 5) == parallel_wall_constant(system, m), m
+
+
+def test_parallel_wall_estimate_is_below_on_a_small_ball(affine_a2):
+    assert estimate_parallel_wall(affine_a2, 5, 4) == 8
+    assert parallel_wall_constant(affine_a2, 5) == 9
+
+
+def test_parallel_wall_constant_of_rank_one():
+    a1 = make_system(["s"], {}, "A1")
+    assert [parallel_wall_constant(a1, m) for m in range(-1, 6)] == [0] * 7
+
+
 def test_second_ftp_dinf(dinf):
-    report = check_second_ftp(low(dinf), 6)
+    shadow = low(dinf)
+    report = check_second_ftp(shadow, 6)
     assert report.passed and report.plateau
     assert report.max_deviation <= report.theoretical_bound
-    assert report.bound_is_empirical
+    m, q = shadow.constant_m, parallel_wall_constant(dinf, shadow.constant_m)
+    assert report.theoretical_bound == 4 * m * (m + q) + 2 * q
 
 
 def test_lemma_chain(dinf, affine_a2):
