@@ -85,10 +85,12 @@ def _cache_key(*parts: str) -> str:
 
 
 def _cache_get(key: str) -> str | None:
+    """A cached result, or None; an entry that is not UTF-8 text is a miss."""
     path = _cache_dir() / f"{key}.txt"
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    return None
+    try:
+        return path.read_text(encoding="utf-8") if path.is_file() else None
+    except UnicodeDecodeError:
+        return None
 
 
 def _cache_put(key: str, payload: str) -> None:
@@ -112,11 +114,18 @@ def _write_out(path: str | Path, payload: str) -> None:
             os.unlink(tmp)
 
 
-def _load_system(group_path: str) -> CoxeterSystem:
+def _read_input(path: str, what: str, code: int, prefix: str) -> str:
+    """An input file's text; one that is not UTF-8 ends as malformed input."""
     try:
-        text = Path(group_path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"cannot read group file: {exc}") from exc
+        raise CliError(EXIT_IO, "io", f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(code, prefix, f"{what} file is not UTF-8: {exc}") from exc
+
+
+def _load_system(group_path: str) -> CoxeterSystem:
+    text = _read_input(group_path, "group", EXIT_IO, "group-parse")
     try:
         return CoxeterSystem(parse_group_file(text))
     except GroupFileError as exc:
@@ -126,10 +135,7 @@ def _load_system(group_path: str) -> CoxeterSystem:
 
 
 def _load_shadow(system: CoxeterSystem, shadow_path: str):
-    try:
-        text = Path(shadow_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"cannot read shadow file: {exc}") from exc
+    text = _read_input(shadow_path, "shadow", EXIT_VALIDATION, "shadow-invalid")
     try:
         return shadow_from_text(system, text), text
     except ShadowFileError as exc:
@@ -179,10 +185,7 @@ def cmd_shadow(args) -> int:
         seed_words = []
         seed_text = ""
         if args.seed:
-            try:
-                seed_text = Path(args.seed).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise CliError(EXIT_IO, "io", f"cannot read seed file: {exc}") from exc
+            seed_text = _read_input(args.seed, "seed", EXIT_IO, "bad-word")
             for line in seed_text.splitlines():
                 line = line.split("#", 1)[0].strip()
                 if line:

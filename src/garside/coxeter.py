@@ -18,19 +18,17 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterator, Sequence
 
-from .scalars import ONE, SQRT2, SQRT3, SQRT5, TWO, ZERO, Scalar
+from .scalars import HALF, ONE, SQRT2, SQRT3, SQRT5, TWO, ZERO, Scalar
 
 #: Serialized label value that stands for an unbounded (infinite) edge label.
 INFINITE_LABEL = 0
 
 # 2*cos(pi/m) for the supported finite labels; INFINITE_LABEL maps to 2.
-_HALF = Scalar.from_rational("1/2")
-
 _TWO_COS = {
     2: ZERO,
     3: ONE,
     4: SQRT2,
-    5: (ONE + SQRT5) * _HALF,
+    5: (ONE + SQRT5) * HALF,
     6: SQRT3,
     INFINITE_LABEL: TWO,
 }
@@ -184,14 +182,22 @@ def format_group_file(matrix: CoxeterMatrix) -> str:
 
 
 class Root:
-    """A root in simple-root coordinates; positive or negative, never mixed."""
+    """A root in simple-root coordinates; positive or negative, never mixed.
 
-    __slots__ = ("coeffs", "_hash", "_sign")
+    A system interns the roots it hands out: one object per value, with a
+    dense `id` (simple roots first) and its negative as the partner that
+    `-` and `abs` return.  A root built directly has `id` None.  Equality
+    and hashing compare values, so correctness never depends on interning.
+    """
+
+    __slots__ = ("coeffs", "_hash", "_sign", "id", "_neg")
 
     def __init__(self, coeffs: Sequence[Scalar]):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_hash", hash(self.coeffs))
         object.__setattr__(self, "_sign", 0)
+        object.__setattr__(self, "id", None)
+        object.__setattr__(self, "_neg", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Root is immutable")
@@ -218,7 +224,7 @@ class Root:
         return out
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
+        return self._neg or Root(tuple(-c for c in self.coeffs))
 
     def abs(self) -> "Root":
         return self if self.sign() > 0 else -self
@@ -377,11 +383,14 @@ class CoxeterSystem:
             )
             for s in range(self.rank)
         )
+        # interned roots by value, and their images by id: _reflections[s][id]
+        self._canonical: dict[Root, Root] = {}
+        self._reflections = tuple([] for _ in range(self.rank))
         self.simple_roots = tuple(
             Root(tuple(ONE if t == s else ZERO for t in range(self.rank)))
             for s in range(self.rank)
         )
-        self._reflect_cache: dict[tuple[int, Root], Root] = {}
+        self._adopt(self.simple_roots)
         self._elements: dict[Word, Element] = {}
         self.identity = self._intern(())
         self.gens = tuple(self._intern((s,)) for s in range(self.rank))
@@ -435,21 +444,46 @@ class CoxeterSystem:
 
     # -- root action --------------------------------------------------------
 
+    def _intern_root(self, root: Root) -> Root:
+        """This system's canonical object for the value of root (see `Root`)."""
+        canonical = self._canonical.get(root)
+        if canonical is None:
+            canonical = Root(root.coeffs)
+            self._adopt((canonical,))
+        return canonical
+
+    def _adopt(self, roots: Sequence[Root]) -> None:
+        """Intern new roots, then their negatives, numbering them in that order."""
+        negatives = [Root([-c for c in root.coeffs]) for root in roots]
+        for root, neg in (*zip(roots, negatives), *zip(negatives, roots)):
+            object.__setattr__(root, "_neg", neg)
+            object.__setattr__(root, "id", len(self._canonical))
+            self._canonical[root] = root
+            for row in self._reflections:
+                row.append(None)
+
     def reflect(self, s: int, root: Root) -> Root:
-        """Apply the simple reflection for generator index s to a root."""
-        key = (s, root)
-        cached = self._reflect_cache.get(key)
-        if cached is not None:
-            return cached
-        row = self._two_b[s]
-        c = ZERO
-        for t, x in enumerate(root.coeffs):
-            if not x.is_zero():
-                c = c + row[t] * x
-        coeffs = list(root.coeffs)
-        coeffs[s] = coeffs[s] - c
-        out = Root(coeffs)
-        self._reflect_cache[key] = out
+        """Apply the simple reflection for generator index s to a root.
+
+        The result is this system's interned root (see `Root`), read from
+        the one reflection table `_reflections[s][id]`; a root from elsewhere
+        is first looked up by value.  Entries are filled on first use, for
+        the root, its image and their negatives (s_s is a linear involution).
+        """
+        root = self._intern_root(root)
+        row = self._reflections[s]
+        out = row[root.id]
+        if out is None:
+            two_b = self._two_b[s]
+            c = ZERO
+            for t, x in enumerate(root.coeffs):
+                if not x.is_zero():
+                    c = c + two_b[t] * x
+            coeffs = list(root.coeffs)
+            coeffs[s] = coeffs[s] - c
+            out = self._intern_root(Root(coeffs))
+            row[root.id], row[out.id] = out, root
+            row[root._neg.id], row[out._neg.id] = out._neg, root._neg
         return out
 
     def bilinear(self, beta: Root, gamma: Root) -> Scalar:
@@ -462,7 +496,7 @@ class CoxeterSystem:
             for t, y in enumerate(gamma.coeffs):
                 if not y.is_zero():
                     total = total + x * y * row[t]
-        return total * _HALF
+        return total * HALF
 
     def act_word(self, word: Word, root: Root) -> Root:
         """Image of a root under the element represented by `word`."""
@@ -492,17 +526,18 @@ class CoxeterSystem:
         cached = self._rmul.get(key)
         if cached is not None:
             return cached
-        word, simple = g.word, self.simple_roots
-        gammas = [simple[s]]
+        word, table = g.word, self._reflections
+        gammas = [self.simple_roots[s]]
         for a in reversed(word):
-            gammas.append(self.reflect(a, gammas[-1]))
+            gammas.append(table[a][gammas[-1].id] or self.reflect(a, gammas[-1]))
         gammas.reverse()
+        # gammas are interned, and alpha_t is the root of id t < rank
         for i, a in enumerate(word):
-            if gammas[i + 1] == simple[a]:
+            if gammas[i + 1].id == a:
                 out = word[:i] + word[i + 1 :]
                 break
-            if gammas[i] in simple[:a]:
-                out = word[:i] + (simple.index(gammas[i]),) + word[i:]
+            if gammas[i].id < a:
+                out = word[:i] + (gammas[i].id,) + word[i:]
                 break
         else:
             if gammas[0].sign() < 0:

@@ -96,6 +96,35 @@ def test_malformed_matrix_exits_1(workspace, capsys):
     assert "m[0,1]=3" in err
 
 
+@pytest.mark.parametrize("kind, code, prefix", [
+    ("group", 1, "group-parse"),
+    ("shadow", 2, "shadow-invalid"),
+    ("seed", 1, "bad-word"),
+])
+def test_non_utf8_input_file_exits_typed(workspace, kind, code, prefix, capsys):
+    group, shadow, seed = workspace / "s3.txt", workspace / "L.txt", workspace / "seed.txt"
+    run("shadow", "--group", group, "--kind", "low", "--out", shadow)
+    seed.write_text("st\n")
+    {"group": group, "shadow": shadow, "seed": seed}[kind].write_bytes(b"st\xff\n")
+    capsys.readouterr()
+    if kind == "shadow":
+        argv = ("project", "--group", group, "--shadow", shadow, "--word", "st")
+    else:
+        argv = ("shadow", "--group", group, "--kind", "closure", "--seed", seed,
+                "--out", workspace / "x.txt")
+    assert run(*argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {prefix}:")
+
+
+def test_undecodable_cache_entry_is_a_miss(workspace):
+    group, first, again = workspace / "s3.txt", workspace / "a.txt", workspace / "b.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", first) == 0
+    (entry,) = Path(os.environ["GARSIDE_CACHE_DIR"]).glob("*.txt")
+    entry.write_bytes(b"\xff")
+    assert run("shadow", "--group", group, "--kind", "low", "--out", again) == 0
+    assert again.read_bytes() == first.read_bytes() == entry.read_bytes()
+
+
 def test_unwritable_out_exits_1_and_leaves_no_temp_file(workspace, capsys):
     target = workspace / "taken"
     target.mkdir()

@@ -5,6 +5,7 @@ from garside import (
     CoxeterMatrix,
     CoxeterSystem,
     GroupFileError,
+    Root,
     UnsupportedLabelError,
     format_group_file,
     parse_group_file,
@@ -13,6 +14,7 @@ from garside import (
 )
 from garside.coxeter import render_word
 from garside.scalars import ONE
+from garside.shi import elementary_walls
 
 from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval
 
@@ -82,6 +84,31 @@ def test_reflect_involution(system):
     for root in system.ball_walls(3):
         for s in range(system.rank):
             assert system.reflect(s, system.reflect(s, root)) == root
+
+
+def test_roots_are_interned(system):
+    met = list(system.simple_roots)
+    for g in system.ball(6):
+        for s in range(system.rank):
+            root = system.act_word(g.word, system.simple_roots[s])
+            met += [root, root.abs(), -root, system.reflect(s, root)]
+        met += system.inversion_walls(g)
+    for m in range(3):
+        met += elementary_walls(system, m).ordered
+    met += system.ball_walls(6)
+    for root in met:
+        assert system._canonical.get(root) is root and -(-root) is root
+    roots = sorted(system._canonical.values(), key=lambda root: root.id)
+    assert [root.id for root in roots] == list(range(len(roots)))
+    assert all(a is b for a, b in zip(roots, system.simple_roots))
+    twin = CoxeterSystem(system.matrix)  # its roots are equal but other objects
+    for root in met[::7]:
+        rebuilt = Root(root.coeffs)
+        assert rebuilt.id is None and rebuilt == root and hash(rebuilt) == hash(root)
+        assert system._intern_root(rebuilt) is root
+        assert system.reflect(0, rebuilt) is system.reflect(0, root)
+        foreign = twin.reflect(0, twin.reflect(0, rebuilt))
+        assert foreign is not root and system._intern_root(foreign) is root
 
 
 # ---------------------------------------------------------------------------
