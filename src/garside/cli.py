@@ -290,7 +290,9 @@ def cmd_project(args) -> int:
     print(f"element: {render(g)}")
     print(f"pi: {render(pi)}")
     print(f"nu: {render(nu)}")
-    print(f"chain: {' '.join(render(x) for x in chain.steps)}")
+    # multi-letter names render with spaces, so their steps are split by " | "
+    sep = " " if all(len(n) == 1 for n in system.generator_names) else " | "
+    print(f"chain: {sep.join(render(x) for x in chain.steps)}")
     return EXIT_OK
 
 

@@ -284,13 +284,19 @@ def render_word(generator_names: Sequence[str], word: Word) -> str:
 
 
 class Element:
-    """A group element, identified with its ShortLex-least reduced word."""
+    """A group element, identified with its ShortLex-least reduced word.
 
-    __slots__ = ("system", "word", "_hash")
+    `mask` is its inversion set: bit i is set iff the interned root of id i
+    separates it from the identity.  `right_multiply` gives g*s the mask of
+    g with the bit of the wall |g(alpha_s)| between them toggled.
+    """
 
-    def __init__(self, system: "CoxeterSystem", word: Word):
+    __slots__ = ("system", "word", "mask", "_hash")
+
+    def __init__(self, system: "CoxeterSystem", word: Word, mask: int):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_hash", hash((id(system), word)))
 
     def __setattr__(self, name, value):
@@ -383,8 +389,9 @@ class CoxeterSystem:
             )
             for s in range(self.rank)
         )
-        # interned roots by value, and their images by id: _reflections[s][id]
+        # interned roots by value and by id, and their images: _reflections[s][id]
         self._canonical: dict[Root, Root] = {}
+        self._roots: list[Root] = []
         self._reflections = tuple([] for _ in range(self.rank))
         self.simple_roots = tuple(
             Root(tuple(ONE if t == s else ZERO for t in range(self.rank)))
@@ -392,13 +399,10 @@ class CoxeterSystem:
         )
         self._adopt(self.simple_roots)
         self._elements: dict[Word, Element] = {}
-        self.identity = self._intern(())
-        self.gens = tuple(self._intern((s,)) for s in range(self.rank))
+        self.identity = self._intern((), 0)
+        self.gens = tuple(self._intern((s,), 1 << s) for s in range(self.rank))
         self._rmul: dict[tuple[Element, int], Element] = {}
         self._inverse: dict[Element, Element] = {self.identity: self.identity}
-        self._inversions: dict[Element, frozenset[Root]] = {
-            self.identity: frozenset()
-        }
         self._ball_layers: list[list[Element]] = [[self.identity]]
         # root_descent's tables; every descent ends at a simple root
         self._root_depth: dict[Root, int] = dict.fromkeys(self.simple_roots, 1)
@@ -407,12 +411,19 @@ class CoxeterSystem:
 
     # -- basic plumbing ----------------------------------------------------
 
-    def _intern(self, word: Word) -> Element:
+    def _intern(self, word: Word, mask: int | None = None) -> Element:
+        """The element of a normal-form word; built by `element` if no mask is given."""
         el = self._elements.get(word)
         if el is None:
-            el = Element(self, word)
-            self._elements[word] = el
+            if mask is None:
+                return self.element(word)
+            el = self._elements[word] = Element(self, word, mask)
         return el
+
+    def _own(self, *elements: Element) -> None:
+        for x in elements:
+            if x.system is not self:
+                raise MixedSystemError("elements from different systems")
 
     def cache(self, name: str) -> dict:
         """The memo table of that name for results derived from this system."""
@@ -457,8 +468,9 @@ class CoxeterSystem:
         negatives = [Root([-c for c in root.coeffs]) for root in roots]
         for root, neg in (*zip(roots, negatives), *zip(negatives, roots)):
             object.__setattr__(root, "_neg", neg)
-            object.__setattr__(root, "id", len(self._canonical))
+            object.__setattr__(root, "id", len(self._roots))
             self._canonical[root] = root
+            self._roots.append(root)
             for row in self._reflections:
                 row.append(None)
 
@@ -543,7 +555,7 @@ class CoxeterSystem:
             if gammas[0].sign() < 0:
                 raise InternalInconsistencyError(f"no letter of {word} drops for descent {s}")
             out = word + (s,)
-        out = self._intern(out)
+        out = self._intern(out, g.mask ^ (1 << gammas[0].abs().id))
         self._rmul[key] = out
         return out
 
@@ -582,8 +594,10 @@ class CoxeterSystem:
         return out
 
     def word_metric(self, g: Element, h: Element) -> int:
-        """d(g, h) = length of g^{-1} h."""
-        return self.multiply(self.inverse(g), h).length
+        """d(g, h) = l(g^{-1} h), the number of walls separating g and h:
+        the popcount of the XOR of their inversion bitmasks."""
+        self._own(g, h)
+        return (g.mask ^ h.mask).bit_count()
 
     # -- descents, inversions, walls ----------------------------------------
 
@@ -603,23 +617,20 @@ class CoxeterSystem:
         """Positive roots of the walls separating the identity from g.
 
         There are exactly l(g) of them; g <= h in right weak order iff the
-        set for g is contained in the set for h.
+        set for g is contained in the set for h.  A view built from g's
+        inversion bitmask (see `Element`), one root per set bit.
         """
-        walls = self._inversions.get(g)
-        if walls is not None:
-            return walls
-        word = g.word
-        k = len(word) - 1
-        while (walls := self._inversions.get(self._intern(word[:k]))) is None:
-            k -= 1
-        for j in range(k, len(word)):
-            walls = walls | {self.act_word(word[:j], self.simple_roots[word[j]])}
-            self._inversions[self._intern(word[: j + 1])] = walls
-        return walls
+        return self.separating_walls(self.identity, g)
 
     def separating_walls(self, g: Element, h: Element) -> frozenset[Root]:
-        """Walls with g and h in different half-spaces; size equals d(g, h)."""
-        return self.inversion_walls(g) ^ self.inversion_walls(h)
+        """Walls with g and h in different half-spaces; size equals d(g, h).
+        Read off the XOR of their inversion bitmasks."""
+        self._own(g, h)
+        mask, out = g.mask ^ h.mask, []
+        while mask:
+            out.append(self._roots[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return frozenset(out)
 
     def is_suffix(self, w: Element, g: Element) -> bool:
         """True iff g = u*w with l(g) = l(u) + l(w)."""

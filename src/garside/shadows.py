@@ -101,15 +101,14 @@ def _join_failures(system: CoxeterSystem, members, radius: int):
     Yields (top, b, x) with top the longest member below x and b a member
     below x but not below top; their join exists and lies below x.
     """
-    inv = {b: system.inversion_walls(b) for b in members}
     for x in system.ball(radius):
-        inv_x = system.inversion_walls(x)
-        below = [b for b, inv_b in inv.items() if inv_b <= inv_x]
+        mask = x.mask
+        below = [b for b in members if b.mask & mask == b.mask]
         if not below:
             continue
         top = max(below, key=lambda b: (b.length, b.word))
         for b in below:
-            if not inv[b] <= inv[top]:
+            if b.mask & top.mask != b.mask:
                 yield top, b, x
 
 
@@ -247,13 +246,12 @@ def b_projection(shadow: GarsideShadow, g: Element) -> Element:
     hit = cache.get(g)
     if hit is not None:
         return hit
-    system = shadow.system
-    inv_g = system.inversion_walls(g)
-    candidates = [b for b in shadow.ordered if system.inversion_walls(b) <= inv_g]
+    shadow.system._own(g)
+    mask = g.mask
+    candidates = [b for b in shadow.ordered if b.mask & mask == b.mask]
     top = max(candidates, key=lambda b: (b.length, b.word))
-    inv_top = system.inversion_walls(top)
     for b in candidates:
-        if not system.inversion_walls(b) <= inv_top:
+        if b.mask & top.mask != b.mask:
             raise InternalInconsistencyError(
                 f"projection candidates of {g} have no maximum: {top} vs {b}"
             )

@@ -40,16 +40,16 @@ _MAX_ROOTS = 200_000  # non-termination guard; the sets are provably finite
 
 @dataclass(frozen=True)
 class SmallRootSet:
-    """The m-elementary walls of a system, in `root_sort_key` order and as a set.
-
-    A simple reflection of one of them is found with `system.reflect`; it
-    stays m-elementary iff it is in `roots`.
+    """The m-elementary walls of a system: in `root_sort_key` order, as a set
+    and as a bitmask over root ids.  A simple reflection of one of them is
+    found with `system.reflect`; it stays m-elementary iff it is in `roots`.
     """
 
     system: CoxeterSystem
     m: int
     ordered: tuple[Root, ...]
     roots: frozenset[Root]
+    mask: int
 
     def __len__(self):
         return len(self.ordered)
@@ -119,7 +119,8 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
 
     kept = [root for root, n in values.items() if n <= m]
     ordered = tuple(sorted(kept, key=system.root_sort_key))
-    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(kept))
+    mask = sum(1 << root.id for root in kept)
+    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(kept), mask)
     return out
 
 
@@ -180,8 +181,7 @@ def shi_sign_vector(g: Element, m: int) -> SignVector:
     Two elements lie in the same m-Shi part iff their vectors are equal.
     """
     srs = elementary_walls(g.system, m)
-    inv = g.system.inversion_walls(g)
-    return SignVector(tuple(root in inv for root in srs.ordered))
+    return SignVector(tuple(g.mask >> root.id & 1 == 1 for root in srs.ordered))
 
 
 def sign_patterns(
@@ -252,9 +252,9 @@ def is_shi_gate(g: Element, m: int) -> bool:
     element of the same part would have to live there.
     """
     system = g.system
-    roots = elementary_walls(system, m).roots
-    pattern = system.inversion_walls(g) & roots
+    small = elementary_walls(system, m).mask
+    pattern = g.mask & small
     for h in system.ball(g.length):
-        if h != g and system.inversion_walls(h) & roots == pattern:
+        if h != g and h.mask & small == pattern:
             return False
     return True

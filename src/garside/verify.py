@@ -11,6 +11,7 @@ is kept only as an oracle for the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 
 from .coxeter import CoxeterSystem, Element, Word
 from .shadows import GarsideShadow, b_projection
@@ -106,38 +107,43 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> ConditionOneRepor
 
 
 def _prefix_table(system: CoxeterSystem):
-    """A memoising map from a word to the elements of its prefixes, by length."""
-    table: dict[Word, tuple[Element, ...]] = {}
+    """A memoising map from a word to the inversion bitmasks of its prefixes,
+    by length."""
+    table: dict[Word, tuple[int, ...]] = {}
 
-    def prefixes(word: Word) -> tuple[Element, ...]:
+    def prefixes(word: Word) -> tuple[int, ...]:
         hit = table.get(word)
         if hit is None:
             out = [system.identity]
             for s in word:
                 out.append(system.right_multiply(out[-1], s))
-            hit = table[word] = tuple(out)
+            hit = table[word] = tuple(p.mask for p in out)
         return hit
 
     return prefixes
 
 
-def _max_deviation(system: CoxeterSystem, words, words2, path, prefixes):
+def _max_deviation(words, words2, path, prefixes):
     """Largest distance between the i-th point of path(v) and the length-i
     prefix of v2, over v in words, v2 in words2 and i up to the longer word;
     paths and prefixes stay at their last point past the end of the word.
 
-    Returns the maximum and its first witness (v, v2, i) in iteration order,
-    or (0, None) when no distance is positive.
+    Points are inversion bitmasks (see `_prefix_table`), padded to the
+    longest word, so a distance is the popcount of an XOR.  Returns the
+    maximum and its first witness (v, v2, i) in iteration order, or
+    (0, None) when no distance is positive.
     """
+    n = max(map(len, (*words, *words2)))
+    masks = lambda points: points[1:] + points[-1:] * (n + 1 - len(points))
+    rows2 = [(v2, masks(prefixes(v2))) for v2 in words2]
     best, witness = 0, None
     for v in words:
-        pv = path(v)
-        for v2 in words2:
-            pv2 = prefixes(v2)
-            for i in range(1, max(len(v), len(v2)) + 1):
-                d = system.word_metric(pv[min(i, len(v))], pv2[min(i, len(v2))])
-                if d > best:
-                    best, witness = d, (v, v2, i)
+        row = masks(path(v))
+        for v2, row2 in rows2:
+            dists = list(map(int.bit_count, map(xor, row, row2)))
+            d = max(dists, default=0)
+            if d > best:
+                best, witness = d, (v, v2, dists.index(d) + 1)
     return best, witness
 
 
@@ -156,14 +162,11 @@ def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport
             if words_g2 is None:
                 continue
             pairs += len(words_g) * len(words_g2)
-            d, at = _max_deviation(system, words_g, words_g2, prefixes, prefixes)
+            d, at = _max_deviation(words_g, words_g2, prefixes, prefixes)
             if d > best:
                 v, v2, i = at
                 best = d
-                witness = (
-                    f"v={system.render_word(v)} "
-                    f"v'={system.render_word(v2)} i={i}"
-                )
+                witness = f"v={system.render_word(v)} v'={system.render_word(v2)} i={i}"
     return FellowTravellerReport(
         kind="first",
         radius=radius,
@@ -232,15 +235,13 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
             if words_g2 is None:
                 continue
             pairs += len(words_g) * len(words_g2)
-            shifted = lambda v: tuple(system.multiply(s, p) for p in prefixes(v))
-            d, at = _max_deviation(system, words_g, words_g2, shifted, prefixes)
+            shifted = lambda v: prefixes(s.word + v)[1:]
+            d, at = _max_deviation(words_g, words_g2, shifted, prefixes)
             if d > best_extended:
                 v, v2, i = at
                 best_extended = d
-                witness = (
-                    f"v={system.render_word(v)} "
-                    f"v'={system.render_word(v2)} s={s} i={i}"
-                )
+                render = system.render_word
+                witness = f"v={render(v)} v'={render(v2)} s={s} i={i}"
             if g.length <= radius and g2.length <= radius and d > best:
                 best = d
     return FellowTravellerReport(
@@ -354,10 +355,10 @@ def check_refinement_by_shi(shadow: GarsideShadow, radius: int) -> CheckResult:
     the comparison runs on sign patterns directly."""
     system = shadow.system
     m = shadow.constant_m
-    roots = elementary_walls(system, m).roots
-    by_pattern: dict[frozenset, Element] = {}
+    small = elementary_walls(system, m).mask
+    by_pattern: dict[int, Element] = {}
     for x in system.ball(radius):
-        key = frozenset(system.inversion_walls(x) & roots)
+        key = x.mask & small
         mine = b_projection(shadow, x)
         if key in by_pattern:
             if by_pattern[key] != mine:

@@ -88,9 +88,7 @@ def op_voracious_projection(g: Element) -> Element:
         if separation_count(system, system.act_inverse_word(g.word, wall)) == 0
     ]
     candidates = [
-        p
-        for p in _lower_set(g)
-        if not any(w in system.inversion_walls(p) for w in critical)
+        p for p in _lower_set(g) if system.inversion_walls(p).isdisjoint(critical)
     ]
     best = max(candidates, key=lambda p: (p.length, p.word))
     for p in candidates:

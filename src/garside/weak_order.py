@@ -1,10 +1,10 @@
 """The right weak order: comparisons, meets, bounded joins, lower intervals.
 
 g precedes h when g lies on a geodesic from the identity to h; equivalently
-no wall separates g from both the identity and h.  Both characterisations
-are implemented (the wall one, via inversion sets, is the working one; the
-length one is kept for cross-checking).  Meets and joins are computed by
-materialising lower intervals, which is deliberate: these routines serve as
+no wall separates g from both the identity and h.  The wall test, one `&`
+of inversion bitmasks, is the working one; the length test l(g) + l(g^-1 h)
+= l(h), by a normal-form product, is kept as its oracle.  Meets and joins
+materialise lower intervals, which is deliberate: these routines serve as
 oracles for everything downstream, so clarity and exhaustiveness win over
 asymptotics.
 """
@@ -47,14 +47,14 @@ class NoUpperBoundWithin:
 
 def weak_leq(g: Element, h: Element) -> bool:
     """g <= h in right weak order (wall characterisation)."""
-    system = g.system
-    return system.inversion_walls(g) <= system.inversion_walls(h)
+    g.system._own(h)
+    return g.mask & h.mask == g.mask
 
 
 def weak_leq_by_lengths(g: Element, h: Element) -> bool:
     """The equivalent length characterisation: l(g) + l(g^-1 h) = l(h)."""
     system = g.system
-    return g.length + system.word_metric(g, h) == h.length
+    return g.length + system.multiply(system.inverse(g), h).length == h.length
 
 
 def _lower_set(g: Element) -> frozenset[Element]:
@@ -137,8 +137,7 @@ def join_search(elements: Iterable[Element], cutoff: int):
     if not elements:
         raise ValueError("join of an empty set")
     system: CoxeterSystem = elements[0].system
-    inv_union = frozenset().union(*(system.inversion_walls(a) for a in elements))
     for x in system.ball(cutoff):
-        if inv_union <= system.inversion_walls(x):
+        if all(weak_leq(a, x) for a in elements):
             return join_bounded(elements, x)
     return NoUpperBoundWithin(cutoff)

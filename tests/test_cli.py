@@ -272,6 +272,19 @@ def test_project(workspace, capsys):
                "--word", "sxt") == 1
 
 
+def test_project_chain_with_multi_letter_names(workspace, capsys):
+    # steps of multi-letter names render with spaces, so " | " separates them
+    group = workspace / "x123.txt"
+    group.write_text("generators: x1 x2 x3\nmatrix:\n1 3 0\n3 1 4\n0 4 1\n")
+    shadow = workspace / "L.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", shadow) == 0
+    assert run("project", "--group", group, "--shadow", shadow,
+               "--word", "x1 x2 x3 x1 x3 x2") == 0
+    out = capsys.readouterr().out
+    assert "element: x1 x2 x3 x1 x3 x2\n" in out
+    assert "chain: x1 x2 x3 x1 x3 x2 | x1 x2 x3 x1 | x1 x2 x3 | x1 | -\n" in out
+
+
 def test_determinism_and_cache_transparency(workspace):
     shadow = workspace / "L.txt"
     group = workspace / "dinf.txt"

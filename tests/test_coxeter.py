@@ -1,3 +1,8 @@
+import ast
+from functools import reduce
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +10,7 @@ from garside import (
     CoxeterMatrix,
     CoxeterSystem,
     GroupFileError,
+    MixedSystemError,
     Root,
     UnsupportedLabelError,
     format_group_file,
@@ -16,7 +22,7 @@ from garside.coxeter import render_word
 from garside.scalars import ONE
 from garside.shi import elementary_walls
 
-from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval
+from conftest import ALL_SYSTEMS, _ORACLES as ORACLES, get_system, oracle_ball, oracle_eval
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,18 @@ def test_mixed_system_multiplication_rejected(dinf, s3):
         dinf.multiply(dinf.gens[0], s3.gens[0])
 
 
+def test_mixed_system_metric_and_walls_rejected(dinf, s3, affine_a2):
+    # bitmasks index roots by per-system ids, so a mixed comparison must raise
+    a, b = dinf.element("stst"), affine_a2.element("stu")
+    for call in (dinf.word_metric, dinf.separating_walls, affine_a2.word_metric):
+        with pytest.raises(MixedSystemError):
+            call(a, b)
+    with pytest.raises(MixedSystemError):
+        s3.word_metric(s3.element("st"), dinf.element("st"))
+    with pytest.raises(MixedSystemError):
+        dinf.inversion_walls(s3.element("st"))
+
+
 def test_descents(dinf):
     assert dinf.descents(dinf.identity, "left") == frozenset()
     assert dinf.descents(dinf.gens[0], "left") == frozenset({"s"})
@@ -203,6 +221,73 @@ def test_inversion_walls_of_a_long_element(dinf):
     # far deeper than the interpreter's recursion limit
     g = dinf.element("st" * 550)
     assert len(dinf.inversion_walls(g)) == 1100
+
+
+def _fresh_system(name: str, radius: int) -> CoxeterSystem:
+    """A new copy of a test system whose ball elements were first met longest
+    first, so that some of them came from length-decreasing products."""
+    system = CoxeterSystem(get_system(name).matrix)
+    for g in sorted(get_system(name).ball(radius), key=lambda g: -g.length):
+        for s in range(system.rank):
+            system.right_multiply(system.element(g.word), s)
+    return system
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_word_metric_matches_oracle(name):
+    # d(g, h) is the length of g^-1 h, evaluated in the oracle model from the
+    # reversed word of g (generators are involutions) followed by h's word
+    rank = get_system(name).rank
+    radius = 4 if rank == 2 else 3
+    system = _fresh_system(name, radius)
+    lengths = {value: entry[0] for value, entry in oracle_ball(name, 2 * radius).items()}
+    model = ORACLES[name]()
+    ball = list(system.ball(radius))
+    evaluate = lambda word: reduce(model.compose, [model.gens[s] for s in word], model.identity)
+    inverse = {g: evaluate(g.word[::-1]) for g in ball}
+    value = {h: evaluate(h.word) for h in ball}
+    for g in ball:
+        for h in ball:
+            assert system.word_metric(g, h) == lengths[model.compose(inverse[g], value[h])]
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_inversion_walls_match_chain_definition(name):
+    # N(w_1...w_k) = {w_1...w_j (alpha_{w_{j+1}}) : j < k}, one reflection chain each
+    system = _fresh_system(name, 6)
+    twin = CoxeterSystem(system.matrix)  # meets each word first through _intern
+    for g in system.ball(6):
+        w = g.word
+        chain = {system.act_word(w[:j], system.simple_roots[w[j]]) for j in range(len(w))}
+        assert system.inversion_walls(g) == chain
+        assert twin.inversion_walls(twin._intern(w)) == chain
+
+
+def test_only_labelled_oracles_read_inversion_walls():
+    # hot paths compare inversion bitmasks; the frozenset view is for oracles
+    allowed = {"op_voracious_projection", "wall_separation_oracle"}
+    src = Path(__file__).resolve().parent.parent / "src" / "garside"
+
+    def calls(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "inversion_walls"
+        ]
+
+    for path in sorted(src.glob("*.py")):
+        if path.name == "coxeter.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_oracles = {
+            id(call)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+            for call in calls(fn)
+        }
+        stray = [call.lineno for call in calls(tree) if id(call) not in in_oracles]
+        assert not stray, f"{path.name} reads inversion_walls at lines {stray}"
 
 
 def test_triangle_inequality_radius4(dinf, s3, affine_a2):

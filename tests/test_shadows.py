@@ -5,6 +5,7 @@ import pytest
 
 from garside import (
     CutoffExceeded,
+    MixedSystemError,
     ShadowFileError,
     b_projection,
     cone_type_gates,
@@ -115,6 +116,9 @@ def test_projection_spec_examples(dinf):
     for s in dinf.gens:
         assert b_projection(low, s) == s
     assert b_projection(low, dinf.element("st")) == dinf.gens[0]
+    # inversion masks of another system's elements do not compare
+    with pytest.raises(MixedSystemError):
+        b_projection(low, get_system("s3").element("st"))
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)

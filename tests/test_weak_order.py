@@ -1,10 +1,12 @@
 import pytest
 
 from garside import (
+    MixedSystemError,
     NoUpperBoundWithin,
     join_bounded,
     join_search,
     lower_interval,
+    make_system,
     meet,
     weak_leq,
 )
@@ -18,6 +20,17 @@ def test_weak_leq_spec_examples(dinf):
     assert weak_leq(dinf.identity, st)
     assert weak_leq(s, st)
     assert not weak_leq(t, st)
+
+
+def test_weak_leq_rejects_mixed_systems(dinf, affine_a2, triangle_334):
+    with pytest.raises(MixedSystemError):
+        weak_leq(dinf.element("stst"), affine_a2.element("stu"))
+    # same rank and names, different labels: inversion masks do not compare
+    with pytest.raises(MixedSystemError):
+        weak_leq(affine_a2.element("st"), triangle_334.element("sts"))
+    twin = make_system(["s", "t"], {("s", "t"): 0})
+    with pytest.raises(MixedSystemError):
+        weak_leq(dinf.identity, twin.identity)
 
 
 def test_weak_leq_characterisations_agree(system):
