@@ -7,7 +7,9 @@ ball, a finite set is join-closed iff below every ball element the shadow
 members have a unique weak-order maximum, and a failure of that scan
 produces an explicit offending pair whose join is missing.  Search beyond
 the ball is never attempted; validators record the radius they used and
-treat "no upper bound found" as "join presumed nonexistent".
+treat "no upper bound found" as "join presumed nonexistent".  Suffix
+closure is checked locally, on s*b for the left descents s of each member
+b.  Both scans run in ShortLex order, so every run names the same witness.
 
 The projection of g onto a shadow B is the join of the shadow elements
 below g.  For a valid shadow that join is itself a shadow element below g,
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
 from .shi import shi_gates
 from .automata import cone_type_gates
-from .weak_order import _lower_set, join_bounded
+from .weak_order import join_bounded
 
 
 class CutoffExceeded(Exception):
@@ -39,7 +41,6 @@ class ValidationResult:
     violation: str | None = None
     witness: tuple = ()
     search_radius: int = 0
-    join_search_presumed: bool = True  # searches were ball-bounded, not proofs
 
     def __bool__(self):
         return self.ok
@@ -89,9 +90,16 @@ def default_search_radius(system: CoxeterSystem, elements) -> int:
     return max(2 * longest, _max_finite_label(system), 2)
 
 
-def _suffixes(g: Element) -> set[Element]:
-    system = g.system
-    return {system.inverse(x) for x in _lower_set(system.inverse(g))}
+def _missing_suffixes(system: CoxeterSystem, members):
+    """The suffix scan: yields (b, s*b) for each member b in ShortLex order
+    and left descent s of b (bit s of its mask) with s*b not a member.  By
+    induction on length, the members' suffixes are all members iff none is."""
+    for b in sorted(members):
+        for s in range(system.rank):
+            if b.mask >> s & 1:
+                w = system.multiply(system.gens[s], b)
+                if w not in members:
+                    yield b, w
 
 
 def _join_failures(system: CoxeterSystem, members, radius: int):
@@ -99,14 +107,16 @@ def _join_failures(system: CoxeterSystem, members, radius: int):
     members below x that have no maximum among the members below x.
 
     Yields (top, b, x) with top the longest member below x and b a member
-    below x but not below top; their join exists and lies below x.
+    below x but not below top; their join exists and lies below x.  Members
+    are scanned in ShortLex order, so top is the last one below x.
     """
+    members = sorted(members)
     for x in system.ball(radius):
         mask = x.mask
         below = [b for b in members if b.mask & mask == b.mask]
         if not below:
             continue
-        top = max(below, key=lambda b: (b.length, b.word))
+        top = below[-1]
         for b in below:
             if b.mask & top.mask != b.mask:
                 yield top, b, x
@@ -117,11 +127,13 @@ def validate_shadow(
 ) -> ValidationResult:
     """Check the Garside shadow axioms for a finite element set.
 
-    Returns Valid, or a Violation carrying the offending suffix or pair.
-    Join existence is searched within a ball; candidates beyond it are
-    presumed nonexistent and the result says so.
+    Returns Valid, or a Violation carrying the ShortLex-first missing
+    generator, suffix or join.  Join existence is searched within a ball
+    whose radius the result records; candidates beyond it are presumed
+    nonexistent.  Elements of another system raise MixedSystemError.
     """
     members = frozenset(elements)
+    system._own(*members)
     for s in system.gens:
         if s not in members:
             return ValidationResult(
@@ -130,15 +142,10 @@ def validate_shadow(
     if search_radius is None:
         search_radius = default_search_radius(system, members)
 
-    for b in sorted(members):
-        for w in _suffixes(b):
-            if w not in members:
-                return ValidationResult(
-                    False,
-                    f"suffix {w} of {b} missing",
-                    (b, w),
-                    search_radius,
-                )
+    for b, w in _missing_suffixes(system, members):
+        return ValidationResult(
+            False, f"suffix {w} of {b} missing", (b, w), search_radius
+        )
 
     for top, b, x in _join_failures(system, members, search_radius):
         j = join_bounded([top, b], x)
@@ -192,19 +199,12 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
         gates, provenance = cone_type_gates(system), "gamma"
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    result = validate_shadow(system, gates)
-    if not result:
+    try:
+        shadow = cache[cache_key] = make_shadow(system, gates, provenance)
+    except ValueError as exc:
         raise InternalInconsistencyError(
-            f"{provenance} gates failed shadow validation: {result.violation}"
-        )
-    shadow = GarsideShadow(
-        system=system,
-        ordered=tuple(sorted(gates)),
-        members=frozenset(gates),
-        constant_m=max(g.length for g in gates),
-        provenance=provenance,
-    )
-    cache[cache_key] = shadow
+            f"{provenance} gates failed shadow validation: {exc}"
+        ) from None
     return shadow
 
 
@@ -216,6 +216,7 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
     inside the cutoff."""
     current: set[Element] = {system.identity, *system.gens}
     current.update(seed)
+    system._own(*current)
     while True:
         radius = default_search_radius(system, current)
         if radius > cutoff:
@@ -223,8 +224,8 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
                 f"join search needs radius {radius}, cutoff is {cutoff}"
             )
         size = len(current)
-        for b in list(current):
-            current |= _suffixes(b)
+        while missing := {w for _, w in _missing_suffixes(system, current)}:
+            current |= missing
         bounds = {(top, b): x for top, b, x in _join_failures(system, current, radius)}
         current |= {join_bounded(pair, x) for pair, x in bounds.items()}
         if len(current) == size:
@@ -290,11 +291,8 @@ def refinement_check(
     for x in small.system.ball(radius):
         key = b_projection(large, x)
         mine = b_projection(small, x)
-        if key in by_large:
-            if by_large[key] != mine:
-                return RefinementReport(False, radius, len(by_large), (x, key))
-        else:
-            by_large[key] = mine
+        if by_large.setdefault(key, mine) != mine:
+            return RefinementReport(False, radius, len(by_large), (x, key))
     return RefinementReport(True, radius, len(by_large))
 
 

@@ -20,6 +20,8 @@ walls once; they are the states of the canonical reduced-word automaton
 (`automata.canonical_automaton`), and the gate of each m-Shi part is the
 inverse of the shortest word realizing its pattern (`shi_gates`).  The
 tests check the gates against per-part minima computed naively on balls.
+Whether one element is a gate is decided locally (`is_shi_gate`); the
+tests hold that against the definition, a scan of the length-l(g) ball.
 """
 
 from __future__ import annotations
@@ -246,15 +248,13 @@ def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
 
 
 def is_shi_gate(g: Element, m: int) -> bool:
-    """True iff g is the minimum of its m-Shi part.
+    """True iff g is the minimum of its m-Shi part (an m-low element).
 
-    Decided on the length-l(g) ball: any strictly smaller or equal-length
-    element of the same part would have to live there.
+    Parts are convex, so g is it iff no g*s below g lies in its part: iff
+    the one wall between g and each such g*s, the bit of their masks' XOR,
+    is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
     """
     system = g.system
     small = elementary_walls(system, m).mask
-    pattern = g.mask & small
-    for h in system.ball(g.length):
-        if h != g and h.mask & small == pattern:
-            return False
-    return True
+    below = (system.right_multiply(g, s) for s in range(system.rank))
+    return all((g.mask ^ h.mask) & small for h in below if h.length < g.length)

@@ -147,26 +147,35 @@ def _max_deviation(words, words2, path, prefixes):
     return best, witness
 
 
-def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
-    """Deviation of prefixes of voracious words for g and g*s, against 2M."""
+def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
+    """The scan of both fellow-traveller checks: for g in the slice up to
+    max_len and s with h = g*s ("right") or s*g ("left") in it too, yields
+    (g, s, h, n, d, at): n word pairs, and their `_max_deviation` d and at.
+    On the left the paths of g's words start at s and end at h."""
     system = shadow.system
-    slice_ = enumerate_language(shadow, radius)
-    bound = 2 * shadow.constant_m
+    slice_ = enumerate_language(shadow, max_len)
     prefixes = _prefix_table(system)
-    best = 0
-    witness = ""
-    pairs = 0
     for g, words_g in slice_.by_element.items():
         for s in system.gens:
-            words_g2 = slice_.by_element.get(system.multiply(g, s))
-            if words_g2 is None:
-                continue
-            pairs += len(words_g) * len(words_g2)
-            d, at = _max_deviation(words_g, words_g2, prefixes, prefixes)
-            if d > best:
-                v, v2, i = at
-                best = d
-                witness = f"v={system.render_word(v)} v'={system.render_word(v2)} i={i}"
+            h = system.multiply(g, s) if side == "right" else system.multiply(s, g)
+            path = prefixes if side == "right" else lambda v: prefixes(s.word + v)[1:]
+            words_h = slice_.by_element.get(h)
+            if words_h is not None:
+                d, at = _max_deviation(words_g, words_h, path, prefixes)
+                yield g, s, h, len(words_g) * len(words_h), d, at
+
+
+def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
+    """Deviation of prefixes of voracious words for g and g*s, against 2M."""
+    render = shadow.system.render_word
+    bound = 2 * shadow.constant_m
+    best = pairs = 0
+    witness = ""
+    for _, _, _, n, d, at in _neighbour_deviations(shadow, radius, "right"):
+        pairs += n
+        if d > best:
+            best, (v, v2, i) = d, at
+            witness = f"v={render(v)} v'={render(v2)} i={i}"
     return FellowTravellerReport(
         kind="first",
         radius=radius,
@@ -219,31 +228,19 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
     for information only.
     """
     system = shadow.system
-    slice_ = enumerate_language(shadow, radius + 1)
+    render = system.render_word
     m_const = shadow.constant_m
     q = parallel_wall_constant(system, m_const)
     bound = 4 * m_const * (m_const + q) + 2 * q
-    prefixes = _prefix_table(system)
-    best_extended = 0
-    best = 0
+    best = best_extended = pairs = 0
     witness = ""
-    pairs = 0
-    for g, words_g in slice_.by_element.items():
-        for s in system.gens:
-            g2 = system.multiply(s, g)
-            words_g2 = slice_.by_element.get(g2)
-            if words_g2 is None:
-                continue
-            pairs += len(words_g) * len(words_g2)
-            shifted = lambda v: prefixes(s.word + v)[1:]
-            d, at = _max_deviation(words_g, words_g2, shifted, prefixes)
-            if d > best_extended:
-                v, v2, i = at
-                best_extended = d
-                render = system.render_word
-                witness = f"v={render(v)} v'={render(v2)} s={s} i={i}"
-            if g.length <= radius and g2.length <= radius and d > best:
-                best = d
+    for g, s, h, n, d, at in _neighbour_deviations(shadow, radius + 1, "left"):
+        pairs += n
+        if d > best_extended:
+            best_extended, (v, v2, i) = d, at
+            witness = f"v={render(v)} v'={render(v2)} s={s} i={i}"
+        if g.length <= radius and h.length <= radius and d > best:
+            best = d
     return FellowTravellerReport(
         kind="second",
         radius=radius,
@@ -279,11 +276,10 @@ def check_lemma_chain(shadow: GarsideShadow, radius: int) -> CheckResult:
             n = max(len(chain_g), len(chain_g2))
             for k in range(1, n + 1):
                 checked += 1
-                if not weak_leq(step(chain_g2, k), step(chain_g, k)):
-                    return CheckResult(
-                        "lemma-chain", False, f"radius={radius}", f"g={g} s={s} k={k}"
-                    )
-                if not weak_leq(step(chain_g, k), step(chain_g2, k - 1)):
+                if not (
+                    weak_leq(step(chain_g2, k), step(chain_g, k))
+                    and weak_leq(step(chain_g, k), step(chain_g2, k - 1))
+                ):
                     return CheckResult(
                         "lemma-chain", False, f"radius={radius}", f"g={g} s={s} k={k}"
                     )
@@ -360,13 +356,10 @@ def check_refinement_by_shi(shadow: GarsideShadow, radius: int) -> CheckResult:
     for x in system.ball(radius):
         key = x.mask & small
         mine = b_projection(shadow, x)
-        if key in by_pattern:
-            if by_pattern[key] != mine:
-                return CheckResult(
-                    "refinement-by-shi", False, f"radius={radius} M={m}", f"x={x}"
-                )
-        else:
-            by_pattern[key] = mine
+        if by_pattern.setdefault(key, mine) != mine:
+            return CheckResult(
+                "refinement-by-shi", False, f"radius={radius} M={m}", f"x={x}"
+            )
     return CheckResult(
         "refinement-by-shi", True, f"radius={radius} M={m} parts={len(by_pattern)}"
     )

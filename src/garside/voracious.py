@@ -23,7 +23,7 @@ from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
 from .shadows import GarsideShadow, b_projection
 from .shi import separation_count
-from .weak_order import _lower_set, weak_leq
+from .weak_order import _fold_below, _lower_set, weak_leq
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,14 @@ def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
-    system = shadow.system
     steps = [g]
-    current = g
-    while not current.is_identity():
-        nxt = voracious_projection(shadow, current)
-        if nxt.length >= current.length:
+    while not steps[-1].is_identity():
+        nxt = voracious_projection(shadow, steps[-1])
+        if nxt.length >= steps[-1].length:
             raise InternalInconsistencyError(
-                f"voracious projection failed to shorten {current}"
+                f"voracious projection failed to shorten {steps[-1]}"
             )
         steps.append(nxt)
-        current = nxt
     return VoraciousChain(g, tuple(steps))
 
 
@@ -105,41 +102,21 @@ def op_voracious_projection(g: Element) -> Element:
 
 
 def reduced_words(g: Element) -> frozenset:
-    """All reduced words of g (minimal-length words evaluating to it)."""
-    cache = g.system.cache("reduced_words")
-    stack = [g]
-    while stack:
-        top = stack[-1]
-        if top in cache:
-            stack.pop()
-            continue
-        if top.is_identity():
-            cache[top] = frozenset({()})
-            stack.pop()
-            continue
-        system = top.system
-        parents = [
-            (system.multiply(top, system.generator(name)), system._gen_index[name])
-            for name in system.descents(top, "right")
-        ]
-        pending = [p for p, _ in parents if p not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        words = set()
-        for parent, s in parents:
-            words.update(w + (s,) for w in cache[parent])
-        cache[top] = frozenset(words)
-        stack.pop()
-    return cache[g]
+    """All reduced words of g (minimal-length words evaluating to it): a
+    reduced word of g*s then s, for each right descent s; () for the identity."""
+    fold = lambda x, below: (
+        frozenset(w + (s,) for s, ws in below for w in ws) or frozenset({()})
+    )
+    return _fold_below(g, "reduced_words", fold)
 
 
 def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     """The voracious words for g: minimal-length words built step by step.
 
     The words for the identity are just the empty word; otherwise every
-    word for the projection of g extends by every reduced word of the
-    remaining segment.  All results are reduced words of g.
+    word for the projection nu = g*b, b the projection of g^{-1}, extends
+    by every reduced word of the remaining segment nu^{-1} g = b^{-1}.
+    All results are reduced words of g.
     """
     cache = shadow.language_cache
     hit = cache.get(g)
@@ -149,10 +126,10 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
         out = frozenset({()})
     else:
         system = shadow.system
-        nu = voracious_projection(shadow, g)
-        segment = system.multiply(system.inverse(nu), g)
-        tails = reduced_words(segment)
-        out = frozenset(u + v for u in language_of(shadow, nu) for v in tails)
+        b = b_projection(shadow, system.inverse(g))
+        tails = reduced_words(system.inverse(b))
+        heads = language_of(shadow, system.multiply(g, b))
+        out = frozenset(u + v for u in heads for v in tails)
     cache[g] = out
     return out
 

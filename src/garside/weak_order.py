@@ -57,29 +57,31 @@ def weak_leq_by_lengths(g: Element, h: Element) -> bool:
     return g.length + system.multiply(system.inverse(g), h).length == h.length
 
 
-def _lower_set(g: Element) -> frozenset[Element]:
-    cache = g.system.cache("lower_sets")
+def _fold_below(g: Element, table: str, fold):
+    """The value at g of a fold down the weak order: the value of x is
+    fold(x, [(s, value of x*s) for each right descent s of x]), memoised in
+    the system's table of that name.  An explicit stack replaces recursion."""
+    system = g.system
+    cache = system.cache(table)
     stack = [g]
     while stack:
-        top = stack[-1]
-        if top in cache:
+        x = stack[-1]
+        if x in cache:
             stack.pop()
             continue
-        system = top.system
-        children = [
-            system.multiply(top, system.generator(name))
-            for name in system.descents(top, "right")
-        ]
-        pending = [c for c in children if c not in cache]
+        right = sorted(map(system._gen_index.get, system.descents(x, "right")))
+        below = [(s, system.right_multiply(x, s)) for s in right]
+        pending = [y for _, y in below if y not in cache]
         if pending:
             stack.extend(pending)
-            continue
-        members = {top}
-        for c in children:
-            members |= cache[c]
-        cache[top] = frozenset(members)
-        stack.pop()
+        else:
+            cache[stack.pop()] = fold(x, [(s, cache[y]) for s, y in below])
     return cache[g]
+
+
+def _lower_set(g: Element) -> frozenset[Element]:
+    fold = lambda x, below: frozenset({x}.union(*(v for _, v in below)))
+    return _fold_below(g, "lower_sets", fold)
 
 
 def lower_interval(g: Element) -> WeakOrderInterval:

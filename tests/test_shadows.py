@@ -17,12 +17,13 @@ from garside import (
     shadow_from_text,
     shadow_to_text,
     language_of,
+    make_shadow,
     make_system,
     validate_shadow,
     weak_leq,
 )
 
-from conftest import ALL_SYSTEMS, get_system
+from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval
 
 SHADOW_KINDS = (("low", None), ("m-low", 1), ("m-low", 2), ("gamma", None))
 
@@ -47,6 +48,58 @@ def test_validate_reports_missing_suffix(s3):
     full = {s3.identity, *s3.gens, sts, s3.element("st")}
     result = validate_shadow(s3, full)  # "ts" missing, a suffix of sts
     assert not result.ok and "suffix" in result.violation
+
+
+def test_violation_witnesses_are_fixed():
+    # Elements hash by the address of their system, so a witness taken in
+    # hash order would change from one system object to the next; the
+    # ShortLex-first witness does not.
+    systems = [
+        (
+            make_system(["s", "t", "u"], {("s", "t"): 3, ("t", "u"): 3, ("s", "u"): 3}),
+            make_system(["s", "t", "u"], {}),
+        )
+        for _ in range(8)
+    ]
+    for affine, cube in systems:
+        e = affine.element
+        result = validate_shadow(affine, [affine.identity, *affine.gens, e("stus"), e("tuts")])
+        assert result.violation == "suffix tus of stus missing"
+        e = cube.element
+        result = validate_shadow(cube, [cube.identity, *cube.gens, e("st"), e("su"), e("tu")])
+        assert result.violation == "join stu of tu and s missing"
+
+
+def test_validation_rejects_elements_of_another_system(affine_a2, triangle_334):
+    low = shadow_from_gates(affine_a2, "low")
+    with pytest.raises(MixedSystemError):
+        make_shadow(affine_a2, [*low.members, triangle_334.identity], "x")
+    foreign = triangle_334.element("st")
+    with pytest.raises(MixedSystemError):
+        validate_shadow(affine_a2, [affine_a2.identity, *affine_a2.gens, foreign])
+    with pytest.raises(MixedSystemError):
+        garside_closure(affine_a2, [foreign], 12)
+
+
+@pytest.mark.parametrize("name", ["s3", "dinf"])
+def test_suffix_verdict_matches_reduced_word_definition(name):
+    # the definition: every suffix of every reduced word of a member, taken
+    # from the oracle model, is a member; checked on every subset of ball(3)
+    # that holds the identity and the generators
+    system = get_system(name)
+    table = oracle_ball(name, 3)
+    element = {value: system.element(word) for value, (_, word, _) in table.items()}
+    suffixes = {
+        element[value]: {element[oracle_eval(name, w[i:])] for w in words for i in range(len(w) + 1)}
+        for value, (_, _, words) in table.items()
+    }
+    base = {system.identity, *system.gens}
+    rest = sorted(set(element.values()) - base)
+    for bits in range(1 << len(rest)):
+        members = base | {g for i, g in enumerate(rest) if bits >> i & 1}
+        closed = all(suffixes[b] <= members for b in members)
+        violation = validate_shadow(system, members).violation or ""
+        assert closed == (not violation.startswith("suffix")), sorted(members)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)

@@ -146,6 +146,24 @@ def test_is_shi_gate(system):
             assert not is_shi_gate(g, 0)
 
 
+def _gate_by_ball_scan(g, m):
+    """The definition: no other element of length <= l(g) is in g's m-Shi part."""
+    system = g.system
+    small = elementary_walls(system, m).mask
+    return not any(
+        h != g and (h.mask ^ g.mask) & small == 0 for h in system.ball(g.length)
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_local_gate_test_matches_ball_scan(name):
+    system = get_system(name)
+    radius = 6 if system.rank <= 3 else 5
+    for m in range(4):
+        for g in system.ball(radius):
+            assert is_shi_gate(g, m) == _gate_by_ball_scan(g, m), (str(g), m)
+
+
 def test_root_depth_matches_bfs_layers(system):
     # BFS over the root graph is the definitional route to depth
     frontier = set(system.simple_roots)
