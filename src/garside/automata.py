@@ -16,10 +16,10 @@ two must agree everywhere; the tests enforce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, render_word
-from .shi import sign_patterns
+from .shi import _inverses_sorted, sign_patterns
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class Automaton:
     """Finite state automaton with word-set edge labels.
 
     States are integers 0..n-1 with deterministic witness labels; every
-    label set is nonempty and contains no empty word.
+    label set is nonempty and contains no empty word.  `_out` maps a state
+    to its out-edges (dst, labels), built once with the edges' validation.
     """
 
     generator_names: tuple[str, ...]
@@ -35,16 +36,20 @@ class Automaton:
     start: int
     accepts: frozenset[int]
     edges: tuple[tuple[int, int, tuple[Word, ...]], ...]
+    _out: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.state_labels)
         if not 0 <= self.start < n:
             raise ValueError("start state out of range")
+        out: dict[int, list] = {}
         for src, dst, labels in self.edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
             if not labels or any(len(w) == 0 for w in labels):
                 raise ValueError("edge label sets must be nonempty sets of nonempty words")
+            out.setdefault(src, []).append((dst, labels))
+        object.__setattr__(self, "_out", out)
 
     @property
     def n_states(self) -> int:
@@ -52,21 +57,14 @@ class Automaton:
 
     # -- acceptance: subword-decomposition dynamic programming -------------
 
-    def _adjacency(self) -> dict:
-        adj: dict[int, list] = {}
-        for src, dst, labels in self.edges:
-            adj.setdefault(src, []).append((dst, labels))
-        return adj
-
     def accepting_states(self, word: Word) -> frozenset[int]:
         """All accept states reachable by decompositions consuming `word`."""
         n = len(word)
-        adjacency = self._adjacency()
         reachable: list[set[int]] = [set() for _ in range(n + 1)]
         reachable[0].add(self.start)
         for i in range(n + 1):
             for state in reachable[i]:
-                for dst, labels in adjacency.get(state, ()):
+                for dst, labels in self._out.get(state, ()):
                     for lab in labels:
                         j = i + len(lab)
                         if j <= n and word[i:j] == lab:
@@ -78,7 +76,6 @@ class Automaton:
 
     def enumerate_language(self, max_len: int) -> dict[Word, frozenset[int]]:
         """All accepted words of length <= max_len with their accept states."""
-        adjacency = self._adjacency()
         found: dict[Word, set[int]] = {}
         frontier: list[tuple[int, Word]] = [(self.start, ())]
         seen: set[tuple[int, Word]] = set(frontier)
@@ -86,7 +83,7 @@ class Automaton:
             state, word = frontier.pop()
             if state in self.accepts:
                 found.setdefault(word, set()).add(state)
-            for dst, labels in adjacency.get(state, ()):
+            for dst, labels in self._out.get(state, ()):
                 for lab in labels:
                     if len(word) + len(lab) <= max_len:
                         item = (dst, word + lab)
@@ -289,20 +286,11 @@ def cone_type_automaton(system: CoxeterSystem) -> Automaton:
 
 
 def cone_type_id(g: Element) -> int:
-    """Canonical identifier of the cone type of g (a minimized-automaton state)."""
-    aut = cone_type_automaton(g.system)
-    step = {}
-    for src, dst, labels in aut.edges:
-        for lab in labels:
-            step[(src, lab[0])] = dst
-    state = aut.start
-    for letter in g.word:
-        if (state, letter) not in step:
-            raise InternalInconsistencyError(
-                f"normal form {g} walked into a dead state: not reduced?"
-            )
-        state = step[(state, letter)]
-    return state
+    """Canonical identifier of the cone type of g: the one state that g's word
+    reaches in the minimized automaton, which is deterministic and all accepting."""
+    for state in cone_type_automaton(g.system).accepting_states(g.word):
+        return state
+    raise InternalInconsistencyError(f"normal form {g} walked into a dead state: not reduced?")
 
 
 def cone_type_gates(system: CoxeterSystem) -> tuple[Element, ...]:
@@ -315,7 +303,7 @@ def cone_type_gates(system: CoxeterSystem) -> tuple[Element, ...]:
     part, which the tests check against ball enumerations.
     """
     labels = cone_type_automaton(system).state_labels
-    return tuple(sorted(system.inverse(system.element(label)) for label in labels))
+    return _inverses_sorted(system, map(system.parse_word, labels))
 
 
 def cone_type_fingerprint(g: Element, radius: int) -> frozenset[Element]:

@@ -135,9 +135,10 @@ def _load_system(group_path: str) -> CoxeterSystem:
 
 
 def _load_shadow(system: CoxeterSystem, shadow_path: str):
+    """The shadow of a file, and the hash of its text for cache keys."""
     text = _read_input(shadow_path, "shadow", EXIT_VALIDATION, "shadow-invalid")
     try:
-        return shadow_from_text(system, text), text
+        return shadow_from_text(system, text), sha256(text.encode()).hexdigest()
     except ShadowFileError as exc:
         raise CliError(EXIT_VALIDATION, "shadow-invalid", str(exc)) from exc
 
@@ -147,8 +148,9 @@ def _check_radius(flag: str, value: int) -> None:
         raise CliError(EXIT_IO, "bad-radius", f"{flag} must be >= 0, got {value}")
 
 
-def _produce(args, key: str, compute) -> str:
-    """Cache-aware computation of a deterministic text artifact."""
+def _produce(args, system: CoxeterSystem, parts: tuple[str, ...], compute) -> str:
+    """Cache-aware computation of a text artifact, keyed by the group and its parts."""
+    key = _cache_key(system.matrix.content_hash(), *parts)
     if not args.no_cache:
         hit = _cache_get(key)
         if hit is not None:
@@ -209,66 +211,49 @@ def cmd_shadow(args) -> int:
         except ValueError as exc:
             raise CliError(EXIT_VALIDATION, "shadow-invalid", str(exc)) from exc
 
-    key = _cache_key(system.matrix.content_hash(), "shadow", kind_key)
-    _write_out(args.out, _produce(args, key, compute))
+    _write_out(args.out, _produce(args, system, ("shadow", kind_key), compute))
     return EXIT_OK
 
 
 def cmd_automaton(args) -> int:
     system = _load_system(args.group)
-    shadow, shadow_text = _load_shadow(system, args.shadow)
+    shadow, shadow_hash = _load_shadow(system, args.shadow)
     if args.format not in ("dot", "text"):
         raise CliError(EXIT_IO, "bad-format", f"format must be dot or text, not {args.format!r}")
-    key = _cache_key(
-        system.matrix.content_hash(),
-        "automaton",
-        sha256(shadow_text.encode()).hexdigest(),
-        args.format,
-    )
 
     def compute() -> str:
         aut = build_voracious_fsa(shadow)
         return aut.to_dot() if args.format == "dot" else aut.to_text()
 
-    _write_out(args.out, _produce(args, key, compute))
+    parts = ("automaton", shadow_hash, args.format)
+    _write_out(args.out, _produce(args, system, parts, compute))
     return EXIT_OK
 
 
 def cmd_language(args) -> int:
     _check_radius("--max-len", args.max_len)
     system = _load_system(args.group)
-    shadow, shadow_text = _load_shadow(system, args.shadow)
-    key = _cache_key(
-        system.matrix.content_hash(),
-        "language",
-        sha256(shadow_text.encode()).hexdigest(),
-        str(args.max_len),
-    )
+    shadow, shadow_hash = _load_shadow(system, args.shadow)
 
     def compute() -> str:
         slice_ = enumerate_language(shadow, args.max_len)
         ordered = sorted(slice_.words, key=lambda w: (len(w), w))
         return "\n".join(system.render_word(w) for w in ordered) + "\n"
 
-    _write_out(args.out, _produce(args, key, compute))
+    parts = ("language", shadow_hash, str(args.max_len))
+    _write_out(args.out, _produce(args, system, parts, compute))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     _check_radius("--radius", args.radius)
     system = _load_system(args.group)
-    shadow, shadow_text = _load_shadow(system, args.shadow)
-    key = _cache_key(
-        system.matrix.content_hash(),
-        "verify",
-        sha256(shadow_text.encode()).hexdigest(),
-        str(args.radius),
-    )
+    shadow, shadow_hash = _load_shadow(system, args.shadow)
 
     def compute() -> str:
         return full_suite(shadow, args.radius).to_text()
 
-    payload = _produce(args, key, compute)
+    payload = _produce(args, system, ("verify", shadow_hash, str(args.radius)), compute)
     _write_out(args.out, payload)
     if payload.rstrip().endswith("result: pass"):
         return EXIT_OK

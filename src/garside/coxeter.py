@@ -353,7 +353,8 @@ class CayleyBall:
         return len(self.elements)
 
     def __contains__(self, g: Element) -> bool:
-        return g.length <= self.radius
+        # elements[0] is the identity, so it names the ball's system
+        return g.system is self.elements[0].system and g.length <= self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +487,21 @@ class CoxeterSystem:
         row = self._reflections[s]
         out = row[root.id]
         if out is None:
-            two_b = self._two_b[s]
-            c = ZERO
-            for t, x in enumerate(root.coeffs):
-                if not x.is_zero():
-                    c = c + two_b[t] * x
             coeffs = list(root.coeffs)
-            coeffs[s] = coeffs[s] - c
+            coeffs[s] = coeffs[s] - self._pairing(s, root)
             out = self._intern_root(Root(coeffs))
             row[root.id], row[out.id] = out, root
             row[root._neg.id], row[out._neg.id] = out._neg, root._neg
         return out
 
-    def bilinear(self, beta: Root, gamma: Root) -> Scalar:
-        """B(beta, gamma) for the standard symmetric form with B(alpha,alpha)=1."""
-        total = ZERO
-        for s, x in enumerate(beta.coeffs):
-            if x.is_zero():
-                continue
-            row = self._two_b[s]
-            for t, y in enumerate(gamma.coeffs):
-                if not y.is_zero():
-                    total = total + x * y * row[t]
-        return total * HALF
+    def _pairing(self, s: int, root: Root) -> Scalar:
+        """2B(alpha_s, root) for the standard symmetric form with B(alpha, alpha) = 1."""
+        two_b = self._two_b[s]
+        c = ZERO
+        for t, x in enumerate(root.coeffs):
+            if not x.is_zero():
+                c = c + two_b[t] * x
+        return c
 
     def act_word(self, word: Word, root: Root) -> Root:
         """Image of a root under the element represented by `word`."""
@@ -538,6 +531,7 @@ class CoxeterSystem:
         cached = self._rmul.get(key)
         if cached is not None:
             return cached
+        self._own(g)
         word, table = g.word, self._reflections
         gammas = [self.simple_roots[s]]
         for a in reversed(word):
@@ -565,7 +559,7 @@ class CoxeterSystem:
             word = self.parse_word(word)
         else:
             word = tuple(
-                w if isinstance(w, int) else self._gen_index[w] for w in word
+                w if isinstance(w, int) else self.generator(w).word[0] for w in word
             )
         g = self.identity
         for s in word:
@@ -586,6 +580,7 @@ class CoxeterSystem:
         cached = self._inverse.get(g)
         if cached is not None:
             return cached
+        self._own(g)
         out = self.identity
         for s in reversed(g.word):
             out = self.right_multiply(out, s)
@@ -602,16 +597,16 @@ class CoxeterSystem:
     # -- descents, inversions, walls ----------------------------------------
 
     def descents(self, g: Element, side: str) -> frozenset[str]:
-        """Generators s with l(sg) < l(g) (left) or l(gs) < l(g) (right)."""
+        """Generators s with l(sg) < l(g) (left) or l(gs) < l(g) (right): bit s
+        (the id of alpha_s) of the mask of g (left) or of g^-1 (right)."""
+        self._own(g)
         if side == "left":
-            test = lambda s: self.act_inverse_word(g.word, self.simple_roots[s])
+            mask = g.mask
         elif side == "right":
-            test = lambda s: self.act_word(g.word, self.simple_roots[s])
+            mask = self.inverse(g).mask
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return frozenset(
-            self.generator_names[s] for s in range(self.rank) if test(s).sign() < 0
-        )
+        return frozenset(self.generator_names[s] for s in range(self.rank) if mask >> s & 1)
 
     def inversion_walls(self, g: Element) -> frozenset[Root]:
         """Positive roots of the walls separating the identity from g.
@@ -633,8 +628,11 @@ class CoxeterSystem:
         return frozenset(out)
 
     def is_suffix(self, w: Element, g: Element) -> bool:
-        """True iff g = u*w with l(g) = l(u) + l(w)."""
-        return g.length == self.multiply(g, self.inverse(w)).length + w.length
+        """True iff g = u*w with l(g) = l(u) + l(w): iff w^-1 <= g^-1 in the
+        right weak order, read off the inverses' masks."""
+        self._own(w, g)
+        mask = self.inverse(w).mask
+        return self.inverse(g).mask & mask == mask
 
     # -- balls ----------------------------------------------------------------
 
@@ -676,8 +674,8 @@ class CoxeterSystem:
         vertex-to-wall distance in the Cayley graph is depth - 1.  One walk
         descends the root graph to a simple root, always through the first
         s with B(alpha_s, root) > 0, and records both values on the way:
-        every step adds one to the depth, and a step with B >= 1 also sheds
-        exactly one separating wall, while a step with 0 < B < 1 sheds none.
+        every step adds one to the depth, and a step with 2B >= 2 also sheds
+        exactly one separating wall, while a step with 0 < 2B < 2 sheds none.
         """
         root = root.abs()
         depths, counts = self._root_depth, self._separation
@@ -688,9 +686,9 @@ class CoxeterSystem:
         current = root
         while current not in depths:
             for s in range(self.rank):
-                b = self.bilinear(self.simple_roots[s], current)
+                b = self._pairing(s, current)
                 if b.sign() > 0:
-                    chain.append((current, 1 if (b - 1).sign() >= 0 else 0))
+                    chain.append((current, 1 if (b - 2).sign() >= 0 else 0))
                     current = self.reflect(s, current)
                     break
             else:

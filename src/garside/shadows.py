@@ -102,35 +102,36 @@ def _missing_suffixes(system: CoxeterSystem, members):
                     yield b, w
 
 
+def _top_below(members, x: Element) -> tuple[Element, list[Element]]:
+    """The below-x scan over ShortLex-sorted, suffix-closed members: the
+    last member below x, which is a longest one, and the members below x
+    but not below it.  The identity is a member, so one is below x."""
+    below = [b for b in members if b.mask & x.mask == b.mask]
+    top = below[-1]
+    return top, [b for b in below if b.mask & top.mask != b.mask]
+
+
 def _join_failures(system: CoxeterSystem, members, radius: int):
     """The join-closure scan: for each ball element x in turn, the pairs of
     members below x that have no maximum among the members below x.
 
-    Yields (top, b, x) with top the longest member below x and b a member
-    below x but not below top; their join exists and lies below x.  Members
-    are scanned in ShortLex order, so top is the last one below x.
+    Yields (top, b, x) with top and b from `_top_below`; their join exists
+    and lies below x.
     """
     members = sorted(members)
     for x in system.ball(radius):
-        mask = x.mask
-        below = [b for b in members if b.mask & mask == b.mask]
-        if not below:
-            continue
-        top = below[-1]
-        for b in below:
-            if b.mask & top.mask != b.mask:
-                yield top, b, x
+        top, strays = _top_below(members, x)
+        for b in strays:
+            yield top, b, x
 
 
-def validate_shadow(
-    system: CoxeterSystem, elements, search_radius: int | None = None
-) -> ValidationResult:
+def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     """Check the Garside shadow axioms for a finite element set.
 
     Returns Valid, or a Violation carrying the ShortLex-first missing
-    generator, suffix or join.  Join existence is searched within a ball
-    whose radius the result records; candidates beyond it are presumed
-    nonexistent.  Elements of another system raise MixedSystemError.
+    generator, suffix or join.  Joins are searched within the ball of
+    `default_search_radius`, recorded in the result, and presumed absent
+    beyond it.  Elements of another system raise MixedSystemError.
     """
     members = frozenset(elements)
     system._own(*members)
@@ -139,8 +140,7 @@ def validate_shadow(
             return ValidationResult(
                 False, f"generator {s} missing", (s,), 0
             )
-    if search_radius is None:
-        search_radius = default_search_radius(system, members)
+    search_radius = default_search_radius(system, members)
 
     for b, w in _missing_suffixes(system, members):
         return ValidationResult(
@@ -158,14 +158,9 @@ def validate_shadow(
     return ValidationResult(True, None, (), search_radius)
 
 
-def make_shadow(
-    system: CoxeterSystem,
-    elements,
-    provenance: str,
-    search_radius: int | None = None,
-) -> GarsideShadow:
+def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShadow:
     """Validate and wrap an element set; raises on a failed validation."""
-    result = validate_shadow(system, elements, search_radius)
+    result = validate_shadow(system, elements)
     if not result:
         raise ValueError(f"not a Garside shadow: {result.violation}")
     members = frozenset(elements)
@@ -248,14 +243,11 @@ def b_projection(shadow: GarsideShadow, g: Element) -> Element:
     if hit is not None:
         return hit
     shadow.system._own(g)
-    mask = g.mask
-    candidates = [b for b in shadow.ordered if b.mask & mask == b.mask]
-    top = max(candidates, key=lambda b: (b.length, b.word))
-    for b in candidates:
-        if b.mask & top.mask != b.mask:
-            raise InternalInconsistencyError(
-                f"projection candidates of {g} have no maximum: {top} vs {b}"
-            )
+    top, strays = _top_below(shadow.ordered, g)
+    if strays:
+        raise InternalInconsistencyError(
+            f"projection candidates of {g} have no maximum: {top} vs {strays[0]}"
+        )
     cache[g] = top
     return top
 

@@ -4,9 +4,9 @@ A wall is m-elementary when at most m walls separate it from the identity
 vertex.  Two independent routes compute these sets:
 
 * the fast route walks the root graph outward from the simple roots,
-  updating the separation count from exact inner products (the count
-  changes by +1, 0 or -1 under a simple reflection according to whether
-  B(alpha_s, root) is <= -1, strictly between -1 and 1, or >= 1);
+  updating the separation count by +1, 0 or -1 under a simple reflection
+  as 2B(alpha_s, root), read off the reflected root, is <= -2, strictly
+  between -2 and 2, or >= 2;
 * the oracle route counts separating walls directly from the definition on
   a finite Cayley ball, using nothing but half-space signs.
 
@@ -79,7 +79,7 @@ def separation_count(system: CoxeterSystem, root: Root) -> int:
 
 
 def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
-    """The finite set of m-elementary walls (fast inner-product route)."""
+    """The finite set of m-elementary walls (fast root-graph route)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     per_system = system.cache("small_roots")
@@ -92,17 +92,17 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
         beta = queue.popleft()
         n_beta = values[beta]
         for s in range(system.rank):
-            alpha = system.simple_roots[s]
-            if beta == alpha:
+            if beta == system.simple_roots[s]:
                 continue
-            b = system.bilinear(alpha, beta)
-            if (b - 1).sign() >= 0:
+            gamma = system.reflect(s, beta)
+            # s(beta) = beta - 2B(alpha_s, beta) alpha_s
+            two_b = beta.coeffs[s] - gamma.coeffs[s]
+            if (two_b - 2).sign() >= 0:
                 delta = -1
-            elif (b + 1).sign() <= 0:
+            elif (two_b + 2).sign() <= 0:
                 delta = 1
             else:
                 delta = 0
-            gamma = system.reflect(s, beta)
             n_gamma = n_beta + delta
             known = values.get(gamma)
             if known is not None:
@@ -241,20 +241,25 @@ def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
     if m in per_system:
         return per_system[m]
     witnesses, _ = sign_patterns(system, m)
-    out = per_system[m] = tuple(
-        sorted(system.inverse(system.element(word)) for word in witnesses)
-    )
+    out = per_system[m] = _inverses_sorted(system, witnesses)
     return out
+
+
+def _inverses_sorted(system: CoxeterSystem, words) -> tuple[Element, ...]:
+    """The inverses of the elements of reduced words, ShortLex sorted.  The
+    reversed word is a reduced word of the inverse, so each takes one walk."""
+    return tuple(sorted(system.element(word[::-1]) for word in words))
 
 
 def is_shi_gate(g: Element, m: int) -> bool:
     """True iff g is the minimum of its m-Shi part (an m-low element).
 
-    Parts are convex, so g is it iff no g*s below g lies in its part: iff
-    the one wall between g and each such g*s, the bit of their masks' XOR,
-    is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
+    Parts are convex, so g is it iff for each right descent s (bit s of the
+    mask of g^-1) the one wall between g and g*s, the bit of their masks'
+    XOR, is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
     """
     system = g.system
     small = elementary_walls(system, m).mask
-    below = (system.right_multiply(g, s) for s in range(system.rank))
-    return all((g.mask ^ h.mask) & small for h in below if h.length < g.length)
+    right = system.inverse(g).mask
+    below = (system.right_multiply(g, s) for s in range(system.rank) if right >> s & 1)
+    return all((g.mask ^ h.mask) & small for h in below)

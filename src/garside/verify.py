@@ -263,10 +263,11 @@ def check_lemma_chain(shadow: GarsideShadow, radius: int) -> CheckResult:
     system = shadow.system
     checked = 0
     for g in system.ball(radius):
-        for s in system.gens:
-            g2 = system.multiply(g, s)
-            if g2.length >= g.length:
+        right = system.inverse(g).mask  # bit i set iff g*s_i is below g
+        for i, s in enumerate(system.gens):
+            if not right >> i & 1:
                 continue
+            g2 = system.right_multiply(g, i)
             chain_g = voracious_chain(shadow, g).steps
             chain_g2 = voracious_chain(shadow, g2).steps
 

@@ -60,7 +60,8 @@ def weak_leq_by_lengths(g: Element, h: Element) -> bool:
 def _fold_below(g: Element, table: str, fold):
     """The value at g of a fold down the weak order: the value of x is
     fold(x, [(s, value of x*s) for each right descent s of x]), memoised in
-    the system's table of that name.  An explicit stack replaces recursion."""
+    the system's table of that name.  The right descents of x are the set
+    bits of the mask of x^-1.  An explicit stack replaces recursion."""
     system = g.system
     cache = system.cache(table)
     stack = [g]
@@ -69,8 +70,8 @@ def _fold_below(g: Element, table: str, fold):
         if x in cache:
             stack.pop()
             continue
-        right = sorted(map(system._gen_index.get, system.descents(x, "right")))
-        below = [(s, system.right_multiply(x, s)) for s in right]
+        right = system.inverse(x).mask
+        below = [(s, system.right_multiply(x, s)) for s in range(system.rank) if right >> s & 1]
         pending = [y for _, y in below if y not in cache]
         if pending:
             stack.extend(pending)

@@ -27,6 +27,20 @@ def test_automaton_invariants_enforced():
         Automaton(("s",), ("-",), 2, frozenset({0}), ())
 
 
+def test_automaton_equality_ignores_the_edge_index(system):
+    # the out-edge index is derived from the edges: it must not change
+    # equality or hashing, nor show in the repr
+    aut = cone_type_automaton(system)
+    twin = Automaton(
+        aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges
+    )
+    assert twin == aut and hash(twin) == hash(aut) and repr(twin) == repr(aut)
+    assert "_out" not in repr(aut)
+    assert twin != Automaton(
+        aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges[1:]
+    )
+
+
 def test_canonical_accepts_empty_and_rejects_ss(system):
     aut = canonical_automaton(system, 0)
     assert aut.accepts_word(())

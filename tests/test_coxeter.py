@@ -181,6 +181,36 @@ def test_mixed_system_metric_and_walls_rejected(dinf, s3, affine_a2):
         dinf.inversion_walls(s3.element("st"))
 
 
+def test_ball_membership_checks_the_system(affine_a2, triangle_334):
+    assert triangle_334.element("st") not in affine_a2.ball(3)
+    assert affine_a2.element("st") in affine_a2.ball(3)
+
+
+def test_mixed_system_suffix_rejected(affine_a2, triangle_334):
+    with pytest.raises(MixedSystemError):
+        affine_a2.is_suffix(triangle_334.element("s"), affine_a2.element("ts"))
+
+
+def test_mixed_system_descents_rejected(affine_a2, triangle_334):
+    for side in ("left", "right"):
+        with pytest.raises(MixedSystemError):
+            affine_a2.descents(triangle_334.element("st"), side)
+
+
+def test_mixed_system_inverse_and_step_rejected(affine_a2, triangle_334):
+    # a foreign element must not reach the memo tables of normal forms
+    for call in (affine_a2.inverse, lambda g: affine_a2.right_multiply(g, 2)):
+        with pytest.raises(MixedSystemError):
+            call(triangle_334.element("st"))
+    assert affine_a2.inverse(affine_a2.element("st")) == affine_a2.element("ts")
+
+
+def test_unknown_generator_name_in_word_list(affine_a2):
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        affine_a2.element(["s", "x"])
+    assert affine_a2.element(["s", "t"]) == affine_a2.element("st")
+
+
 def test_descents(dinf):
     assert dinf.descents(dinf.identity, "left") == frozenset()
     assert dinf.descents(dinf.gens[0], "left") == frozenset({"s"})
@@ -264,30 +294,44 @@ def test_inversion_walls_match_chain_definition(name):
 
 
 def test_only_labelled_oracles_read_inversion_walls():
-    # hot paths compare inversion bitmasks; the frozenset view is for oracles
-    allowed = {"op_voracious_projection", "wall_separation_oracle"}
+    rules = [
+        # hot paths compare inversion bitmasks; the frozenset view is for oracles
+        ({"inversion_walls"}, {"op_voracious_projection", "wall_separation_oracle"}),
+        # descents and walls come from the masks; chains of reflections are
+        # for the oracles and for the closeness of one wall to one element
+        (
+            {"act_word", "act_inverse_word"},
+            {
+                "op_voracious_projection",
+                "wall_separation_oracle",
+                "estimate_parallel_wall",
+                "m_close",
+            },
+        ),
+    ]
     src = Path(__file__).resolve().parent.parent / "src" / "garside"
 
-    def calls(node):
+    def calls(node, methods):
         return [
             n for n in ast.walk(node)
             if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "inversion_walls"
+            and n.func.attr in methods
         ]
 
     for path in sorted(src.glob("*.py")):
         if path.name == "coxeter.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_oracles = {
-            id(call)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name in allowed
-            for call in calls(fn)
-        }
-        stray = [call.lineno for call in calls(tree) if id(call) not in in_oracles]
-        assert not stray, f"{path.name} reads inversion_walls at lines {stray}"
+        for methods, allowed in rules:
+            in_oracles = {
+                id(call)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+                for call in calls(fn, methods)
+            }
+            stray = [call.lineno for call in calls(tree, methods) if id(call) not in in_oracles]
+            assert not stray, f"{path.name} calls {sorted(methods)} at lines {stray}"
 
 
 def test_triangle_inequality_radius4(dinf, s3, affine_a2):
@@ -306,9 +350,14 @@ def test_is_suffix(dinf, system):
     ts = dinf.element("ts")
     assert dinf.is_suffix(s, ts)
     assert not dinf.is_suffix(t, ts)
-    for g in system.ball(3):
+    ball = system.ball(3)
+    for g in ball:
         assert system.is_suffix(system.identity, g)
         assert system.is_suffix(g, g)
+        # the mask read against its definition by lengths
+        for w in ball:
+            expected = system.multiply(g, w.inverse()).length + w.length == g.length
+            assert system.is_suffix(w, g) == expected
 
 
 def test_ball_is_prefix_closed_and_sorted(system):
