@@ -39,6 +39,7 @@ from .shi import (
     elementary_walls,
     elementary_walls_oracle,
     is_shi_gate,
+    low_index,
     m_close,
     separation_count,
     shi_gates,

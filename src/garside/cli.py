@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", parents=[common], help="compute a Garside shadow")
     p.add_argument("--kind", required=True, help="low | mlow=M | gamma | closure")
     p.add_argument("--seed", help="seed word list for closure (one word per line)")
-    p.add_argument("--cutoff", type=int, default=12, help="closure search-ball cutoff")
+    p.add_argument("--cutoff", type=int, default=12,
+                   help="closure: longest m-low element the join scan may read")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shadow)
 

@@ -1,15 +1,18 @@
 """Garside shadows, their projections, partitions and serialization.
 
 A Garside shadow is a set of elements containing the generators, closed
-under suffixes, and closed under existing joins.  Join closure is checked
-without ever claiming to decide join existence globally: within a search
-ball, a finite set is join-closed iff below every ball element the shadow
-members have a unique weak-order maximum, and a failure of that scan
-produces an explicit offending pair whose join is missing.  Search beyond
-the ball is never attempted; validators record the radius they used and
-treat "no upper bound found" as "join presumed nonexistent".  Suffix
-closure is checked locally, on s*b for the left descents s of each member
-b.  Both scans run in ShortLex order, so every run names the same witness.
+under suffixes, and closed under existing joins.  Suffix closure is checked
+locally, on s*b for the left descents s of each member b.  A suffix-closed
+set is join-closed iff below every element x the members have a maximum; a
+failing x yields a pair whose join is missing.  Scanning L_m, the m-low
+elements for the least m with every member m-low (`shi.low_index`),
+decides this exactly.  L_m is a finite Garside shadow (Dyer & Hohlweg,
+*Small roots, low elements, and the weak order in Coxeter groups*, Adv.
+Math. 2016), so it holds the join of any members with an upper bound; and
+the ShortLex-first failing x is the join of the members below it, since
+that join lies below x with the same members below it.  So the scan of L_m
+names the same witness as a scan of any Cayley ball holding that x.  Both
+scans run in ShortLex order, so every run names the same witness.
 
 The projection of g onto a shadow B is the join of the shadow elements
 below g.  For a valid shadow that join is itself a shadow element below g,
@@ -22,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
-from .shi import shi_gates
+from .shi import low_index, shi_gates
 from .automata import cone_type_gates
 from .weak_order import join_bounded
 
 
 class CutoffExceeded(Exception):
-    """A closure step would need to search beyond the allowed ball."""
+    """A closure's join scan would read elements longer than the cutoff."""
 
 
 class ShadowFileError(ValueError):
@@ -37,6 +40,10 @@ class ShadowFileError(ValueError):
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """`search_radius`, the length of the longest element the join scan read
+    (0 if it did not run), sizes the scan as the ball that covers it; the
+    benchmark's tracer reads it."""
+
     ok: bool
     violation: str | None = None
     witness: tuple = ()
@@ -72,24 +79,6 @@ class GarsideShadow:
         return g in self.members
 
 
-def _max_finite_label(system: CoxeterSystem) -> int:
-    labels = [
-        system.matrix.entries[i][j]
-        for i in range(system.rank)
-        for j in range(i + 1, system.rank)
-        if system.matrix.entries[i][j] != 0
-    ]
-    return max(labels, default=0)
-
-
-def default_search_radius(system: CoxeterSystem, elements) -> int:
-    """Ball radius for join-closure checks: twice the longest member, but at
-    least the largest finite label (rank-2 joins reach the corresponding
-    longest dihedral element)."""
-    longest = max((g.length for g in elements), default=1)
-    return max(2 * longest, _max_finite_label(system), 2)
-
-
 def _missing_suffixes(system: CoxeterSystem, members):
     """The suffix scan: yields (b, s*b) for each member b in ShortLex order
     and left descent s of b (bit s of its mask) with s*b not a member.  By
@@ -111,15 +100,16 @@ def _top_below(members, x: Element) -> tuple[Element, list[Element]]:
     return top, [b for b in below if b.mask & top.mask != b.mask]
 
 
-def _join_failures(system: CoxeterSystem, members, radius: int):
-    """The join-closure scan: for each ball element x in turn, the pairs of
-    members below x that have no maximum among the members below x.
+def _join_failures(members, gates):
+    """The join-closure scan: for each of the ShortLex-sorted m-low elements
+    x in turn, the pairs of members below x that have no maximum among the
+    members below x.  Exact when every member is m-low (module docstring).
 
     Yields (top, b, x) with top and b from `_top_below`; their join exists
     and lies below x.
     """
     members = sorted(members)
-    for x in system.ball(radius):
+    for x in gates:
         top, strays = _top_below(members, x)
         for b in strays:
             yield top, b, x
@@ -129,9 +119,11 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     """Check the Garside shadow axioms for a finite element set.
 
     Returns Valid, or a Violation carrying the ShortLex-first missing
-    generator, suffix or join.  Joins are searched within the ball of
-    `default_search_radius`, recorded in the result, and presumed absent
-    beyond it.  Elements of another system raise MixedSystemError.
+    generator, suffix or join.  Joins are decided over L_m, the m-low
+    elements for the least m with every member m-low: L_m is a Garside
+    shadow (Dyer & Hohlweg, Adv. Math. 2016), so it holds every join of
+    members, and the first failing element of the group lies in it (module
+    docstring).  Elements of another system raise MixedSystemError.
     """
     members = frozenset(elements)
     system._own(*members)
@@ -140,14 +132,12 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
             return ValidationResult(
                 False, f"generator {s} missing", (s,), 0
             )
-    search_radius = default_search_radius(system, members)
-
     for b, w in _missing_suffixes(system, members):
-        return ValidationResult(
-            False, f"suffix {w} of {b} missing", (b, w), search_radius
-        )
+        return ValidationResult(False, f"suffix {w} of {b} missing", (b, w), 0)
 
-    for top, b, x in _join_failures(system, members, search_radius):
+    gates = shi_gates(system, max(map(low_index, members)))
+    search_radius = gates[-1].length
+    for top, b, x in _join_failures(members, gates):
         j = join_bounded([top, b], x)
         return ValidationResult(
             False,
@@ -206,22 +196,25 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
 def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
     """Smallest shadow containing the seed, by fixed-point closure.
 
-    Adds generators, suffixes, and joins discovered within the search ball;
-    raises CutoffExceeded when the ball the policy asks for does not fit
-    inside the cutoff."""
+    For the least m with the seed and the generators m-low, the Garside
+    shadow L_m holds the closure (module docstring), so suffixes and the
+    joins found by scanning L_m are added until nothing changes.  Raises
+    CutoffExceeded when L_m holds an element longer than the cutoff."""
     current: set[Element] = {system.identity, *system.gens}
     current.update(seed)
     system._own(*current)
+    m = max(map(low_index, current))
+    gates = shi_gates(system, m)
+    if gates[-1].length > cutoff:
+        raise CutoffExceeded(
+            f"the join scan reads the {m}-low elements, up to length "
+            f"{gates[-1].length}; cutoff is {cutoff}"
+        )
     while True:
-        radius = default_search_radius(system, current)
-        if radius > cutoff:
-            raise CutoffExceeded(
-                f"join search needs radius {radius}, cutoff is {cutoff}"
-            )
         size = len(current)
         while missing := {w for _, w in _missing_suffixes(system, current)}:
             current |= missing
-        bounds = {(top, b): x for top, b, x in _join_failures(system, current, radius)}
+        bounds = {(top, b): x for top, b, x in _join_failures(current, gates)}
         current |= {join_bounded(pair, x) for pair, x in bounds.items()}
         if len(current) == size:
             break

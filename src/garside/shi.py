@@ -20,8 +20,9 @@ walls once; they are the states of the canonical reduced-word automaton
 (`automata.canonical_automaton`), and the gate of each m-Shi part is the
 inverse of the shortest word realizing its pattern (`shi_gates`).  The
 tests check the gates against per-part minima computed naively on balls.
-Whether one element is a gate is decided locally (`is_shi_gate`); the
-tests hold that against the definition, a scan of the length-l(g) ball.
+Whether one element is a gate is decided locally, from the least m for
+which it is m-low (`low_index`, read by `is_shi_gate`); the tests hold that
+against the definition, a scan of the length-l(g) ball.
 """
 
 from __future__ import annotations
@@ -251,15 +252,23 @@ def _inverses_sorted(system: CoxeterSystem, words) -> tuple[Element, ...]:
     return tuple(sorted(system.element(word[::-1]) for word in words))
 
 
-def is_shi_gate(g: Element, m: int) -> bool:
-    """True iff g is the minimum of its m-Shi part (an m-low element).
+def low_index(g: Element) -> int:
+    """The least m for which g is m-low: the largest separation count over
+    the walls between g and g*s, for the right descents s of g (bit s of the
+    mask of g^-1); 0 for the identity.
 
-    Parts are convex, so g is it iff for each right descent s (bit s of the
-    mask of g^-1) the one wall between g and g*s, the bit of their masks'
-    XOR, is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
+    Parts are convex, so g is the minimum of its m-Shi part iff each of
+    those walls is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
     """
     system = g.system
-    small = elementary_walls(system, m).mask
     right = system.inverse(g).mask
     below = (system.right_multiply(g, s) for s in range(system.rank) if right >> s & 1)
-    return all((g.mask ^ h.mask) & small for h in below)
+    walls = (wall for h in below for wall in system.separating_walls(g, h))
+    return max((separation_count(system, wall) for wall in walls), default=0)
+
+
+def is_shi_gate(g: Element, m: int) -> bool:
+    """True iff g is the minimum of its m-Shi part (an m-low element)."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return low_index(g) <= m

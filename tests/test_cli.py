@@ -67,6 +67,23 @@ def test_shadow_closure_with_seed_that_needs_joins(workspace):
     assert "elements: 28" in text and "\nstu\n" in text
 
 
+@pytest.mark.parametrize("group, cutoff, code", [
+    # the join scan reads the low elements: I2(3) has one of length 3, and
+    # the 16 of affine-A2 are at most 4 long
+    ("s3.txt", 2, 2),
+    ("a2.txt", 4, 0),
+])
+def test_closure_cutoff_bounds_the_scanned_length(workspace, capsys, group, cutoff, code):
+    out = workspace / "closed.txt"
+    assert run("shadow", "--group", workspace / group, "--kind", "closure",
+               "--cutoff", cutoff, "--out", out) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: cutoff-exceeded:")
+        assert not out.exists()
+    else:
+        assert "elements: 16" in out.read_text()
+
+
 def test_negative_m_is_a_bad_kind(workspace, capsys):
     code = run("shadow", "--group", workspace / "a2.txt", "--kind", "mlow=-1",
                "--out", workspace / "x.txt")

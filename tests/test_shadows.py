@@ -1,9 +1,11 @@
 import gc
+import random
 import weakref
 
 import pytest
 
 from garside import (
+    CoxeterSystem,
     CutoffExceeded,
     MixedSystemError,
     ShadowFileError,
@@ -11,6 +13,8 @@ from garside import (
     cone_type_gates,
     garside_closure,
     is_shi_gate,
+    join_bounded,
+    lower_interval,
     partition_part,
     refinement_check,
     shadow_from_gates,
@@ -23,7 +27,7 @@ from garside import (
     weak_leq,
 )
 
-from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval
+from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, _BUILDERS
 
 SHADOW_KINDS = (("low", None), ("m-low", 1), ("m-low", 2), ("gamma", None))
 
@@ -108,6 +112,81 @@ def test_gate_shadows_validate(name, kind, m):
     shadow = shadow_from_gates(get_system(name), kind, m)
     assert shadow.constant_m == max(g.length for g in shadow)
     assert validate_shadow(shadow.system, shadow.members).ok
+
+
+def _join_verdict_by_ball_scan(system, members):
+    """Oracle for the join scan of `validate_shadow`: the Cayley-ball scan it
+    replaced.  Scans ball(max(2 * longest member, largest finite label, 2))
+    in ShortLex order for an x below which the members have no maximum, so
+    a join beyond that ball goes unseen.  Takes a suffix-closed set; returns
+    (ok, violation)."""
+    for s in system.gens:
+        if s not in members:
+            return False, f"generator {s} missing"
+    entries = system.matrix.entries
+    labels = [entries[i][j] for i in range(system.rank) for j in range(i) if entries[i][j]]
+    radius = max(2 * max(g.length for g in members), *labels, 2)
+    members = sorted(members)
+    for x in system.ball(radius):
+        below = [b for b in members if weak_leq(b, x)]
+        top = below[-1]
+        for b in below:
+            if not weak_leq(b, top):
+                return False, f"join {join_bounded([top, b], x)} of {top} and {b} missing"
+    return True, None
+
+
+def _oracle_families(system, rng):
+    """Suffix-closed candidate sets: the low, gamma and m-low(1) shadows,
+    each without its longest member, and each plus a random element and all
+    its suffixes (the inverses of the prefixes of its inverse)."""
+    for kind, m in (("low", None), ("gamma", None), ("m-low", 1)):
+        shadow = shadow_from_gates(system, kind, m)
+        yield shadow.members - {shadow.ordered[-1]}
+        ball = system.ball(shadow.constant_m + 2).elements
+        for _ in range(6):
+            g = system.inverse(rng.choice(ball))
+            yield shadow.members | {system.inverse(x) for x in lower_interval(g)}
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_join_scan_matches_ball_scan_oracle(name):
+    system = get_system(name)
+    rng = random.Random(20161)
+    verdicts = []
+    for members in _oracle_families(system, rng):
+        result = validate_shadow(system, members)
+        assert (result.ok, result.violation) == _join_verdict_by_ball_scan(system, members)
+        verdicts.append(result.ok)
+    assert len(verdicts) == 21
+    if name != "dinf":  # D-infinity has no joins, so every set is valid
+        assert not all(verdicts)
+
+
+def test_validation_and_closure_read_no_ball(monkeypatch):
+    # fresh systems, so no memo table of another test hides a ball call
+    g2, a2, tri = (_BUILDERS[n]() for n in ("affine_g2", "affine_a2", "triangle_334"))
+    text = shadow_to_text(shadow_from_gates(g2, "m-low", 2))
+    expected = {
+        system: shadow_from_gates(system, "gamma").members for system in (a2, tri)
+    }
+    low = shadow_from_gates(a2, "low")
+    broken = low.members - {low.ordered[-1]}
+    verdict = _join_verdict_by_ball_scan(a2, broken)
+    stu = a2.element("stu")
+
+    def no_ball(self, radius):
+        raise AssertionError("ball() called")
+
+    monkeypatch.setattr(CoxeterSystem, "ball", no_ball)
+    assert validate_shadow(a2, low.members).ok
+    result = validate_shadow(a2, broken)
+    assert (result.ok, result.violation) == verdict
+    again = shadow_from_text(g2, text)
+    assert len(again) == 361 and shadow_to_text(again) == text
+    for system, members in expected.items():
+        assert garside_closure(system, [], 8).members == members
+    assert len(garside_closure(a2, [stu], 12)) == 28
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)

@@ -144,6 +144,8 @@ def test_is_shi_gate(system):
     for g in system.ball(3):
         if g not in gates:
             assert not is_shi_gate(g, 0)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        is_shi_gate(system.identity, -1)
 
 
 def _gate_by_ball_scan(g, m):
