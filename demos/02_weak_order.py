@@ -2,14 +2,14 @@
 =======================
 
 g lies below h when some geodesic from the identity to h passes through
-g.  Meets always exist; joins exist exactly for bounded sets, and a ball
-search can only ever report "nothing found within this radius".
+g.  Meets always exist.  Joins exist exactly for sets with an upper bound,
+and `join` decides which: it scans the m-low elements, a finite Garside
+shadow holding the members, and returns None when no upper bound exists
+anywhere in the group.
 """
 
 from garside import (
-    NoUpperBoundWithin,
-    join_bounded,
-    join_search,
+    join,
     lower_interval,
     make_system,
     meet,
@@ -30,11 +30,9 @@ print("\nlower interval of sts:", [str(x) for x in lower_interval(sts)])
 print("\nmeet of {st, sts}:", meet([s3.element("st"), sts]))
 print("meet of {s, t}:", meet([s, t]), "(the identity)")
 
-print("\njoin of {s, t} below sts:", join_bounded([s, t], sts))
+print("\njoin of {s, t} in the hexagon group:", join([s, t]))
 
-# in the infinite dihedral group s and t have no common upper bound at all;
-# the search is honest about only having looked inside a ball
-verdict = join_search(list(dinf.gens), 8)
-assert isinstance(verdict, NoUpperBoundWithin)
-print("\njoin search for {s, t} in the infinite dihedral group:", verdict)
-print("join search for {s, t} in the hexagon group:", join_search([s, t], 3))
+# in the infinite dihedral group s and t have no common upper bound at all
+verdict = join(dinf.gens)
+assert verdict is None
+print("join of {s, t} in the infinite dihedral group:", verdict)

@@ -25,10 +25,8 @@ from .coxeter import (
     word_prefix,
 )
 from .weak_order import (
-    NoUpperBoundWithin,
     WeakOrderInterval,
-    join_bounded,
-    join_search,
+    join,
     lower_interval,
     meet,
     weak_leq,

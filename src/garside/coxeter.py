@@ -113,13 +113,14 @@ def parse_group_file(text: str) -> CoxeterMatrix:
         3 3 1
 
     The matrix uses 0 for an unbounded label.  Errors name the offending
-    line and field.
+    line and field; a repeated 'name:' or 'generators:' line is an error.
     """
     name: str | None = None
     generators: tuple[str, ...] | None = None
     rows: list[tuple[int, ...]] = []
     in_matrix = False
     matrix_line = 0
+    seen: dict[str, int] = {}  # directive -> line of its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +141,12 @@ def parse_group_file(text: str) -> CoxeterMatrix:
                 )
             rows.append(tuple(row))
             continue
+        directive = line.split(":", 1)[0]
+        if directive in seen:
+            raise GroupFileError(
+                f"line {lineno}: repeated '{directive}:' (first on line {seen[directive]})"
+            )
+        seen[directive] = lineno
         if line.startswith("name:"):
             name = line[len("name:"):].strip() or None
         elif line.startswith("generators:"):
@@ -688,7 +695,7 @@ class CoxeterSystem:
             for s in range(self.rank):
                 b = self._pairing(s, current)
                 if b.sign() > 0:
-                    chain.append((current, 1 if (b - 2).sign() >= 0 else 0))
+                    chain.append((current, 1 if (b - TWO).sign() >= 0 else 0))
                     current = self.reflect(s, current)
                     break
             else:

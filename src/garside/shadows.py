@@ -9,10 +9,10 @@ elements for the least m with every member m-low (`shi.low_index`),
 decides this exactly.  L_m is a finite Garside shadow (Dyer & Hohlweg,
 *Small roots, low elements, and the weak order in Coxeter groups*, Adv.
 Math. 2016), so it holds the join of any members with an upper bound; and
-the ShortLex-first failing x is the join of the members below it, since
-that join lies below x with the same members below it.  So the scan of L_m
-names the same witness as a scan of any Cayley ball holding that x.  Both
-scans run in ShortLex order, so every run names the same witness.
+the ShortLex-first failing x is that missing join (`validate_shadow`).  So
+the scan of L_m names the same witness as a scan of any Cayley ball holding
+that x.  Both scans run in ShortLex order, so every run names the same
+witness.
 
 The projection of g onto a shadow B is the join of the shadow elements
 below g.  For a valid shadow that join is itself a shadow element below g,
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
 from .shi import low_index, shi_gates
 from .automata import cone_type_gates
-from .weak_order import join_bounded
+from .weak_order import _first_above
 
 
 class CutoffExceeded(Exception):
@@ -122,8 +122,11 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     generator, suffix or join.  Joins are decided over L_m, the m-low
     elements for the least m with every member m-low: L_m is a Garside
     shadow (Dyer & Hohlweg, Adv. Math. 2016), so it holds every join of
-    members, and the first failing element of the group lies in it (module
-    docstring).  Elements of another system raise MixedSystemError.
+    members.  The ShortLex-first failing gate x is itself the missing join
+    of `top` and its first stray b.  j = join(top, b) exists and j <= x.
+    j is in L_m and fails: a maximum of the members below j would be j, a
+    member below x longer than top.  So j, no later than x in ShortLex, is x.
+    Elements of another system raise MixedSystemError.
     """
     members = frozenset(elements)
     system._own(*members)
@@ -138,12 +141,8 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     gates = shi_gates(system, max(map(low_index, members)))
     search_radius = gates[-1].length
     for top, b, x in _join_failures(members, gates):
-        j = join_bounded([top, b], x)
         return ValidationResult(
-            False,
-            f"join {j} of {top} and {b} missing",
-            (top, b, j),
-            search_radius,
+            False, f"join {x} of {top} and {b} missing", (top, b, x), search_radius
         )
     return ValidationResult(True, None, (), search_radius)
 
@@ -198,8 +197,9 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
 
     For the least m with the seed and the generators m-low, the Garside
     shadow L_m holds the closure (module docstring), so suffixes and the
-    joins found by scanning L_m are added until nothing changes.  Raises
-    CutoffExceeded when L_m holds an element longer than the cutoff."""
+    joins found by scanning L_m, each the first of those gates above its
+    pair, are added until nothing changes.  Raises CutoffExceeded when L_m
+    holds an element longer than the cutoff."""
     current: set[Element] = {system.identity, *system.gens}
     current.update(seed)
     system._own(*current)
@@ -214,8 +214,8 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
         size = len(current)
         while missing := {w for _, w in _missing_suffixes(system, current)}:
             current |= missing
-        bounds = {(top, b): x for top, b, x in _join_failures(current, gates)}
-        current |= {join_bounded(pair, x) for pair, x in bounds.items()}
+        pairs = {(top, b) for top, b, _ in _join_failures(current, gates)}
+        current |= {_first_above(gates, pair) for pair in pairs}
         if len(current) == size:
             break
     return make_shadow(system, current, "closure-of-seed")

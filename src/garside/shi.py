@@ -37,6 +37,7 @@ from .coxeter import (
     Root,
     Word,
 )
+from .scalars import TWO
 
 _MAX_ROOTS = 200_000  # non-termination guard; the sets are provably finite
 
@@ -98,9 +99,9 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
             gamma = system.reflect(s, beta)
             # s(beta) = beta - 2B(alpha_s, beta) alpha_s
             two_b = beta.coeffs[s] - gamma.coeffs[s]
-            if (two_b - 2).sign() >= 0:
+            if (two_b - TWO).sign() >= 0:
                 delta = -1
-            elif (two_b + 2).sign() <= 0:
+            elif (two_b + TWO).sign() <= 0:
                 delta = 1
             else:
                 delta = 0

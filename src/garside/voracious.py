@@ -116,21 +116,25 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     The words for the identity are just the empty word; otherwise every
     word for the projection nu = g*b, b the projection of g^{-1}, extends
     by every reduced word of the remaining segment nu^{-1} g = b^{-1}.
-    All results are reduced words of g.
+    All results are reduced words of g.  The chain is walked down to the
+    first cached element or the identity, then the cache is filled on the
+    way back up, so long elements need no recursion.
     """
     cache = shadow.language_cache
-    hit = cache.get(g)
-    if hit is not None:
-        return hit
-    if g.is_identity():
-        out = frozenset({()})
-    else:
-        system = shadow.system
+    out = cache.get(g)
+    if out is not None:
+        return out
+    system = shadow.system
+    steps = []  # (element, reduced words of its last segment)
+    while out is None and not g.is_identity():
         b = b_projection(shadow, system.inverse(g))
-        tails = reduced_words(system.inverse(b))
-        heads = language_of(shadow, system.multiply(g, b))
-        out = frozenset(u + v for u in heads for v in tails)
-    cache[g] = out
+        steps.append((g, reduced_words(system.inverse(b))))
+        g = system.multiply(g, b)
+        out = cache.get(g)
+    if out is None:
+        out = cache[g] = frozenset({()})
+    for x, tails in reversed(steps):
+        out = cache[x] = frozenset(u + v for u in out for v in tails)
     return out
 
 

@@ -1,20 +1,23 @@
-"""The right weak order: comparisons, meets, bounded joins, lower intervals.
+"""The right weak order: comparisons, meets, joins, lower intervals.
 
 g precedes h when g lies on a geodesic from the identity to h; equivalently
 no wall separates g from both the identity and h.  The wall test, one `&`
 of inversion bitmasks, is the working one; the length test l(g) + l(g^-1 h)
 = l(h), by a normal-form product, is kept as its oracle.  Meets and joins
-materialise lower intervals, which is deliberate: these routines serve as
-oracles for everything downstream, so clarity and exhaustiveness win over
-asymptotics.
+build no lower interval: a meet climbs from the identity inside the AND of
+the members' masks, and a join is decided exactly by a scan of the m-low
+elements, returning None when no upper bound exists anywhere in the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
+from .coxeter import Element
+from .shi import low_index, shi_gates
 
 
 @dataclass(frozen=True)
@@ -33,16 +36,6 @@ class WeakOrderInterval:
 
     def __contains__(self, g: Element) -> bool:
         return g in self.member_set
-
-
-@dataclass(frozen=True)
-class NoUpperBoundWithin:
-    """Verdict of a bounded join search: nothing found inside the cutoff ball.
-
-    This never asserts nonexistence; an upper bound may live beyond the ball.
-    """
-
-    radius: int
 
 
 def weak_leq(g: Element, h: Element) -> bool:
@@ -92,55 +85,47 @@ def lower_interval(g: Element) -> WeakOrderInterval:
 
 
 def meet(elements: Iterable[Element]) -> Element:
-    """Greatest common lower bound of a nonempty set (always exists)."""
+    """Greatest common lower bound of a nonempty set (always exists).
+
+    The common lower bounds are the elements whose masks lie inside the AND
+    of the members' masks, and they form the interval [e, meet] (Björner &
+    Brenti, GTM 231, ch. 3).  So climbing from the identity by any letter
+    that lengthens the element and keeps its mask inside the AND ends at the
+    meet, and only there."""
     elements = list(elements)
     if not elements:
         raise ValueError("meet of an empty set")
-    common = _lower_set(elements[0])
-    for g in elements[1:]:
-        if g.system is not elements[0].system:
-            raise ValueError("meet across different systems")
-        common &= _lower_set(g)
-    best = max(common, key=lambda x: (x.length, x.word))
-    for c in common:
-        if not weak_leq(c, best):
-            raise InternalInconsistencyError(
-                f"meet candidates not gathered under {best}: {c} incomparable"
-            )
-    return best
+    system = elements[0].system
+    system._own(*elements)
+    common = reduce(and_, (g.mask for g in elements))
+    x = system.identity
+    while True:
+        for s in range(system.rank):
+            y = system.right_multiply(x, s)
+            if y.length > x.length and y.mask & common == y.mask:
+                x = y
+                break
+        else:
+            return x
 
 
-def join_bounded(elements: Iterable[Element], bound: Element) -> Element:
-    """Least upper bound of a set all of whose members lie below `bound`."""
+def _first_above(candidates, elements) -> Element | None:
+    """The first of the candidates above every element, or None."""
+    above = (x for x in candidates if all(a.mask & x.mask == a.mask for a in elements))
+    return next(above, None)
+
+
+def join(elements: Iterable[Element]) -> Element | None:
+    """Least common upper bound of a nonempty set, or None if there is none.
+
+    For the largest `low_index` m of the members, L_m, the m-low elements, is
+    a finite Garside shadow holding every member (Dyer & Hohlweg, Adv. Math.
+    2016), so it holds their join whenever one exists.  The join is the
+    shortest common upper bound, so it is the ShortLex-first gate above every
+    member, and if no gate lies above them all, nothing in the group does."""
     elements = list(elements)
     if not elements:
         raise ValueError("join of an empty set")
-    for a in elements:
-        if not weak_leq(a, bound):
-            raise ValueError(f"precondition violated: {a} is not below {bound}")
-    candidates = [
-        x for x in _lower_set(bound) if all(weak_leq(a, x) for a in elements)
-    ]
-    best = min(candidates, key=lambda x: (x.length, x.word))
-    for c in candidates:
-        if not weak_leq(best, c):
-            raise InternalInconsistencyError(
-                f"join candidates not generated over {best}: {c} incomparable"
-            )
-    return best
-
-
-def join_search(elements: Iterable[Element], cutoff: int):
-    """Join if some common upper bound exists in the cutoff ball.
-
-    Returns the join `Element`, or `NoUpperBoundWithin(cutoff)`.  A negative
-    verdict leaves existence beyond the ball undecided.
-    """
-    elements = list(elements)
-    if not elements:
-        raise ValueError("join of an empty set")
-    system: CoxeterSystem = elements[0].system
-    for x in system.ball(cutoff):
-        if all(weak_leq(a, x) for a in elements):
-            return join_bounded(elements, x)
-    return NoUpperBoundWithin(cutoff)
+    system = elements[0].system
+    system._own(*elements)
+    return _first_above(shi_gates(system, max(map(low_index, elements))), elements)

@@ -113,6 +113,16 @@ def test_malformed_matrix_exits_1(workspace, capsys):
     assert "m[0,1]=3" in err
 
 
+def test_repeated_generators_line_exits_1(workspace, capsys):
+    group = workspace / "twice.txt"
+    group.write_text("generators: s t\ngenerators: a b c\nmatrix:\n1 3 3\n3 1 3\n3 3 1\n")
+    out = workspace / "x.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: group-parse:") and "line 2" in err and "line 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code, prefix", [
     ("group", 1, "group-parse"),
     ("shadow", 2, "shadow-invalid"),

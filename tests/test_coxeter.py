@@ -61,6 +61,10 @@ def test_group_file_errors_cite_lines():
         parse_group_file("matrix:\n1\n")
     with pytest.raises(GroupFileError, match="not symmetric"):
         parse_group_file("generators: s t\nmatrix:\n1 3\n4 1\n")
+    with pytest.raises(GroupFileError, match=r"line 2: repeated 'generators:' \(first on line 1\)"):
+        parse_group_file("generators: s t\ngenerators: a b c\nmatrix:\n1 3 3\n3 1 3\n3 3 1\n")
+    with pytest.raises(GroupFileError, match=r"line 4: repeated 'name:' \(first on line 1\)"):
+        parse_group_file("name: one\ngenerators: s t\n# a comment\nname: two\nmatrix:\n1 3\n3 1\n")
 
 
 def test_comments_and_name_parsed():

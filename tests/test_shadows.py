@@ -13,7 +13,8 @@ from garside import (
     cone_type_gates,
     garside_closure,
     is_shi_gate,
-    join_bounded,
+    join,
+    meet,
     lower_interval,
     partition_part,
     refinement_check,
@@ -118,8 +119,9 @@ def _join_verdict_by_ball_scan(system, members):
     """Oracle for the join scan of `validate_shadow`: the Cayley-ball scan it
     replaced.  Scans ball(max(2 * longest member, largest finite label, 2))
     in ShortLex order for an x below which the members have no maximum, so
-    a join beyond that ball goes unseen.  Takes a suffix-closed set; returns
-    (ok, violation)."""
+    a join beyond that ball goes unseen; the missing join it names is the
+    ShortLex-first common upper bound in the same ball.  Takes a
+    suffix-closed set; returns (ok, violation)."""
     for s in system.gens:
         if s not in members:
             return False, f"generator {s} missing"
@@ -127,12 +129,14 @@ def _join_verdict_by_ball_scan(system, members):
     labels = [entries[i][j] for i in range(system.rank) for j in range(i) if entries[i][j]]
     radius = max(2 * max(g.length for g in members), *labels, 2)
     members = sorted(members)
-    for x in system.ball(radius):
+    ball = system.ball(radius)
+    for x in ball:
         below = [b for b in members if weak_leq(b, x)]
         top = below[-1]
         for b in below:
             if not weak_leq(b, top):
-                return False, f"join {join_bounded([top, b], x)} of {top} and {b} missing"
+                j = next(y for y in ball if weak_leq(top, y) and weak_leq(b, y))
+                return False, f"join {j} of {top} and {b} missing"
     return True, None
 
 
@@ -187,6 +191,36 @@ def test_validation_and_closure_read_no_ball(monkeypatch):
     for system, members in expected.items():
         assert garside_closure(system, [], 8).members == members
     assert len(garside_closure(a2, [stu], 12)) == 28
+
+
+def test_meets_joins_validation_and_closure_build_no_lower_interval(monkeypatch):
+    # the expected values come first, from ball scans and the gate shadows
+    a2, tri = get_system("affine_a2"), get_system("triangle_334")
+    ball = list(a2.ball(3))
+    bounds = {
+        (g, h): [x for x in a2.ball(12) if weak_leq(g, x) and weak_leq(h, x)]
+        for g in ball for h in ball
+    }
+    low = shadow_from_gates(a2, "low")
+    broken = low.members - {low.ordered[-1]}
+    verdict = _join_verdict_by_ball_scan(a2, broken)
+    gammas = [shadow_from_gates(system, "gamma").members for system in (a2, tri)]
+
+    def no_lower_set(g):
+        raise AssertionError("_lower_set called")
+
+    monkeypatch.setattr("garside.weak_order._lower_set", no_lower_set)
+    for g in ball:
+        for h in ball:
+            below = [x for x in ball if weak_leq(x, g) and weak_leq(x, h)]
+            m = meet([g, h])
+            assert all(weak_leq(x, m) for x in below) and m in below
+            above = bounds[(g, h)]
+            assert join([g, h]) == (above[0] if above else None)
+    result = validate_shadow(a2, broken)
+    assert (result.ok, result.violation) == verdict
+    for system, members in zip((a2, tri), gammas):
+        assert garside_closure(system, [], 8).members == members
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)

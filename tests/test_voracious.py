@@ -20,7 +20,7 @@ from garside import (
     weak_leq,
 )
 
-from conftest import ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball
+from conftest import _BUILDERS, ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball
 
 
 def low(system):
@@ -105,6 +105,14 @@ def test_language_spec_examples(dinf):
     assert language_of(shadow, dinf.identity) == {()}
     assert language_of(shadow, dinf.gens[0]) == {(0,)}
     assert language_of(shadow, dinf.element("st")) == {(0, 1)}
+
+
+def test_language_of_long_element_needs_no_recursion():
+    # one voracious step per letter: 3000 steps, past the recursion limit;
+    # a fresh system, so its 3000 cached languages are freed with it
+    dinf = _BUILDERS["dinf"]()
+    g = dinf.element("st" * 1500)
+    assert language_of(low(dinf), g) == {g.word}
 
 
 def test_language_words_are_reduced_and_represent(system):

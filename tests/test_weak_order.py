@@ -2,9 +2,7 @@ import pytest
 
 from garside import (
     MixedSystemError,
-    NoUpperBoundWithin,
-    join_bounded,
-    join_search,
+    join,
     lower_interval,
     make_system,
     meet,
@@ -12,6 +10,7 @@ from garside import (
 )
 from garside.weak_order import weak_leq_by_lengths
 
+from conftest import _BUILDERS, get_system
 
 
 def test_weak_leq_spec_examples(dinf):
@@ -74,12 +73,17 @@ def test_meet_is_greatest_lower_bound(system):
                     assert weak_leq(c, m)
 
 
+def test_meet_and_join_reject_mixed_systems(dinf, affine_a2):
+    for op in (meet, join):
+        with pytest.raises(MixedSystemError):
+            op([dinf.gens[0], affine_a2.gens[0]])
+
+
 def test_join_bounded_spec_examples(s3):
     s, t = s3.gens
-    sts = s3.element("sts")
-    assert join_bounded([s], s) == s
-    assert join_bounded([s3.identity], sts).is_identity()
-    assert join_bounded([s, t], sts) == sts
+    assert join([s]) == s
+    assert join([s3.identity]).is_identity()
+    assert join([s, t]) == s3.element("sts")
 
 
 def test_join_bounded_is_least_upper_bound(system):
@@ -88,17 +92,11 @@ def test_join_bounded_is_least_upper_bound(system):
         inside = [x for x in ball if weak_leq(x, bound)]
         for a in inside:
             for b in inside:
-                j = join_bounded([a, b], bound)
-                assert weak_leq(a, j) and weak_leq(b, j)
+                j = join([a, b])
+                assert weak_leq(a, j) and weak_leq(b, j) and weak_leq(j, bound)
                 for c in inside:
                     if weak_leq(a, c) and weak_leq(b, c):
                         assert weak_leq(j, c)
-
-
-def test_join_precondition_enforced(dinf):
-    s, t = dinf.gens
-    with pytest.raises(ValueError, match="not below"):
-        join_bounded([s, t], dinf.element("st"))
 
 
 def test_iterated_pairwise_join_matches_full_join(s3, i24, affine_a2):
@@ -109,19 +107,35 @@ def test_iterated_pairwise_join_matches_full_join(s3, i24, affine_a2):
             for a in inside:
                 for b in inside:
                     for c in inside:
-                        direct = join_bounded([a, b, c], bound)
-                        paired = join_bounded(
-                            [join_bounded([a, b], bound), c], bound
-                        )
-                        assert direct == paired
+                        assert join([a, b, c]) == join([join([a, b]), c])
 
 
 def test_join_search(dinf, s3):
     s, t = s3.gens
-    assert join_search([s3.gens[0]], 2) == s3.gens[0]
-    assert join_search([s, t], 3) == s3.element("sts")
-    verdict = join_search(list(dinf.gens), 8)
-    assert verdict == NoUpperBoundWithin(8)
+    assert join([s3.gens[0]]) == s3.gens[0]
+    assert join([s, t]) == s3.element("sts")
+    # D-infinity has no upper bound of s and t anywhere
+    assert join(dinf.gens) is None
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_join_matches_ball_oracle(name):
+    # the oracle: a join, when it exists, is the ShortLex-first common upper
+    # bound; a pair from ball(R) with none in ball(2R + 6) is taken to have none
+    system = get_system(name)
+    radius = 3 if name == "affine_g2" else 4
+    small = list(system.ball(radius))
+    big = system.ball(2 * radius + 6)
+    unbounded = 0
+    for i, a in enumerate(small):
+        for b in small[i:]:
+            expected = next((x for x in big if weak_leq(a, x) and weak_leq(b, x)), None)
+            assert join([a, b]) == expected, (a, b)
+            unbounded += expected is None
+    if name in ("s3", "i24"):
+        assert unbounded == 0
+    else:
+        assert unbounded > 0
 
 
 def test_lower_interval(dinf, s3):
