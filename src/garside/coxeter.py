@@ -4,8 +4,11 @@ A `CoxeterSystem` is built from a `CoxeterMatrix` (symmetric integer matrix,
 ``0`` encoding an unbounded label).  Group elements are kept in ShortLex
 normal form under the declared generator order, so equality of elements is
 equality of normal forms.  All length and descent decisions go through the
-geometric representation on roots with exact `Scalar` arithmetic; there is
-no floating point and no tolerance anywhere.
+geometric representation on roots, computed exactly in the ring the labels
+need: root coordinates are plain ints when every label is 2, 3 or infinity,
+and `Scalar`s of Z[sqrt2], Z[sqrt3] or Z[phi] (nested when several of the
+labels 4, 5, 6 occur) otherwise.  There is no floating point and no
+tolerance anywhere.
 
 The module also owns the group definition file format: an ordered list of
 generator names followed by the matrix, rejected with line-precise errors
@@ -18,20 +21,13 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterator, Sequence
 
-from .scalars import HALF, ONE, SQRT2, SQRT3, SQRT5, TWO, ZERO, Scalar
+from .scalars import PHI, SQRT2, SQRT3, Scalar, sign_of
 
 #: Serialized label value that stands for an unbounded (infinite) edge label.
 INFINITE_LABEL = 0
 
 # 2*cos(pi/m) for the supported finite labels; INFINITE_LABEL maps to 2.
-_TWO_COS = {
-    2: ZERO,
-    3: ONE,
-    4: SQRT2,
-    5: (ONE + SQRT5) * HALF,
-    6: SQRT3,
-    INFINITE_LABEL: TWO,
-}
+_TWO_COS = {2: 0, 3: 1, 4: SQRT2, 5: PHI, 6: SQRT3, INFINITE_LABEL: 2}
 
 SUPPORTED_LABELS = (2, 3, 4, 5, 6, INFINITE_LABEL)
 
@@ -153,6 +149,8 @@ def parse_group_file(text: str) -> CoxeterMatrix:
             generators = tuple(line[len("generators:"):].split())
             if not generators:
                 raise GroupFileError(f"line {lineno}: empty generator list")
+            if "-" in generators:
+                raise GroupFileError(f"line {lineno}: '-' names the identity, not a generator")
         elif line.startswith("matrix:"):
             if generators is None:
                 raise GroupFileError(f"line {lineno}: 'matrix:' before 'generators:'")
@@ -189,7 +187,8 @@ def format_group_file(matrix: CoxeterMatrix) -> str:
 
 
 class Root:
-    """A root in simple-root coordinates; positive or negative, never mixed.
+    """A root in simple-root coordinates, ints or `Scalar`s (an int and a
+    Scalar of equal value hash alike); positive or negative, never mixed.
 
     A system interns the roots it hands out: one object per value, with a
     dense `id` (simple roots first) and its negative as the partner that
@@ -199,7 +198,7 @@ class Root:
 
     __slots__ = ("coeffs", "_hash", "_sign", "id", "_neg")
 
-    def __init__(self, coeffs: Sequence[Scalar]):
+    def __init__(self, coeffs: Sequence[int | Scalar]):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_hash", hash(self.coeffs))
         object.__setattr__(self, "_sign", 0)
@@ -216,7 +215,7 @@ class Root:
             return cached
         out = 0
         for c in self.coeffs:
-            s = c.sign()
+            s = sign_of(c)
             if s == 0:
                 continue
             if out == 0:
@@ -389,11 +388,13 @@ class CoxeterSystem:
         self.rank = matrix.rank
         self.generator_names = matrix.generators
         self._gen_index = {g: i for i, g in enumerate(matrix.generators)}
-        # two_b[s][t] = 2*B(alpha_s, alpha_t): 2 on the diagonal, -2cos(pi/m) off it.
+        # _two_b[s]: the pairs (t, 2B(alpha_s, alpha_t)) with a nonzero value,
+        # 2 for t = s and -2cos(pi/m) otherwise: ints when m is 2, 3 or infinity
         self._two_b = tuple(
             tuple(
-                TWO if s == t else -_TWO_COS[matrix.entries[s][t]]
+                (t, 2 if s == t else -_TWO_COS[matrix.entries[s][t]])
                 for t in range(self.rank)
+                if s == t or matrix.entries[s][t] != 2
             )
             for s in range(self.rank)
         )
@@ -402,7 +403,7 @@ class CoxeterSystem:
         self._roots: list[Root] = []
         self._reflections = tuple([] for _ in range(self.rank))
         self.simple_roots = tuple(
-            Root(tuple(ONE if t == s else ZERO for t in range(self.rank)))
+            Root(tuple(int(t == s) for t in range(self.rank)))
             for s in range(self.rank)
         )
         self._adopt(self.simple_roots)
@@ -501,13 +502,13 @@ class CoxeterSystem:
             row[root._neg.id], row[out._neg.id] = out._neg, root._neg
         return out
 
-    def _pairing(self, s: int, root: Root) -> Scalar:
+    def _pairing(self, s: int, root: Root) -> int | Scalar:
         """2B(alpha_s, root) for the standard symmetric form with B(alpha, alpha) = 1."""
-        two_b = self._two_b[s]
-        c = ZERO
-        for t, x in enumerate(root.coeffs):
-            if not x.is_zero():
-                c = c + two_b[t] * x
+        coeffs, c = root.coeffs, 0
+        for t, w in self._two_b[s]:
+            x = coeffs[t]
+            if x:
+                c = c + w * x
         return c
 
     def act_word(self, word: Word, root: Root) -> Root:
@@ -694,8 +695,8 @@ class CoxeterSystem:
         while current not in depths:
             for s in range(self.rank):
                 b = self._pairing(s, current)
-                if b.sign() > 0:
-                    chain.append((current, 1 if (b - TWO).sign() >= 0 else 0))
+                if sign_of(b) > 0:
+                    chain.append((current, 1 if sign_of(b - 2) >= 0 else 0))
                     current = self.reflect(s, current)
                     break
             else:
@@ -719,10 +720,15 @@ class CoxeterSystem:
         return (self.root_depth(root), root.coeffs)
 
     def render_root(self, root: Root) -> str:
+        """The root as a sum of simple roots; a coefficient of several terms
+        is bracketed."""
         parts = []
         for name, c in zip(self.generator_names, root.coeffs):
-            if not c.is_zero():
-                parts.append(f"{c!r}*a_{name}" if c != ONE else f"a_{name}")
+            if c == 1:
+                parts.append(f"a_{name}")
+            elif c:
+                text = repr(c)
+                parts.append(f"({text})*a_{name}" if " + " in text else f"{text}*a_{name}")
         return " + ".join(parts) if parts else "0"
 
 

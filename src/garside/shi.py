@@ -37,7 +37,7 @@ from .coxeter import (
     Root,
     Word,
 )
-from .scalars import TWO
+from .scalars import sign_of
 
 _MAX_ROOTS = 200_000  # non-termination guard; the sets are provably finite
 
@@ -99,9 +99,9 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
             gamma = system.reflect(s, beta)
             # s(beta) = beta - 2B(alpha_s, beta) alpha_s
             two_b = beta.coeffs[s] - gamma.coeffs[s]
-            if (two_b - TWO).sign() >= 0:
+            if sign_of(two_b - 2) >= 0:
                 delta = -1
-            elif (two_b + TWO).sign() <= 0:
+            elif sign_of(two_b + 2) <= 0:
                 delta = 1
             else:
                 delta = 0

@@ -1,14 +1,13 @@
-"""Shared fixtures: the six test systems and independent oracle models.
+"""Shared fixtures: the eight test systems and independent oracle models.
 
 The oracle models implement the same groups through entirely different
 representations (affine integer maps, permutations, integer matrices,
-window notation, a standalone quadratic-field matrix model written here),
+window notation, standalone quadratic-field matrix models written here),
 so brute-force enumerations over them are independent of the package's
 root-based arithmetic.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -49,6 +48,10 @@ def _affine_g2():
     return make_system(["s", "t", "u"], {("s", "t"): 6, ("t", "u"): 3}, "affine-G2")
 
 
+def _h3():
+    return make_system(["s", "t", "u"], {("s", "t"): 5, ("t", "u"): 3}, "H3")
+
+
 _BUILDERS = {
     "dinf": _dinf,
     "s3": _s3,
@@ -57,6 +60,7 @@ _BUILDERS = {
     "aa_product": _aa_product,
     "triangle_334": _triangle_334,
     "affine_g2": _affine_g2,
+    "h3": _h3,
 }
 
 _cache: dict[str, CoxeterSystem] = {}
@@ -69,8 +73,9 @@ def get_system(name: str) -> CoxeterSystem:
 
 
 # affine-G2 (labels 6, 3, 2) has shadows of up to 361 members: it serves the
-# few tests that need large shadows and is left out of the common sweep
-ALL_SYSTEMS = tuple(name for name in _BUILDERS if name != "affine_g2")
+# few tests that need large shadows and is left out of the common sweep, as
+# is H3 (labels 5, 3, 2), which covers the label 5
+ALL_SYSTEMS = tuple(name for name in _BUILDERS if name not in ("affine_g2", "h3"))
 RANK2_SYSTEMS = ("dinf", "s3", "i24")
 FINITE_SYSTEMS = ("s3", "i24")
 
@@ -189,26 +194,25 @@ def _oracle_product_of_dinf():
     return OracleModel(gens, compose, e)
 
 
-def _oracle_triangle_334():
-    # 3x3 reflection matrices over Q(sqrt2); entries are pairs (a, b) = a + b*sqrt2
+def _oracle_quadratic(d, two_cos):
+    """3x3 reflection matrices over Q(sqrt d); entries are pairs (a, b) = a + b*sqrt(d).
+
+    two_cos maps the pairs i < j with a label m other than 2 to 2cos(pi/m)
+    as such a pair; the Gram matrix is B(i, i) = 1, B(i, j) = -cos(pi/m).
+    """
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
 
     def qadd(x, y):
         return (x[0] + y[0], x[1] + y[1])
 
     def qmul(x, y):
-        return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+        return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
-    def qscale(c, x):
-        return (c * x[0], c * x[1])
-
-    # Gram matrix: B(s,t) = B(t,u) = -1/2, B(s,u) = -sqrt2/2, diagonal 1
-    half = Fraction(1, 2)
-    gram = [
-        [one, (-half, Fraction(0)), (Fraction(0), -half)],
-        [(-half, Fraction(0)), one, (-half, Fraction(0))],
-        [(Fraction(0), -half), (-half, Fraction(0)), one],
-    ]
+    def gram(i, j):
+        if i == j:
+            return one
+        c = two_cos.get((min(i, j), max(i, j)), (0, 0))
+        return (-Fraction(c[0]) / 2, -Fraction(c[1]) / 2)
 
     def reflection(i):
         rows = []
@@ -217,7 +221,8 @@ def _oracle_triangle_334():
             for c in range(3):
                 entry = one if r == c else zero
                 if r == i:
-                    entry = qadd(entry, qscale(Fraction(-2), gram[i][c]))
+                    g = gram(i, c)
+                    entry = qadd(entry, (-2 * g[0], -2 * g[1]))
                 row.append(entry)
             rows.append(tuple(row))
         return tuple(rows)
@@ -246,7 +251,10 @@ _ORACLES = {
     "i24": _oracle_i24,
     "affine_a2": _oracle_affine_a2,
     "aa_product": _oracle_product_of_dinf,
-    "triangle_334": _oracle_triangle_334,
+    # labels 4 (2cos = sqrt2), 6 (sqrt3) and 5 (phi = 1/2 + sqrt5/2)
+    "triangle_334": lambda: _oracle_quadratic(2, {(0, 1): (1, 0), (1, 2): (1, 0), (0, 2): (0, 1)}),
+    "affine_g2": lambda: _oracle_quadratic(3, {(0, 1): (0, 1), (1, 2): (1, 0)}),
+    "h3": lambda: _oracle_quadratic(5, {(0, 1): (Fraction(1, 2), Fraction(1, 2)), (1, 2): (1, 0)}),
 }
 
 _oracle_ball_cache: dict[tuple[str, int], dict] = {}
@@ -265,11 +273,15 @@ def oracle_ball(name: str, radius: int) -> dict:
     model = _ORACLES[name]()
     rank = len(model.gens)
     table: dict = {model.identity: (0, (), {()})}
+    # every word of each length with its value, in lexicographic order
+    layer = {(): model.identity}
     for length in range(1, radius + 1):
-        for word in product(range(rank), repeat=length):
-            value = model.identity
-            for letter in word:
-                value = model.compose(value, model.gens[letter])
+        layer = {
+            word + (letter,): model.compose(value, model.gens[letter])
+            for word, value in layer.items()
+            for letter in range(rank)
+        }
+        for word, value in layer.items():
             known = table.get(value)
             if known is None:
                 table[value] = (length, word, {word})

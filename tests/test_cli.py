@@ -123,6 +123,17 @@ def test_repeated_generators_line_exits_1(workspace, capsys):
     assert not out.exists()
 
 
+def test_generator_named_like_the_identity_exits_1(workspace, capsys):
+    # '-' writes the identity in shadow files, so such a shadow could not be read back
+    group = workspace / "dash.txt"
+    group.write_text("generators: - t\nmatrix:\n1 3\n3 1\n")
+    out = workspace / "x.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: group-parse:") and "line 1" in err and "'-'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code, prefix", [
     ("group", 1, "group-parse"),
     ("shadow", 2, "shadow-invalid"),

@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -14,15 +15,19 @@ from garside import (
     Root,
     UnsupportedLabelError,
     format_group_file,
+    make_system,
     parse_group_file,
     word_infix,
     word_prefix,
 )
 from garside.coxeter import render_word
-from garside.scalars import ONE
+from garside.scalars import ONE, SQRT2, ZERO, Scalar
 from garside.shi import elementary_walls
 
-from conftest import ALL_SYSTEMS, _ORACLES as ORACLES, get_system, oracle_ball, oracle_eval
+from conftest import (
+    ALL_SYSTEMS, _BUILDERS, _ORACLES as ORACLES, get_system, oracle_ball, oracle_eval,
+)
+from test_scalars import Model, assert_matches
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +126,79 @@ def test_roots_are_interned(system):
         assert foreign is not root and system._intern_root(foreign) is root
 
 
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_roots_rebuilt_from_scalars_intern_to_the_canonical_root(name):
+    system = get_system(name)
+    a2 = get_system("affine_a2")
+    assert a2._intern_root(Root((ONE, ZERO, ZERO))) is a2.simple_roots[0]
+    for root in system.ball_walls(3) + elementary_walls(system, 2).ordered:
+        for r in (root, -root):
+            rebuilt = Root(tuple(ONE * c for c in r.coeffs))
+            assert all(type(c) is Scalar for c in rebuilt.coeffs)
+            assert rebuilt == r and hash(rebuilt) == hash(r)
+            assert system._intern_root(rebuilt) is r
+
+
+def test_render_root_brackets_coefficients_of_several_terms(triangle_334, dinf):
+    root = Root((1, 1, ONE + SQRT2))
+    assert root in triangle_334.ball_walls(3)
+    assert triangle_334.render_root(root) == "a_s + a_t + (1 + 1*r2)*a_u"
+    assert triangle_334.render_root(Root((1, 0, SQRT2))) == "a_s + 1*r2*a_u"
+    # rational systems print as before
+    assert dinf.render_root(dinf.reflect(0, dinf.simple_roots[1])) == "2*a_s + a_t"
+    assert dinf.render_root(-dinf.simple_roots[0]) == "-1*a_s"
+
+
+# 2cos(pi/m) for each label, over the Fraction model's basis
+# (1, r2, r3, r5, r6, r10, r15, r30); phi = 1/2 + r5/2
+MODEL_TWO_COS = {
+    2: [0] * 8,
+    3: [1] + [0] * 7,
+    4: [0, 1] + [0] * 6,
+    5: [Fraction(1, 2), 0, 0, Fraction(1, 2), 0, 0, 0, 0],
+    6: [0, 0, 1] + [0] * 5,
+}
+# rank-3 systems whose roots nest two or three of the quadratic rings
+MIXED_LABELS = {
+    "4-6": {("s", "t"): 4, ("s", "u"): 6, ("t", "u"): 3},
+    "4-5": {("s", "t"): 4, ("s", "u"): 5},
+    "5-6": {("s", "t"): 5, ("s", "u"): 6},
+    "4-5-6": {("s", "t"): 4, ("s", "u"): 5, ("t", "u"): 6},
+}
+
+
+@pytest.mark.parametrize("labels", MIXED_LABELS.values(), ids=MIXED_LABELS)
+def test_mixed_label_roots_match_the_fraction_model(labels):
+    system = make_system(["s", "t", "u"], labels)
+    two_cos = {(s, t): Model(MODEL_TWO_COS[system.matrix.label(s, t)])
+               for s in range(3) for t in range(3) if s != t}
+
+    def reflect(s, v):
+        # s(v) = v - 2B(alpha_s, v) alpha_s, with 2B(alpha_s, v) = 2v_s - sum 2cos(pi/m) v_t
+        pairing = v[s] + v[s]
+        for t in range(3):
+            if t != s:
+                pairing = pairing - two_cos[s, t] * v[t]
+        return [x - pairing if t == s else x for t, x in enumerate(v)]
+
+    walls = system.ball_walls(3)
+    for g in system.ball(3):
+        for s in range(3):
+            root = system.act_word(g.word, system.simple_roots[s])
+            v = [Model([int(t == s)] + [0] * 7) for t in range(3)]
+            for a in reversed(g.word):
+                v = reflect(a, v)
+            for c, x in zip(root.coeffs, v):
+                assert_matches(ONE * c, x)
+            assert root.sign() == next(x.sign() for x in v if x.sign())
+            assert root.abs() in walls
+
+
 # ---------------------------------------------------------------------------
 # Normal forms against the oracle models
 
 
-@pytest.mark.parametrize("name", ALL_SYSTEMS)
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("affine_g2", "h3"))
 def test_normal_forms_match_oracle(name):
     system = get_system(name)
     radius = 5 if system.rank >= 4 else 6

@@ -1,3 +1,5 @@
+import pytest
+
 from garside import (
     check_condition_one,
     check_first_ftp,
@@ -9,6 +11,7 @@ from garside import (
     parallel_wall_constant,
     shadow_from_gates,
 )
+from garside.shi import elementary_walls, separation_count
 from garside.verify import (
     check_low_containment,
     check_original_projection,
@@ -16,6 +19,8 @@ from garside.verify import (
     check_refinement_by_shi,
     check_step_bound,
 )
+
+from conftest import _BUILDERS, get_system
 
 
 
@@ -66,6 +71,18 @@ def test_parallel_wall_constant_matches_its_oracle(system):
         assert estimate_parallel_wall(system, m, 5) == parallel_wall_constant(system, m), m
 
 
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_walls_below_m_are_read_off_the_m_elementary_walls(name):
+    # parallel_wall_constant(system, m) reads E_{m-1} off E_m this way
+    system = get_system(name)
+    for m in range(1, 6):
+        kept = {
+            root for root in elementary_walls(system, m).ordered
+            if separation_count(system, root) <= m - 1
+        }
+        assert kept == elementary_walls(system, m - 1).roots, m
+
+
 def test_parallel_wall_estimate_is_below_on_a_small_ball(affine_a2):
     assert estimate_parallel_wall(affine_a2, 5, 4) == 8
     assert parallel_wall_constant(affine_a2, 5) == 9
@@ -110,6 +127,16 @@ def test_full_suite_dinf(dinf):
 def test_full_suite_s3_gamma(s3):
     bundle = full_suite(shadow_from_gates(s3, "gamma"), 3)
     assert bundle.all_passed
+
+
+def test_rational_system_creates_no_scalar(monkeypatch):
+    # labels 2, 3 and infinity only: every root coordinate and pairing is an int
+    def refuse(*args):
+        raise AssertionError(f"a Scalar was made: {args}")
+
+    monkeypatch.setattr("garside.scalars._make", refuse)
+    shadow = low(_BUILDERS["affine_a2"]())
+    assert full_suite(shadow, 4).all_passed
 
 
 def test_full_suite_affine_a2(affine_a2):
