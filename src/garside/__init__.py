@@ -51,6 +51,7 @@ from .automata import (
     cone_type_fingerprint,
     cone_type_gates,
     cone_type_id,
+    label_words,
     letter_expanded,
     minimize,
     nfa_accepting_states,

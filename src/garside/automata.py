@@ -1,16 +1,24 @@
 """Finite state automata over a generator alphabet, and cone types.
 
 The `Automaton` type is a finite directed multigraph whose edges carry
-finite sets of words; a word is accepted when it decomposes into subwords
-labelling an edge-path from the start state to an accept state.  The same
-type serves three roles: the canonical automaton recognizing reduced words
-(states are sign patterns over the m-elementary walls), its minimization
-(states are cone types), and the word-labelled automaton of a voracious
-language built elsewhere.
+labels.  A label is a tuple of words, or a group element standing for all
+of its reduced words, so an edge reading exponentially many words stores
+one reference.  A word is accepted when it splits into subwords, each a
+word of the label of one edge, along a path from the start state to an
+accept state.  The same type serves three roles: the canonical automaton
+recognizing reduced words (states are sign patterns over the m-elementary
+walls), its minimization (states are cone types), and the element-labelled
+automaton of a voracious language built elsewhere.
 
-Acceptance is implemented twice on purpose: once by dynamic programming
-over subword decompositions, and once by expanding every label into a
-chain of fresh single-letter states and running the resulting NFA.  The
+Acceptance and enumeration walk one prefix index built with the automaton.
+Its nodes are the prefixes of the label words: a trie for word labels, and
+for element labels the elements below a label in the right weak order, since
+the prefixes of the reduced words of g are exactly the elements of [e, g].
+No label's words are listed on the way; the exports list them on demand.
+
+Acceptance is implemented twice on purpose: once by walking the prefix
+index from every reached position, and once by expanding every label into
+a chain of fresh single-letter states and running the resulting NFA.  The
 two must agree everywhere; the tests enforce it.
 """
 
@@ -20,62 +28,162 @@ from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, render_word
 from .shi import _inverses_sorted, sign_patterns
+from .weak_order import reduced_words
+
+Label = tuple[Word, ...] | Element
+
+
+def label_words(label: Label) -> tuple[Word, ...]:
+    """The words of an edge label: a word tuple as given, or the reduced
+    words of an element label in lexicographic order."""
+    return tuple(sorted(reduced_words(label))) if isinstance(label, Element) else label
+
+
+def _prefix_index(edges) -> tuple[list[dict[int, int]], list[tuple[tuple[int, int], ...]]]:
+    """The prefixes of the labels as nodes, node 0 the empty prefix.
+
+    `step[node]` maps a letter to the node one letter longer, and
+    `fire[node]` lists (source mask, dst) for each dst that an edge reaches
+    when its label ends at that node: the edge from state q fires iff bit q
+    of the mask is set."""
+    if edges and isinstance(edges[0][2], Element):
+        step, ends = _element_prefixes(edges)
+    else:
+        step, ends = _word_prefixes(edges)
+    fire: list[tuple[tuple[int, int], ...]] = [()] * len(step)
+    for node, sources in ends.items():
+        fire[node] = tuple((mask, dst) for dst, mask in sources.items())
+    return step, fire
+
+
+def _word_prefixes(edges) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
+    """The trie of the label words, and {node: {dst: source mask}} for the
+    nodes where label words end."""
+    step: list[dict[int, int]] = [{}]
+    ends: dict[int, dict[int, int]] = {}
+    for src, dst, words in edges:
+        if isinstance(words, Element):
+            raise ValueError("edge labels must be all word sets or all elements")
+        if not words:
+            raise ValueError("edge label sets must be nonempty sets of nonempty words")
+        for word in words:
+            node = 0
+            for letter in word:
+                nxt = step[node].get(letter)
+                if nxt is None:
+                    nxt = step[node][letter] = len(step)
+                    step.append({})
+                node = nxt
+            if not node:
+                raise ValueError("edge label sets must be nonempty sets of nonempty words")
+            sources = ends.setdefault(node, {})
+            sources[dst] = sources.get(dst, 0) | 1 << src
+    return step, ends
+
+
+def _element_prefixes(edges) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
+    """The union of the labels' lower intervals in the right weak order in
+    ShortLex order, the identity first, x*s extended by s for each right
+    descent s of x; and {node: {dst: source mask}} for the label nodes."""
+    labels = [label for _, _, label in edges]
+    if not all(isinstance(g, Element) for g in labels):
+        raise ValueError("edge labels must be all word sets or all elements")
+    system = labels[0].system
+    system._own(*labels)
+    if any(g.is_identity() for g in labels):
+        raise ValueError("an element label must not be the identity")
+    arrows = []  # (x*s, s, x)
+    nodes = set(labels)
+    stack = list(nodes)
+    while stack:
+        x = stack.pop()
+        right = system.inverse(x).mask
+        for s in range(system.rank):
+            if right >> s & 1:
+                y = system.right_multiply(x, s)
+                arrows.append((y, s, x))
+                if y not in nodes:
+                    nodes.add(y)
+                    stack.append(y)
+    ids = {x: i for i, x in enumerate(sorted(nodes))}
+    step: list[dict[int, int]] = [{} for _ in ids]
+    for y, s, x in arrows:
+        step[ids[y]][s] = ids[x]
+    ends: dict[int, dict[int, int]] = {}
+    for src, dst, g in edges:
+        sources = ends.setdefault(ids[g], {})
+        sources[dst] = sources.get(dst, 0) | 1 << src
+    return step, ends
 
 
 @dataclass(frozen=True)
 class Automaton:
-    """Finite state automaton with word-set edge labels.
+    """Finite state automaton with word-set or element edge labels.
 
     States are integers 0..n-1 with deterministic witness labels; every
-    label set is nonempty and contains no empty word.  `_out` maps a state
-    to its out-edges (dst, labels), built once with the edges' validation.
+    label is a nonempty set of nonempty words or an element other than the
+    identity, and all labels are of one kind.  `_index` is the prefix index
+    (step, fire) of the labels, built once with the edges' validation.
     """
 
     generator_names: tuple[str, ...]
     state_labels: tuple[str, ...]
     start: int
     accepts: frozenset[int]
-    edges: tuple[tuple[int, int, tuple[Word, ...]], ...]
-    _out: dict = field(init=False, compare=False, repr=False)
+    edges: tuple[tuple[int, int, Label], ...]
+    _index: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.state_labels)
         if not 0 <= self.start < n:
             raise ValueError("start state out of range")
-        out: dict[int, list] = {}
-        for src, dst, labels in self.edges:
+        for src, dst, _ in self.edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
-            if not labels or any(len(w) == 0 for w in labels):
-                raise ValueError("edge label sets must be nonempty sets of nonempty words")
-            out.setdefault(src, []).append((dst, labels))
-        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_index", _prefix_index(self.edges))
 
     @property
     def n_states(self) -> int:
         return len(self.state_labels)
 
-    # -- acceptance: subword-decomposition dynamic programming -------------
+    # -- acceptance and enumeration: walks of the prefix index ---------------
 
     def accepting_states(self, word: Word) -> frozenset[int]:
-        """All accept states reachable by decompositions consuming `word`."""
+        """All accept states reachable by decompositions consuming `word`.
+
+        reach[i] is the mask of states reached after word[:i]; from each
+        nonempty one the walk reads word[i:] down the prefix index and fires
+        every edge whose label ends at a node it passes."""
+        step, fire = self._index
         n = len(word)
-        reachable: list[set[int]] = [set() for _ in range(n + 1)]
-        reachable[0].add(self.start)
-        for i in range(n + 1):
-            for state in reachable[i]:
-                for dst, labels in self._out.get(state, ()):
-                    for lab in labels:
-                        j = i + len(lab)
-                        if j <= n and word[i:j] == lab:
-                            reachable[j].add(dst)
-        return frozenset(q for q in reachable[n] if q in self.accepts)
+        reach = [0] * (n + 1)
+        reach[0] = 1 << self.start
+        for i in range(n):
+            here = reach[i]
+            if not here:
+                continue
+            node = 0
+            for j in range(i, n):
+                node = step[node].get(word[j])
+                if node is None:
+                    break
+                for sources, dst in fire[node]:
+                    if here & sources:
+                        reach[j + 1] |= 1 << dst
+        final, states = reach[n], []
+        while final:
+            q = final.bit_length() - 1
+            final ^= 1 << q
+            if q in self.accepts:
+                states.append(q)
+        return frozenset(states)
 
     def accepts_word(self, word: Word) -> bool:
         return bool(self.accepting_states(word))
 
     def enumerate_language(self, max_len: int) -> dict[Word, frozenset[int]]:
         """All accepted words of length <= max_len with their accept states."""
+        steps = self._label_steps(max_len)
         found: dict[Word, set[int]] = {}
         frontier: list[tuple[int, Word]] = [(self.start, ())]
         seen: set[tuple[int, Word]] = set(frontier)
@@ -83,16 +191,42 @@ class Automaton:
             state, word = frontier.pop()
             if state in self.accepts:
                 found.setdefault(word, set()).add(state)
-            for dst, labels in self._out.get(state, ()):
-                for lab in labels:
-                    if len(word) + len(lab) <= max_len:
-                        item = (dst, word + lab)
-                        if item not in seen:
-                            seen.add(item)
-                            frontier.append(item)
+            room = max_len - len(word)
+            for dst, label_word in steps[state]:
+                if len(label_word) <= room:
+                    item = (dst, word + label_word)
+                    if item not in seen:
+                        seen.add(item)
+                        frontier.append(item)
         return {w: frozenset(states) for w, states in found.items()}
 
+    def _label_steps(self, max_len: int) -> list[list[tuple[int, Word]]]:
+        """For each state, (dst, word) per edge out of it and per word of
+        that edge's label no longer than max_len: one walk of the index."""
+        step, fire = self._index
+        steps: list[list[tuple[int, Word]]] = [[] for _ in self.state_labels]
+        walk = [(0, ())]
+        while walk:
+            node, prefix = walk.pop()
+            if len(prefix) >= max_len:
+                continue
+            for letter, child in step[node].items():
+                longer = prefix + (letter,)
+                for sources, dst in fire[child]:
+                    while sources:
+                        src = sources.bit_length() - 1
+                        sources ^= 1 << src
+                        steps[src].append((dst, longer))
+                walk.append((child, longer))
+        return steps
+
     # -- exports ------------------------------------------------------------
+
+    def _rendered_edges(self):
+        """(src, dst, the label's words joined by ',') for each edge."""
+        names = self.generator_names
+        for src, dst, label in self.edges:
+            yield src, dst, ",".join(render_word(names, w) for w in label_words(label))
 
     def to_text(self) -> str:
         lines = ["# automaton v1"]
@@ -105,8 +239,7 @@ class Automaton:
             if i in self.accepts:
                 flags.append("accept")
             lines.append(f"state: {i} label={label} {' '.join(flags)}".rstrip())
-        for src, dst, labels in self.edges:
-            rendered = ",".join(render_word(self.generator_names, w) for w in labels)
+        for src, dst, rendered in self._rendered_edges():
             lines.append(f"edge: {src} -> {dst} labels={rendered}")
         return "\n".join(lines) + "\n"
 
@@ -116,8 +249,7 @@ class Automaton:
             shape = "doublecircle" if i in self.accepts else "circle"
             lines.append(f'  n{i} [label="{label}",shape={shape}];')
         lines.append(f"  __start -> n{self.start};")
-        for src, dst, labels in self.edges:
-            rendered = ",".join(render_word(self.generator_names, w) for w in labels)
+        for src, dst, rendered in self._rendered_edges():
             lines.append(f'  n{src} -> n{dst} [label="{rendered}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -126,14 +258,14 @@ class Automaton:
 def letter_expanded(aut: Automaton) -> Automaton:
     """Language-equivalent automaton whose labels are all single letters.
 
-    Every multi-letter label becomes a chain of fresh intermediate states;
-    the result is nondeterministic in general.
+    Every multi-letter label word becomes a chain of fresh intermediate
+    states; the result is nondeterministic in general.
     """
     labels = list(aut.state_labels)
     accepts = set(aut.accepts)
     edges: list[tuple[int, int, tuple[Word, ...]]] = []
-    for src, dst, words in aut.edges:
-        for word in sorted(words):
+    for src, dst, label in aut.edges:
+        for word in sorted(label_words(label)):
             prev = src
             for k, letter in enumerate(word):
                 if k == len(word) - 1:
@@ -155,8 +287,8 @@ def letter_expanded(aut: Automaton) -> Automaton:
 def nfa_accepting_states(aut: Automaton, word: Word) -> frozenset[int]:
     """Subset-simulation acceptance for a single-letter automaton."""
     step: dict[tuple[int, int], set[int]] = {}
-    for src, dst, labels in aut.edges:
-        for lab in labels:
+    for src, dst, label in aut.edges:
+        for lab in label_words(label):
             if len(lab) != 1:
                 raise ValueError("nfa_accepting_states requires single-letter labels")
             step.setdefault((src, lab[0]), set()).add(dst)
@@ -208,8 +340,8 @@ def minimize(aut: Automaton) -> Automaton:
     n = aut.n_states
     dead = n
     delta = [[dead] * len(alphabet) for _ in range(n + 1)]
-    for src, dst, labels in aut.edges:
-        for lab in labels:
+    for src, dst, label in aut.edges:
+        for lab in label_words(label):
             if len(lab) != 1:
                 raise ValueError("minimize requires single-letter labels")
             if delta[src][lab[0]] != dead:

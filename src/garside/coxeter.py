@@ -52,6 +52,16 @@ class InternalInconsistencyError(RuntimeError):
 # Coxeter matrix and the group definition file
 
 
+def _generator_name_fault(name: str) -> str | None:
+    """Why `name` cannot name a generator, or None.  The text formats write
+    the identity as '-', split names at whitespace and list words with ','."""
+    if name == "-":
+        return "'-' names the identity, not a generator"
+    if not name or any(c.isspace() or c == "," for c in name):
+        return f"generator name {name!r} is empty or holds whitespace or ','"
+    return None
+
+
 @dataclass(frozen=True)
 class CoxeterMatrix:
     """Ordered generator names with a symmetric label matrix (0 = infinity)."""
@@ -64,6 +74,10 @@ class CoxeterMatrix:
         n = len(self.generators)
         if n == 0:
             raise ValueError("a Coxeter matrix needs at least one generator")
+        for g in self.generators:
+            fault = _generator_name_fault(g)
+            if fault:
+                raise ValueError(fault)
         if len(set(self.generators)) != n:
             raise ValueError("generator names must be distinct")
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
@@ -149,8 +163,10 @@ def parse_group_file(text: str) -> CoxeterMatrix:
             generators = tuple(line[len("generators:"):].split())
             if not generators:
                 raise GroupFileError(f"line {lineno}: empty generator list")
-            if "-" in generators:
-                raise GroupFileError(f"line {lineno}: '-' names the identity, not a generator")
+            for g in generators:
+                fault = _generator_name_fault(g)
+                if fault:
+                    raise GroupFileError(f"line {lineno}: {fault}")
         elif line.startswith("matrix:"):
             if generators is None:
                 raise GroupFileError(f"line {lineno}: 'matrix:' before 'generators:'")

@@ -5,9 +5,12 @@ g * projection_B(g^{-1}); iterating it walks any element down to the
 identity in steps of bounded length.  Recording minimal-length words for
 each step yields the language slice for g, and the union over all g is
 the voracious language of B.  For finite B the language is recognized by
-a word-labelled automaton whose states are the shadow members: an edge
-runs from b to w whenever projecting w*b onto B gives back w, labelled by
-all reduced words of w^{-1}.
+an automaton whose states are the shadow members: an edge runs from b to
+w whenever projecting w*b onto B gives back w, labelled by the element
+w^{-1}, which reads all reduced words of w^{-1} (the maximal chains of
+[e, w^{-1}]; Björner & Brenti, GTM 231, ch. 3).  No label word is stored:
+acceptance walks the automaton's prefix index, and the exports list an
+edge's words only when they write it.
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
@@ -23,7 +26,7 @@ from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
 from .shadows import GarsideShadow, b_projection
 from .shi import separation_count
-from .weak_order import _fold_below, _lower_set, weak_leq
+from .weak_order import _lower_set, reduced_words, weak_leq
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,7 @@ def op_voracious_projection(g: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Reduced words and the language
-
-
-def reduced_words(g: Element) -> frozenset:
-    """All reduced words of g (minimal-length words evaluating to it): a
-    reduced word of g*s then s, for each right descent s; () for the identity."""
-    fold = lambda x, below: (
-        frozenset(w + (s,) for s, ws in below for w in ws) or frozenset({()})
-    )
-    return _fold_below(g, "reduced_words", fold)
+# The language
 
 
 def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
@@ -157,34 +151,32 @@ def enumerate_language(shadow: GarsideShadow, max_len: int) -> LanguageSlice:
 
 
 def build_voracious_fsa(shadow: GarsideShadow) -> Automaton:
-    """The word-labelled automaton of the voracious language.
+    """The element-labelled automaton of the voracious language.
 
     States are the shadow members (ShortLex order, identity first), all
     accepting, start at the identity.  For members b and w with
-    projection_B(w b) = w there is an edge b -> w labelled by every
-    reduced word of w^{-1}.  Pairs with w = id are skipped: for b != id
-    the projection of b is b itself, and the identity pair would only add
-    an empty-labelled self-loop.
+    projection_B(w b) = w there is an edge b -> w labelled by the element
+    w^{-1}: it reads every reduced word of w^{-1}, and none is listed.
+    Pairs with w = id are skipped: for b != id the projection of b is b
+    itself, and the identity pair would only add an empty-labelled
+    self-loop.  Since B is closed under suffixes, the labels' prefixes are
+    the inverses of the members, so the prefix index has |B| nodes.
     """
     system = shadow.system
     states = shadow.ordered
-    index = {b: i for i, b in enumerate(states)}
     if states[0] != system.identity:
         raise InternalInconsistencyError("identity must be the first shadow member")
     edges = []
-    for b in states:
-        for w in states:
-            if w.is_identity():
-                continue
-            if b_projection(shadow, system.multiply(w, b)) == w:
-                labels = tuple(sorted(reduced_words(system.inverse(w))))
-                edges.append((index[b], index[w], labels))
+    for i, b in enumerate(states):
+        for j, w in enumerate(states):
+            if not w.is_identity() and b_projection(shadow, system.multiply(w, b)) == w:
+                edges.append((i, j, system.inverse(w)))
     return Automaton(
         generator_names=system.generator_names,
         state_labels=tuple(system.render_word(b.word) for b in states),
         start=0,
         accepts=frozenset(range(len(states))),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
     )
 
 
@@ -234,5 +226,5 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> Regularity
         len(slice_.words),
         missing,
         extra,
-        tuple(mismatches),
+        tuple(sorted(mismatches)),
     )

@@ -7,6 +7,7 @@ of inversion bitmasks, is the working one; the length test l(g) + l(g^-1 h)
 build no lower interval: a meet climbs from the identity inside the AND of
 the members' masks, and a join is decided exactly by a scan of the m-low
 elements, returning None when no upper bound exists anywhere in the group.
+Folds down the order give lower intervals and reduced words.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def _fold_below(g: Element, table: str, fold):
 def _lower_set(g: Element) -> frozenset[Element]:
     fold = lambda x, below: frozenset({x}.union(*(v for _, v in below)))
     return _fold_below(g, "lower_sets", fold)
+
+
+def reduced_words(g: Element) -> frozenset:
+    """All reduced words of g (minimal-length words evaluating to it): a
+    reduced word of g*s then s, for each right descent s; () for the identity.
+    They are the maximal chains of the lower interval [e, g]."""
+    fold = lambda x, below: (
+        frozenset(w + (s,) for s, ws in below for w in ws) or frozenset({()})
+    )
+    return _fold_below(g, "reduced_words", fold)
 
 
 def lower_interval(g: Element) -> WeakOrderInterval:

@@ -4,11 +4,13 @@ import pytest
 
 from garside import (
     Automaton,
+    MixedSystemError,
     canonical_automaton,
     cone_type_automaton,
     cone_type_fingerprint,
     cone_type_gates,
     cone_type_id,
+    label_words,
     letter_expanded,
     make_system,
     minimize,
@@ -20,22 +22,43 @@ from garside import (
 from conftest import ALL_SYSTEMS, get_system, oracle_ball
 
 
-def test_automaton_invariants_enforced():
+def test_automaton_invariants_enforced(dinf, s3):
     with pytest.raises(ValueError, match="nonempty"):
         Automaton(("s",), ("-",), 0, frozenset({0}), ((0, 0, ((),)),))
     with pytest.raises(ValueError, match="out of range"):
         Automaton(("s",), ("-",), 2, frozenset({0}), ())
+    names, st = dinf.generator_names, dinf.element("st")
+    with pytest.raises(ValueError, match="identity"):
+        Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, dinf.identity),))
+    with pytest.raises(ValueError, match="all word sets or all elements"):
+        Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, st), (0, 0, ((0,),))))
+    with pytest.raises(MixedSystemError):
+        Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, st), (0, 0, s3.element("st"))))
+
+
+def test_element_label_reads_its_reduced_words(s3):
+    # one edge labelled by the longest element of I2(3) reads exactly its two
+    # reduced words, and its prefix index has one node per element below it
+    sts = s3.element("sts")
+    aut = Automaton(s3.generator_names, ("-", "x"), 0, frozenset({1}), ((0, 1, sts),))
+    assert label_words(sts) == ((0, 1, 0), (1, 0, 1))
+    assert aut.enumerate_language(5) == {(0, 1, 0): {1}, (1, 0, 1): {1}}
+    assert len(aut._index[0]) == 6  # one prefix node per element of [e, sts]
+    assert "edge: 0 -> 1 labels=sts,tst" in aut.to_text()
+    for length in range(6):
+        for word in product(range(2), repeat=length):
+            assert aut.accepts_word(word) == (word in label_words(sts))
 
 
 def test_automaton_equality_ignores_the_edge_index(system):
-    # the out-edge index is derived from the edges: it must not change
+    # the prefix index is derived from the edges: it must not change
     # equality or hashing, nor show in the repr
     aut = cone_type_automaton(system)
     twin = Automaton(
         aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges
     )
     assert twin == aut and hash(twin) == hash(aut) and repr(twin) == repr(aut)
-    assert "_out" not in repr(aut)
+    assert "_index" not in repr(aut)
     assert twin != Automaton(
         aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges[1:]
     )

@@ -134,6 +134,18 @@ def test_generator_named_like_the_identity_exits_1(workspace, capsys):
     assert not out.exists()
 
 
+def test_generator_name_with_a_comma_exits_1(workspace, capsys):
+    # 'generators: s, t' would name a generator 's,', and the automaton file
+    # would write 'labels=s, t s,,t s, t', which cannot be read back
+    group = workspace / "comma.txt"
+    group.write_text("generators: s, t\nmatrix:\n1 3\n3 1\n")
+    out = workspace / "x.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: group-parse:") and "line 1" in err and "'s,'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code, prefix", [
     ("group", 1, "group-parse"),
     ("shadow", 2, "shadow-invalid"),

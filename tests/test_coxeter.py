@@ -45,6 +45,16 @@ def test_matrix_validation():
         CoxeterMatrix(("s", "s"), ((1, 3), (3, 1)))
 
 
+@pytest.mark.parametrize("name", ["-", "", "s,", "a b", "a\tb"])
+def test_unsafe_generator_names_rejected(name):
+    # '-' writes the identity, whitespace separates names and ',' separates
+    # label words, so files written with such a name could not be read back
+    with pytest.raises(ValueError, match="names the identity|empty or holds whitespace"):
+        CoxeterMatrix((name, "t"), ((1, 3), (3, 1)))
+    with pytest.raises(ValueError):
+        make_system([name, "t"], {(name, "t"): 3})
+
+
 def test_unsupported_label_rejected():
     matrix = CoxeterMatrix(("s", "t"), ((1, 7), (7, 1)))
     with pytest.raises(UnsupportedLabelError, match="m\\[0,1\\]=7"):

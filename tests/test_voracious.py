@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from garside import automata, voracious, weak_order
 from garside import (
     b_projection,
     build_voracious_fsa,
@@ -9,6 +10,7 @@ from garside import (
     enumerate_language,
     fsa_accepts,
     garside_closure,
+    label_words,
     language_of,
     letter_expanded,
     nfa_accepting_states,
@@ -160,8 +162,8 @@ def test_dinf_automaton_spec_shape(dinf):
     assert aut.n_states == 3
     assert len(aut.edges) == 4
     rendered = {
-        (aut.state_labels[a], aut.state_labels[b], labels)
-        for a, b, labels in aut.edges
+        (aut.state_labels[a], aut.state_labels[b], label_words(label))
+        for a, b, label in aut.edges
     }
     assert rendered == {
         ("-", "s", ((0,),)),
@@ -182,10 +184,10 @@ def test_acceptance_examples(dinf):
     assert not fsa_accepts(aut, dinf.parse_word("ss")).accepted
 
 
-def test_accept_state_is_projection_of_inverse(system):
-    shadow = low(system)
+def assert_accepted_at_projection_of_inverse(shadow, max_len):
+    system = shadow.system
     aut = build_voracious_fsa(shadow)
-    slice_ = enumerate_language(shadow, 6)
+    slice_ = enumerate_language(shadow, max_len)
     for g, words in slice_.by_element.items():
         expected = system.render_word(
             b_projection(shadow, system.inverse(g)).word
@@ -196,19 +198,98 @@ def test_accept_state_is_projection_of_inverse(system):
             assert result.states == (expected,)
 
 
-def test_dp_acceptance_equals_letter_expansion(dinf, s3, affine_a2):
-    for system in (dinf, s3, affine_a2):
-        aut = build_voracious_fsa(low(system))
-        nfa = letter_expanded(aut)
-        for length in range(0, 6):
-            for word in product(range(system.rank), repeat=length):
-                dp = aut.accepting_states(word)
-                via_nfa = nfa_accepting_states(nfa, word)
-                assert bool(dp) == bool(via_nfa)
-                if dp:
-                    assert {aut.state_labels[q] for q in dp} == {
-                        nfa.state_labels[q] for q in via_nfa
-                    }
+def test_accept_state_is_projection_of_inverse(system):
+    assert_accepted_at_projection_of_inverse(low(system), 6)
+
+
+def test_accept_state_is_projection_of_inverse_on_a_large_shadow():
+    # affine G2's m-low(2) shadow: 361 states and 2,618 edges whose labels
+    # stand for about 30 million words, none of which is listed
+    system = get_system("affine_g2")
+    shadow = shadow_from_gates(system, "m-low", 2)
+    aut = build_voracious_fsa(shadow)
+    assert (len(shadow), len(aut.edges)) == (361, 2618)
+    assert len(aut._index[0]) == 361  # B is suffix-closed: its inverses are the prefixes
+    assert_accepted_at_projection_of_inverse(shadow, 4)
+
+
+def test_dp_acceptance_equals_letter_expansion():
+    # every word up to length 5, reduced or not: the prefix-index walk and
+    # the NFA of the letter-expanded automaton reach the same accept states
+    for name in ALL_SYSTEMS:
+        system = get_system(name)
+        for kind, m in (("gamma", None), ("low", None), ("m-low", 1)):
+            aut = build_voracious_fsa(shadow_from_gates(system, kind, m))
+            nfa = letter_expanded(aut)
+            for length in range(0, 6):
+                for word in product(range(system.rank), repeat=length):
+                    dp = {aut.state_labels[q] for q in aut.accepting_states(word)}
+                    via_nfa = {nfa.state_labels[q] for q in nfa_accepting_states(nfa, word)}
+                    assert dp == via_nfa, (name, kind, m, word)
+
+
+def old_layout(shadow, aut, dot):
+    """The exports as they were written when every edge stored its words:
+    the edge b -> w lists sorted(reduced_words(w^-1))."""
+    system = shadow.system
+    edges = []
+    for src, dst, _ in aut.edges:
+        words = sorted(reduced_words(system.inverse(shadow.ordered[dst])))
+        edges.append((src, dst, ",".join(system.render_word(w) for w in words)))
+    if dot:
+        lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point,label=""];']
+        lines += [f'  n{i} [label="{label}",shape=doublecircle];'
+                  for i, label in enumerate(aut.state_labels)]
+        lines.append("  __start -> n0;")
+        lines += [f'  n{a} -> n{b} [label="{words}"];' for a, b, words in edges]
+        return "\n".join(lines + ["}"]) + "\n"
+    lines = ["# automaton v1", f"alphabet: {' '.join(system.generator_names)}",
+             f"states: {aut.n_states}"]
+    lines += [f"state: {i} label={label} {'start ' if i == 0 else ''}accept"
+              for i, label in enumerate(aut.state_labels)]
+    lines += [f"edge: {a} -> {b} labels={words}" for a, b, words in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,kind,m", [
+    ("triangle_334", "low", None),
+    ("triangle_334", "gamma", None),
+    ("affine_a2", "low", None),
+    ("aa_product", "m-low", 1),
+    ("dinf", "low", None),
+    ("s3", "low", None),
+])
+def test_exports_list_each_edge_as_its_sorted_reduced_words(name, kind, m):
+    shadow = shadow_from_gates(get_system(name), kind, m)
+    aut = build_voracious_fsa(shadow)
+    assert aut.to_text() == old_layout(shadow, aut, dot=False)
+    assert aut.to_dot() == old_layout(shadow, aut, dot=True)
+
+
+def test_building_and_accepting_list_no_word(monkeypatch):
+    # the expected verdicts come first, from the language of a twin system;
+    # the tested system is fresh, so no memo table holds words of other tests
+    twin = _BUILDERS["triangle_334"]()
+    twin_low = low(twin)
+    words = [g.word for g in twin.ball(6)] + [(0, 0, 1), (1, 2, 1, 2, 1, 2)]
+    expected = []
+    for word in words:
+        g = twin.element(word)
+        accept = b_projection(twin_low, twin.inverse(g))
+        voracious_word = word in language_of(twin_low, g)
+        expected.append((voracious_word, (str(accept),) if voracious_word else ()))
+
+    def no_words(g):
+        raise AssertionError("reduced_words called")
+
+    for module in (automata, voracious, weak_order):
+        monkeypatch.setattr(module, "reduced_words", no_words)
+    system = _BUILDERS["triangle_334"]()
+    aut = build_voracious_fsa(low(system))
+    got = [fsa_accepts(aut, word) for word in words]
+    assert [(r.accepted, r.states) for r in got] == expected
+    assert 0 < sum(accepted for accepted, _ in expected) < len(words)
+    assert not system.cache("reduced_words")
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
