@@ -123,7 +123,9 @@ class Automaton:
     States are integers 0..n-1 with deterministic witness labels; every
     label is a nonempty set of nonempty words or an element other than the
     identity, and all labels are of one kind.  `_index` is the prefix index
-    (step, fire) of the labels, built once with the edges' validation.
+    (step, fire) of the labels, built once with the edges' validation;
+    `_nfa_delta` is the letter table of the oracle `nfa_accepting_states`,
+    built on its first call.
     """
 
     generator_names: tuple[str, ...]
@@ -132,6 +134,7 @@ class Automaton:
     accepts: frozenset[int]
     edges: tuple[tuple[int, int, Label], ...]
     _index: tuple = field(init=False, compare=False, repr=False)
+    _nfa_delta: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.state_labels)
@@ -285,19 +288,22 @@ def letter_expanded(aut: Automaton) -> Automaton:
 
 
 def nfa_accepting_states(aut: Automaton, word: Word) -> frozenset[int]:
-    """Subset-simulation acceptance for a single-letter automaton."""
-    step: dict[tuple[int, int], set[int]] = {}
-    for src, dst, label in aut.edges:
-        for lab in label_words(label):
-            if len(lab) != 1:
-                raise ValueError("nfa_accepting_states requires single-letter labels")
-            step.setdefault((src, lab[0]), set()).add(dst)
+    """Subset-simulation acceptance for a single-letter automaton.
+
+    It reads only the edges, through delta[state][letter] -> states, built
+    on the first call for each automaton and kept on it."""
+    delta = aut._nfa_delta
+    if delta is None:
+        delta = [{} for _ in aut.state_labels]
+        for src, dst, label in aut.edges:
+            for lab in label_words(label):
+                if len(lab) != 1:
+                    raise ValueError("nfa_accepting_states requires single-letter labels")
+                delta[src].setdefault(lab[0], set()).add(dst)
+        object.__setattr__(aut, "_nfa_delta", delta)
     current = {aut.start}
     for letter in word:
-        nxt: set[int] = set()
-        for q in current:
-            nxt |= step.get((q, letter), set())
-        current = nxt
+        current = set().union(*(delta[q].get(letter, ()) for q in current))
         if not current:
             break
     return frozenset(q for q in current if q in aut.accepts)

@@ -2,13 +2,16 @@
 
 A `CoxeterSystem` is built from a `CoxeterMatrix` (symmetric integer matrix,
 ``0`` encoding an unbounded label).  Group elements are kept in ShortLex
-normal form under the declared generator order, so equality of elements is
-equality of normal forms.  All length and descent decisions go through the
-geometric representation on roots, computed exactly in the ring the labels
-need: root coordinates are plain ints when every label is 2, 3 or infinity,
-and `Scalar`s of Z[sqrt2], Z[sqrt3] or Z[phi] (nested when several of the
-labels 4, 5, 6 occur) otherwise.  There is no floating point and no
-tolerance anywhere.
+normal form under the declared generator order, and a system interns them:
+one object per normal form, so equality of elements is identity.  Each
+element carries its Cayley-graph edges, the products g*s and the inverse,
+filled on first use, so multiplication is a lookup once an edge has been
+walked (Casselman, Computation in Coxeter groups I).  All length and
+descent decisions go through the geometric representation on roots,
+computed exactly in the ring the labels need: root coordinates are plain
+ints when every label is 2, 3 or infinity, and `Scalar`s of Z[sqrt2],
+Z[sqrt3] or Z[phi] (nested when several of the labels 4, 5, 6 occur)
+otherwise.  There is no floating point and no tolerance anywhere.
 
 The module also owns the group definition file format: an ordered list of
 generator names followed by the matrix, rejected with line-precise errors
@@ -308,18 +311,18 @@ def render_word(generator_names: Sequence[str], word: Word) -> str:
 class Element:
     """A group element, identified with its ShortLex-least reduced word.
 
-    `mask` is its inversion set: bit i is set iff the interned root of id i
-    separates it from the identity.  `right_multiply` gives g*s the mask of
-    g with the bit of the wall |g(alpha_s)| between them toggled.
+    Elements are interned by their system (`CoxeterSystem.element`), one
+    object per normal form, so equality and hashing are identity; building
+    one directly raises `TypeError`.  `mask` is its inversion set: bit i is
+    set iff the interned root of id i separates it from the identity.
+    `_right[s]` (g*s) and `_inverse` are its Cayley-graph neighbours, filled
+    on first use by `right_multiply` and `inverse`, the only readers.
     """
 
-    __slots__ = ("system", "word", "mask", "_hash")
+    __slots__ = ("system", "word", "mask", "_right", "_inverse")
 
-    def __init__(self, system: "CoxeterSystem", word: Word, mask: int):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_hash", hash((id(system), word)))
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("elements are interned: build them with CoxeterSystem.element")
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -337,16 +340,6 @@ class Element:
     def is_identity(self) -> bool:
         return not self.word
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and other.system is self.system
-            and other.word == self.word
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __lt__(self, other: "Element") -> bool:
         """ShortLex order under the declared generator order."""
         return (len(self.word), self.word) < (len(other.word), other.word)
@@ -359,6 +352,17 @@ class Element:
 
     def __str__(self):
         return self.system.render_word(self.word)
+
+
+def _new_element(system: "CoxeterSystem", word: Word, mask: int) -> Element:
+    """A new element with no neighbours yet; only `CoxeterSystem._intern` calls it."""
+    el = object.__new__(Element)
+    object.__setattr__(el, "system", system)
+    object.__setattr__(el, "word", word)
+    object.__setattr__(el, "mask", mask)
+    object.__setattr__(el, "_right", [None] * system.rank)
+    object.__setattr__(el, "_inverse", None)
+    return el
 
 
 @dataclass(frozen=True)
@@ -425,9 +429,8 @@ class CoxeterSystem:
         self._adopt(self.simple_roots)
         self._elements: dict[Word, Element] = {}
         self.identity = self._intern((), 0)
+        object.__setattr__(self.identity, "_inverse", self.identity)
         self.gens = tuple(self._intern((s,), 1 << s) for s in range(self.rank))
-        self._rmul: dict[tuple[Element, int], Element] = {}
-        self._inverse: dict[Element, Element] = {self.identity: self.identity}
         self._ball_layers: list[list[Element]] = [[self.identity]]
         # root_descent's tables; every descent ends at a simple root
         self._root_depth: dict[Root, int] = dict.fromkeys(self.simple_roots, 1)
@@ -442,7 +445,7 @@ class CoxeterSystem:
         if el is None:
             if mask is None:
                 return self.element(word)
-            el = self._elements[word] = Element(self, word, mask)
+            el = self._elements[word] = _new_element(self, word, mask)
         return el
 
     def _own(self, *elements: Element) -> None:
@@ -550,12 +553,13 @@ class CoxeterSystem:
         descent, and x*s changes x's inversion set by gamma_i = x(alpha_s)
         only.  So the first i with gamma_{i+1} = alpha_w[i] drops w[i], the
         first with gamma_i = alpha_t, t < w[i], inserts t; else s is appended.
+        The edge is stored on both ends: (g*s)*s = g.
         """
-        key = (g, s)
-        cached = self._rmul.get(key)
-        if cached is not None:
-            return cached
-        self._own(g)
+        if g.system is not self:
+            raise MixedSystemError("elements from different systems")
+        out = g._right[s]
+        if out is not None:
+            return out
         word, table = g.word, self._reflections
         gammas = [self.simple_roots[s]]
         for a in reversed(word):
@@ -574,7 +578,8 @@ class CoxeterSystem:
                 raise InternalInconsistencyError(f"no letter of {word} drops for descent {s}")
             out = word + (s,)
         out = self._intern(out, g.mask ^ (1 << gammas[0].abs().id))
-        self._rmul[key] = out
+        g._right[s] = out
+        out._right[s] = g
         return out
 
     def element(self, word) -> Element:
@@ -601,15 +606,16 @@ class CoxeterSystem:
         return out
 
     def inverse(self, g: Element) -> Element:
-        cached = self._inverse.get(g)
-        if cached is not None:
-            return cached
-        self._own(g)
-        out = self.identity
-        for s in reversed(g.word):
-            out = self.right_multiply(out, s)
-        self._inverse[g] = out
-        self._inverse[out] = g
+        """g^-1, stored on g and on g^-1 when first built."""
+        if g.system is not self:
+            raise MixedSystemError("elements from different systems")
+        out = g._inverse
+        if out is None:
+            out = self.identity
+            for s in reversed(g.word):
+                out = self.right_multiply(out, s)
+            object.__setattr__(g, "_inverse", out)
+            object.__setattr__(out, "_inverse", g)
         return out
 
     def word_metric(self, g: Element, h: Element) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from garside import (
     CoxeterMatrix,
     CoxeterSystem,
+    Element,
     GroupFileError,
     MixedSystemError,
     Root,
@@ -25,7 +26,7 @@ from garside.scalars import ONE, SQRT2, ZERO, Scalar
 from garside.shi import elementary_walls
 
 from conftest import (
-    ALL_SYSTEMS, _BUILDERS, _ORACLES as ORACLES, get_system, oracle_ball, oracle_eval,
+    ALL_SYSTEMS, _BUILDERS, _ORACLES as ORACLES, get_system, oracle_ball,
 )
 from test_scalars import Model, assert_matches
 
@@ -223,15 +224,32 @@ def test_normal_forms_match_oracle(name):
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_arbitrary_words_normalize_like_oracle(name):
-    # words of one length reach drops and inserts inside the normal form
-    system = get_system(name)
+    # words up to one length reach drops and inserts inside the normal form;
+    # on a fresh system the first pass fills the neighbour and inverse slots
+    # of the elements, and the second pass reads them back
+    system = _BUILDERS[name]()
     length = 5 if system.rank >= 4 else 6
     table = oracle_ball(name, length)
     by_value = {value: word for value, (_, word, _) in table.items()}
-    from itertools import product
+    model, layer = ORACLES[name](), [()]
+    values = {(): model.identity}  # every word up to `length`, one product each
+    for _ in range(length):
+        layer = [w + (s,) for w in layer for s in range(system.rank)]
+        values.update((w, model.compose(values[w[:-1]], model.gens[w[-1]])) for w in layer)
+    expect = lambda word: by_value[values[word]]
 
-    for word in product(range(system.rank), repeat=length):
-        assert system.element(word).word == by_value[oracle_eval(name, word)]
+    for i, word in enumerate(values):
+        g, h = system.element(word), system.element(word[::-1])
+        assert g.word == expect(word)
+        first, second = (g, h) if i % 2 else (h, g)  # fill from either side first
+        assert system.inverse(first) is second
+        assert system.inverse(second) is first
+    for g in system.ball(length - 1):
+        assert None not in g._right and g._inverse is not None
+        for s in range(system.rank):
+            assert system.right_multiply(g, s).word == expect(g.word + (s,))
+        assert system.inverse(g).word == expect(g.word[::-1])
+        assert system.inverse(system.inverse(g)) is g
 
 
 def test_spec_normal_form_examples(s3, dinf):
@@ -290,6 +308,65 @@ def test_mixed_system_inverse_and_step_rejected(affine_a2, triangle_334):
         with pytest.raises(MixedSystemError):
             call(triangle_334.element("st"))
     assert affine_a2.inverse(affine_a2.element("st")) == affine_a2.element("ts")
+
+
+# ---------------------------------------------------------------------------
+# Interned elements: identity is equality
+
+
+@pytest.mark.parametrize("word", ["", "s", "tst", "sts", "stsuts", "ss", "tsstu", "uuu"])
+def test_elements_are_interned(affine_a2, word):
+    # normal-form and non-normal words alike give the one interned object
+    g = affine_a2.element(word)
+    assert affine_a2.element(word) is g
+    assert affine_a2.element(g.word) is g
+    assert affine_a2.multiply(g, affine_a2.identity) is g
+
+
+def test_systems_of_one_matrix_do_not_share_elements():
+    a, b = _BUILDERS["affine_a2"](), _BUILDERS["affine_a2"]()
+    assert a.matrix == b.matrix
+    for word in ("", "s", "stu"):
+        assert a.element(word) != b.element(word)
+        assert a.element(word).word == b.element(word).word
+    assert a.identity not in {b.identity}
+
+
+def test_foreign_element_with_filled_slots_rejected():
+    # both systems have the same matrix, so a neighbour read from the foreign
+    # element's own slots would look right: the system check runs on a hit too
+    a, b = _BUILDERS["affine_a2"](), _BUILDERS["affine_a2"]()
+    g = a.element("stu")
+    for s in range(a.rank):
+        a.right_multiply(g, s)
+    a.inverse(g)
+    assert None not in g._right and g._inverse is not None
+    for s in range(b.rank):
+        with pytest.raises(MixedSystemError):
+            b.right_multiply(g, s)
+    with pytest.raises(MixedSystemError):
+        b.inverse(g)
+    for operands in ((g, b.gens[0]), (b.gens[0], g), (g, a.gens[0])):
+        with pytest.raises(MixedSystemError):
+            b.multiply(*operands)
+
+
+def test_elements_are_immutable(affine_a2):
+    g = affine_a2.element("st")
+    affine_a2.inverse(g)
+    for name in ("system", "word", "mask", "_right", "_inverse", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert g.word == (0, 1) and g._inverse is affine_a2.element("ts")
+
+
+def test_elements_cannot_be_built_outside_their_system(affine_a2):
+    g = affine_a2.element("st")
+    with pytest.raises(TypeError, match="interned"):
+        Element(affine_a2, g.word, g.mask)
+    with pytest.raises(TypeError, match="interned"):
+        Element()
+    assert affine_a2.element("st") is g
 
 
 def test_unknown_generator_name_in_word_list(affine_a2):
