@@ -1,20 +1,20 @@
 """Finite state automata over a generator alphabet, and cone types.
 
 The `Automaton` type is a finite directed multigraph whose edges carry
-labels.  A label is a tuple of words, or a group element standing for all
-of its reduced words, so an edge reading exponentially many words stores
-one reference.  A word is accepted when it splits into subwords, each a
-word of the label of one edge, along a path from the start state to an
-accept state.  The same type serves three roles: the canonical automaton
-recognizing reduced words (states are sign patterns over the m-elementary
-walls), its minimization (states are cone types), and the element-labelled
-automaton of a voracious language built elsewhere.
+labels.  A label is a group element other than the identity, standing for
+all of its reduced words, so an edge reading exponentially many words
+stores one reference.  A word is accepted when it splits into subwords,
+each a reduced word of the label of one edge, along a path from the start
+state to an accept state.  The same type serves three roles: the canonical
+automaton recognizing reduced words (states are sign patterns over the
+m-elementary walls), its minimization (states are cone types), both with
+one edge per letter labelled by the generator, and the automaton of a
+voracious language built elsewhere.
 
 Acceptance and enumeration walk one prefix index built with the automaton.
-Its nodes are the prefixes of the label words: a trie for word labels, and
-for element labels the elements below a label in the right weak order, since
-the prefixes of the reduced words of g are exactly the elements of [e, g].
-No label's words are listed on the way; the exports list them on demand.
+Its nodes are the elements below a label in the right weak order, since the
+prefixes of the reduced words of g are exactly the elements of [e, g].  No
+label's words are listed on the way; the exports list them on demand.
 
 Acceptance is implemented twice on purpose: once by walking the prefix
 index from every reached position, and once by expanding every label into
@@ -30,66 +30,33 @@ from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, r
 from .shi import _inverses_sorted, sign_patterns
 from .weak_order import reduced_words
 
-Label = tuple[Word, ...] | Element
+
+def label_words(label: Element) -> tuple[Word, ...]:
+    """The words of an edge label: its reduced words in lexicographic order."""
+    return tuple(sorted(reduced_words(label)))
 
 
-def label_words(label: Label) -> tuple[Word, ...]:
-    """The words of an edge label: a word tuple as given, or the reduced
-    words of an element label in lexicographic order."""
-    return tuple(sorted(reduced_words(label))) if isinstance(label, Element) else label
-
-
-def _prefix_index(edges) -> tuple[list[dict[int, int]], list[tuple[tuple[int, int], ...]]]:
-    """The prefixes of the labels as nodes, node 0 the empty prefix.
+def _prefix_index(
+    edges, generator_names: tuple[str, ...]
+) -> tuple[list[dict[int, int]], list[tuple[tuple[int, int], ...]]]:
+    """The prefixes of the labels as nodes, node 0 the empty prefix: the
+    union of the labels' lower intervals in the right weak order in ShortLex
+    order, the identity first, x*s extended by s for each right descent s
+    of x.
 
     `step[node]` maps a letter to the node one letter longer, and
     `fire[node]` lists (source mask, dst) for each dst that an edge reaches
     when its label ends at that node: the edge from state q fires iff bit q
     of the mask is set."""
-    if edges and isinstance(edges[0][2], Element):
-        step, ends = _element_prefixes(edges)
-    else:
-        step, ends = _word_prefixes(edges)
-    fire: list[tuple[tuple[int, int], ...]] = [()] * len(step)
-    for node, sources in ends.items():
-        fire[node] = tuple((mask, dst) for dst, mask in sources.items())
-    return step, fire
-
-
-def _word_prefixes(edges) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-    """The trie of the label words, and {node: {dst: source mask}} for the
-    nodes where label words end."""
-    step: list[dict[int, int]] = [{}]
-    ends: dict[int, dict[int, int]] = {}
-    for src, dst, words in edges:
-        if isinstance(words, Element):
-            raise ValueError("edge labels must be all word sets or all elements")
-        if not words:
-            raise ValueError("edge label sets must be nonempty sets of nonempty words")
-        for word in words:
-            node = 0
-            for letter in word:
-                nxt = step[node].get(letter)
-                if nxt is None:
-                    nxt = step[node][letter] = len(step)
-                    step.append({})
-                node = nxt
-            if not node:
-                raise ValueError("edge label sets must be nonempty sets of nonempty words")
-            sources = ends.setdefault(node, {})
-            sources[dst] = sources.get(dst, 0) | 1 << src
-    return step, ends
-
-
-def _element_prefixes(edges) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-    """The union of the labels' lower intervals in the right weak order in
-    ShortLex order, the identity first, x*s extended by s for each right
-    descent s of x; and {node: {dst: source mask}} for the label nodes."""
+    if not edges:
+        return [{}], [()]
     labels = [label for _, _, label in edges]
     if not all(isinstance(g, Element) for g in labels):
-        raise ValueError("edge labels must be all word sets or all elements")
+        raise ValueError("edge labels must be group elements")
     system = labels[0].system
     system._own(*labels)
+    if system.generator_names != generator_names:
+        raise ValueError("edge labels must be elements over the automaton's generators")
     if any(g.is_identity() for g in labels):
         raise ValueError("an element label must not be the identity")
     arrows = []  # (x*s, s, x)
@@ -113,16 +80,19 @@ def _element_prefixes(edges) -> tuple[list[dict[int, int]], dict[int, dict[int, 
     for src, dst, g in edges:
         sources = ends.setdefault(ids[g], {})
         sources[dst] = sources.get(dst, 0) | 1 << src
-    return step, ends
+    fire: list[tuple[tuple[int, int], ...]] = [()] * len(step)
+    for node, sources in ends.items():
+        fire[node] = tuple((mask, dst) for dst, mask in sources.items())
+    return step, fire
 
 
 @dataclass(frozen=True)
 class Automaton:
-    """Finite state automaton with word-set or element edge labels.
+    """Finite state automaton with element edge labels.
 
     States are integers 0..n-1 with deterministic witness labels; every
-    label is a nonempty set of nonempty words or an element other than the
-    identity, and all labels are of one kind.  `_index` is the prefix index
+    label is an element other than the identity, all of one system whose
+    generators are `generator_names`.  `_index` is the prefix index
     (step, fire) of the labels, built once with the edges' validation;
     `_nfa_delta` is the letter table of the oracle `nfa_accepting_states`,
     built on its first call.
@@ -132,7 +102,7 @@ class Automaton:
     state_labels: tuple[str, ...]
     start: int
     accepts: frozenset[int]
-    edges: tuple[tuple[int, int, Label], ...]
+    edges: tuple[tuple[int, int, Element], ...]
     _index: tuple = field(init=False, compare=False, repr=False)
     _nfa_delta: list | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -140,10 +110,12 @@ class Automaton:
         n = len(self.state_labels)
         if not 0 <= self.start < n:
             raise ValueError("start state out of range")
+        if not all(0 <= q < n for q in self.accepts):
+            raise ValueError("accept state out of range")
         for src, dst, _ in self.edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError("edge endpoint out of range")
-        object.__setattr__(self, "_index", _prefix_index(self.edges))
+        object.__setattr__(self, "_index", _prefix_index(self.edges, self.generator_names))
 
     @property
     def n_states(self) -> int:
@@ -259,16 +231,16 @@ class Automaton:
 
 
 def letter_expanded(aut: Automaton) -> Automaton:
-    """Language-equivalent automaton whose labels are all single letters.
+    """Language-equivalent automaton whose labels are all generators.
 
-    Every multi-letter label word becomes a chain of fresh intermediate
-    states; the result is nondeterministic in general.
+    Every reduced word of a longer label becomes a chain of fresh
+    intermediate states; the result is nondeterministic in general.
     """
     labels = list(aut.state_labels)
-    accepts = set(aut.accepts)
-    edges: list[tuple[int, int, tuple[Word, ...]]] = []
+    edges: list[tuple[int, int, Element]] = []
     for src, dst, label in aut.edges:
-        for word in sorted(label_words(label)):
+        gens = label.system.gens
+        for word in label_words(label):
             prev = src
             for k, letter in enumerate(word):
                 if k == len(word) - 1:
@@ -276,19 +248,19 @@ def letter_expanded(aut: Automaton) -> Automaton:
                 else:
                     labels.append(f"chain:{src}-{dst}:{k}")
                     nxt = len(labels) - 1
-                edges.append((prev, nxt, ((letter,),)))
+                edges.append((prev, nxt, gens[letter]))
                 prev = nxt
     return Automaton(
         generator_names=aut.generator_names,
         state_labels=tuple(labels),
         start=aut.start,
-        accepts=frozenset(accepts),
+        accepts=aut.accepts,
         edges=tuple(sorted(edges)),
     )
 
 
 def nfa_accepting_states(aut: Automaton, word: Word) -> frozenset[int]:
-    """Subset-simulation acceptance for a single-letter automaton.
+    """Subset-simulation acceptance for an automaton labelled by generators.
 
     It reads only the edges, through delta[state][letter] -> states, built
     on the first call for each automaton and kept on it."""
@@ -296,10 +268,9 @@ def nfa_accepting_states(aut: Automaton, word: Word) -> frozenset[int]:
     if delta is None:
         delta = [{} for _ in aut.state_labels]
         for src, dst, label in aut.edges:
-            for lab in label_words(label):
-                if len(lab) != 1:
-                    raise ValueError("nfa_accepting_states requires single-letter labels")
-                delta[src].setdefault(lab[0], set()).add(dst)
+            if label.length != 1:
+                raise ValueError("nfa_accepting_states requires single-letter labels")
+            delta[src].setdefault(label.word[0], set()).add(dst)
         object.__setattr__(aut, "_nfa_delta", delta)
     current = {aut.start}
     for letter in word:
@@ -323,15 +294,12 @@ def canonical_automaton(system: CoxeterSystem, m: int = 0) -> Automaton:
     state.
     """
     witnesses, transitions = sign_patterns(system, m)
-    merged: dict[tuple[int, int], list[Word]] = {}
-    for i, s, j in transitions:
-        merged.setdefault((i, j), []).append((s,))
     return Automaton(
         generator_names=system.generator_names,
         state_labels=tuple(system.render_word(w) for w in witnesses),
         start=0,
         accepts=frozenset(range(len(witnesses))),
-        edges=tuple(sorted((i, j, tuple(words)) for (i, j), words in merged.items())),
+        edges=tuple(sorted((i, j, system.gens[s]) for i, s, j in transitions)),
     )
 
 
@@ -346,13 +314,15 @@ def minimize(aut: Automaton) -> Automaton:
     n = aut.n_states
     dead = n
     delta = [[dead] * len(alphabet) for _ in range(n + 1)]
+    gens: dict[int, Element] = {}  # letter -> its generator label
     for src, dst, label in aut.edges:
-        for lab in label_words(label):
-            if len(lab) != 1:
-                raise ValueError("minimize requires single-letter labels")
-            if delta[src][lab[0]] != dead:
-                raise ValueError("minimize requires a deterministic automaton")
-            delta[src][lab[0]] = dst
+        if label.length != 1:
+            raise ValueError("minimize requires single-letter labels")
+        a = label.word[0]
+        gens[a] = label
+        if delta[src][a] != dead:
+            raise ValueError("minimize requires a deterministic automaton")
+        delta[src][a] = dst
 
     # Moore partition refinement, dead state included.
     cls = [1 if q in aut.accepts else 0 for q in range(n)] + [0]
@@ -388,16 +358,12 @@ def minimize(aut: Automaton) -> Automaton:
                 witness.append(witness[i] + (a,))
                 queue.append(len(rep) - 1)
 
-    edges: list[tuple[int, int, tuple[Word, ...]]] = []
-    for i, q in enumerate(rep):
-        merged: dict[int, list[Word]] = {}
-        for a in alphabet:
-            c = cls[delta[q][a]]
-            if c == dead_cls:
-                continue
-            merged.setdefault(relabel[c], []).append((a,))
-        for j in sorted(merged):
-            edges.append((i, j, tuple(sorted(merged[j]))))
+    edges = [
+        (i, relabel[cls[delta[q][a]]], gens[a])
+        for i, q in enumerate(rep)
+        for a in alphabet
+        if cls[delta[q][a]] != dead_cls
+    ]
     accepts = frozenset(i for i, q in enumerate(rep) if q in aut.accepts)
     labels = tuple(
         aut.state_labels[0] if not w else render_word(aut.generator_names, w) for w in witness

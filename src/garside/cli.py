@@ -276,7 +276,7 @@ def cmd_project(args) -> int:
     print(f"pi: {render(pi)}")
     print(f"nu: {render(nu)}")
     # multi-letter names render with spaces, so their steps are split by " | "
-    sep = " " if all(len(n) == 1 for n in system.generator_names) else " | "
+    sep = " | " if system.word_separator else " "
     print(f"chain: {sep.join(render(x) for x in chain.steps)}")
     return EXIT_OK
 

@@ -57,11 +57,12 @@ class InternalInconsistencyError(RuntimeError):
 
 def _generator_name_fault(name: str) -> str | None:
     """Why `name` cannot name a generator, or None.  The text formats write
-    the identity as '-', split names at whitespace and list words with ','."""
+    the identity as '-', split names at whitespace and list words with ',',
+    and the DOT export writes names inside '"' quotes, where '\\' escapes."""
     if name == "-":
         return "'-' names the identity, not a generator"
-    if not name or any(c.isspace() or c == "," for c in name):
-        return f"generator name {name!r} is empty or holds whitespace or ','"
+    if not name or any(c.isspace() or c in ',"\\' for c in name):
+        return f"generator name {name!r} is empty or holds whitespace, ',', '\"' or '\\'"
     return None
 
 
@@ -290,18 +291,18 @@ def word_infix(v: Word, i: int, j: int) -> Word:
     return word_prefix(v, j)[i - 1 :]
 
 
-def render_word(generator_names: Sequence[str], word: Word) -> str:
-    """Deterministic textual form of a word; the empty word prints as '-'.
+def word_separator(generator_names: Sequence[str]) -> str:
+    """What a written word puts between its letters: nothing when every
+    generator name is a single character, so the names concatenate, and a
+    space otherwise."""
+    return "" if all(len(n) == 1 for n in generator_names) else " "
 
-    Single-character generator names concatenate; otherwise names are
-    space-separated.
-    """
+
+def render_word(generator_names: Sequence[str], word: Word) -> str:
+    """Deterministic textual form of a word; the empty word prints as '-'."""
     if not word:
         return "-"
-    names = [generator_names[s] for s in word]
-    if all(len(n) == 1 for n in generator_names):
-        return "".join(names)
-    return " ".join(names)
+    return word_separator(generator_names).join(generator_names[s] for s in word)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +408,7 @@ class CoxeterSystem:
         self.matrix = matrix
         self.rank = matrix.rank
         self.generator_names = matrix.generators
+        self.word_separator = word_separator(matrix.generators)
         self._gen_index = {g: i for i, g in enumerate(matrix.generators)}
         # _two_b[s]: the pairs (t, 2B(alpha_s, alpha_t)) with a nonzero value,
         # 2 for t = s and -2cos(pi/m) otherwise: ints when m is 2, 3 or infinity
@@ -470,7 +472,7 @@ class CoxeterSystem:
         text = text.strip()
         if text == "-" or not text:
             return ()
-        if all(len(n) == 1 for n in self.generator_names) and " " not in text:
+        if not self.word_separator and " " not in text:
             letters = list(text)
         else:
             letters = text.split()

@@ -285,6 +285,7 @@ def refinement_check(
 # Serialization
 
 _SHADOW_HEADER = "# garside shadow v1"
+_SHADOW_FIELDS = ("group-hash", "provenance", "constant-m", "elements")
 
 
 def shadow_to_text(shadow: GarsideShadow) -> str:
@@ -310,17 +311,14 @@ def shadow_from_text(system: CoxeterSystem, text: str) -> GarsideShadow:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        if ":" in ln and not body and ln.split(":", 1)[0] in (
-            "group-hash",
-            "provenance",
-            "constant-m",
-            "elements",
-        ):
-            key, value = ln.split(":", 1)
+        key, colon, value = ln.partition(":")
+        if colon and not body and key in _SHADOW_FIELDS:
+            if key in fields:
+                raise ShadowFileError(f"repeated field {key!r}")
             fields[key] = value.strip()
         else:
             body.append(ln)
-    for required in ("group-hash", "provenance", "constant-m", "elements"):
+    for required in _SHADOW_FIELDS:
         if required not in fields:
             raise ShadowFileError(f"missing field {required!r}")
     if fields["group-hash"] != system.matrix.content_hash():

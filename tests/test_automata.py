@@ -23,17 +23,25 @@ from conftest import ALL_SYSTEMS, get_system, oracle_ball
 
 
 def test_automaton_invariants_enforced(dinf, s3):
-    with pytest.raises(ValueError, match="nonempty"):
-        Automaton(("s",), ("-",), 0, frozenset({0}), ((0, 0, ((),)),))
-    with pytest.raises(ValueError, match="out of range"):
-        Automaton(("s",), ("-",), 2, frozenset({0}), ())
     names, st = dinf.generator_names, dinf.element("st")
+    with pytest.raises(ValueError, match="start state out of range"):
+        Automaton(("s",), ("-",), 2, frozenset({0}), ())
+    with pytest.raises(ValueError, match="accept state out of range"):
+        Automaton(("s",), ("-",), 0, frozenset({0, 5}), ())
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        Automaton(names, ("-",), 0, frozenset({0}), ((0, 1, st),))
     with pytest.raises(ValueError, match="identity"):
         Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, dinf.identity),))
-    with pytest.raises(ValueError, match="all word sets or all elements"):
-        Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, st), (0, 0, ((0,),))))
+    # a word tuple is not a label, alone or beside an element
+    for edges in (((0, 0, ((0,),)),), ((0, 0, st), (0, 0, ((0,),)))):
+        with pytest.raises(ValueError, match="must be group elements"):
+            Automaton(names, ("-",), 0, frozenset({0}), edges)
     with pytest.raises(MixedSystemError):
         Automaton(names, ("-",), 0, frozenset({0}), ((0, 0, st), (0, 0, s3.element("st"))))
+    # a label of a system with other generators could not be written out
+    for other in (("s",), ("s", "u")):
+        with pytest.raises(ValueError, match="automaton's generators"):
+            Automaton(other, ("-",), 0, frozenset({0}), ((0, 0, st),))
 
 
 def test_element_label_reads_its_reduced_words(s3):
@@ -126,9 +134,31 @@ def test_minimized_automata_agree_across_m(system):
 
 
 def test_minimize_requires_single_letters(dinf):
-    aut = Automaton(("s", "t"), ("-",), 0, frozenset({0}), ((0, 0, ((0, 1),)),))
+    # a label of length two is the one edge st, not the two letters s, t
+    aut = Automaton(dinf.generator_names, ("-",), 0, frozenset({0}), ((0, 0, dinf.element("st")),))
     with pytest.raises(ValueError, match="single-letter"):
         minimize(aut)
+    with pytest.raises(ValueError, match="single-letter"):
+        nfa_accepting_states(aut, (0, 1))
+    s = dinf.generator("s")
+    forked = Automaton(dinf.generator_names, ("-", "x"), 0, frozenset({0}), ((0, 0, s), (0, 1, s)))
+    with pytest.raises(ValueError, match="deterministic"):
+        minimize(forked)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_canonical_and_minimized_edges_are_generators(name, m):
+    # one edge per letter, and no two letters join one pair of states: were
+    # s != t to lead from the state of g to one state, both would be right
+    # descents of gs, so gs would end in the longest element of <s, t> and
+    # t would already be a right descent of g, which could not read it
+    system = get_system(name)
+    canonical = canonical_automaton(system, m)
+    for aut in (canonical, minimize(canonical)):
+        assert all(label in system.gens for _, _, label in aut.edges)
+        pairs = [(src, dst) for src, dst, _ in aut.edges]
+        assert len(pairs) == len(set(pairs))
 
 
 def test_cone_type_gates_spec_examples(dinf, s3):
@@ -173,16 +203,19 @@ def test_gamma_gates_are_part_minima(system):
         assert weak_leq(gate, g)
 
 
-def test_letter_expansion_preserves_language(dinf):
+def test_letter_expansion_preserves_language(s3):
+    # sts reads its two reduced words sts and tst; st and t read one each
+    sts, st, t = s3.element("sts"), s3.element("st"), s3.generator("t")
     aut = Automaton(
-        ("s", "t"),
+        s3.generator_names,
         ("-", "x"),
         0,
         frozenset({1}),
-        ((0, 1, ((0, 1), (1,))), (1, 1, ((0, 0),))),
+        ((0, 1, sts), (0, 1, t), (1, 1, st)),
     )
     expanded = letter_expanded(aut)
-    for length in range(7):
+    assert all(label in s3.gens for _, _, label in expanded.edges)
+    for length in range(8):
         for word in product(range(2), repeat=length):
             direct = aut.accepts_word(word)
             via_nfa = bool(nfa_accepting_states(expanded, word))

@@ -146,6 +146,20 @@ def test_generator_name_with_a_comma_exits_1(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ['x"', "x\\"])
+def test_generator_name_with_a_quote_or_backslash_exits_1(workspace, name, capsys):
+    # the dot export writes names inside '"' quotes, so a generator 'x"'
+    # would write 'label="x""', which is not DOT
+    group = workspace / "quote.txt"
+    group.write_text(f"generators: {name} t\nmatrix:\n1 3\n3 1\n")
+    out = workspace / "A.dot"
+    assert run("automaton", "--group", group, "--shadow", workspace / "L.txt",
+               "--format", "dot", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: group-parse:") and "line 1" in err and repr(name) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code, prefix", [
     ("group", 1, "group-parse"),
     ("shadow", 2, "shadow-invalid"),
@@ -224,6 +238,7 @@ def test_corrupted_shadow_exits_2(workspace):
     lambda t: t.replace("constant-m: 3", "constant-m: x4"),
     lambda t: t.replace("elements: 6", "elements: 7") + "sts\n",
     lambda t: t.replace("\nsts", "\nstx"),
+    lambda t: t.replace("provenance: low", "provenance: low\nprovenance: gamma"),
 ])
 def test_malformed_count_or_repeated_line_exits_2(workspace, edit, capsys):
     shadow = workspace / "L.txt"

@@ -46,10 +46,11 @@ def test_matrix_validation():
         CoxeterMatrix(("s", "s"), ((1, 3), (3, 1)))
 
 
-@pytest.mark.parametrize("name", ["-", "", "s,", "a b", "a\tb"])
+@pytest.mark.parametrize("name", ["-", "", "s,", "a b", "a\tb", 'x"', "x\\"])
 def test_unsafe_generator_names_rejected(name):
     # '-' writes the identity, whitespace separates names and ',' separates
-    # label words, so files written with such a name could not be read back
+    # label words, so files written with such a name could not be read back;
+    # '"' and '\' would end or escape the quoted labels of the dot export
     with pytest.raises(ValueError, match="names the identity|empty or holds whitespace"):
         CoxeterMatrix((name, "t"), ((1, 3), (3, 1)))
     with pytest.raises(ValueError):

@@ -377,6 +377,11 @@ def test_serialization_rejects_corruption(s3, dinf):
         assert field in text
         with pytest.raises(ShadowFileError, match="not an integer"):
             shadow_from_text(s3, text.replace(field, bad))
+    # a second header line must not silently replace the first
+    for line in text.splitlines()[1:5]:
+        key = line.split(":", 1)[0]
+        with pytest.raises(ShadowFileError, match=f"repeated field '{key}'"):
+            shadow_from_text(s3, text.replace(line, f"{line}\n{key}: 0"))
 
 
 def test_dropped_systems_are_freed():
