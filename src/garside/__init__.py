@@ -32,6 +32,7 @@ from .weak_order import (
     weak_leq,
 )
 from .shi import (
+    RootLimitExceeded,
     SignVector,
     SmallRootSet,
     elementary_walls,

@@ -9,8 +9,8 @@ All outputs are deterministic; the file-producing commands go through a
 content-addressed cache keyed by the group matrix, the computation kind,
 its parameters and the code (directory from GARSIDE_CACHE_DIR, default
 ~/.cache/garside; ``--no-cache`` bypasses it).  Exit codes: 0 success,
-1 I/O, parse or argument errors, 2 shadow validation or group mismatch,
-3 failed verification checks.
+1 I/O, parse or argument errors, 2 shadow validation, group mismatch or
+an exceeded size limit, 3 failed verification checks.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .shadows import (
     shadow_to_text,
     b_projection,
 )
+from .shi import RootLimitExceeded
 from .verify import full_suite
 from .voracious import (
     build_voracious_fsa,
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RootLimitExceeded as exc:
+        print(f"error: root-limit: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except CliError as exc:
         print(f"error: {exc.prefix}: {exc}", file=sys.stderr)
         return exc.code

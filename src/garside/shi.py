@@ -39,7 +39,12 @@ from .coxeter import (
 )
 from .scalars import sign_of
 
-_MAX_ROOTS = 200_000  # non-termination guard; the sets are provably finite
+_MAX_ROOTS = 200_000  # size limit of both walks; the sets are provably finite
+
+
+class RootLimitExceeded(Exception):
+    """The small-root or sign-pattern walk for some m outgrew `_MAX_ROOTS`:
+    the set is finite, but too large to enumerate here."""
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,8 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
             if n_gamma <= m:
                 queue.append(gamma)
                 if len(values) > _MAX_ROOTS:
-                    raise InternalInconsistencyError(
-                        "small-root enumeration exceeded the termination guard"
+                    raise RootLimitExceeded(
+                        f"the small-root walk for m={m} passed {_MAX_ROOTS} roots"
                     )
 
     kept = [root for root, n in values.items() if n <= m]
@@ -225,8 +230,8 @@ def sign_patterns(
                 witnesses.append(witnesses[i] + (s,))
             transitions.append((i, s, j))
         if len(states) > _MAX_ROOTS:
-            raise InternalInconsistencyError(
-                "sign-pattern enumeration exceeded the termination guard"
+            raise RootLimitExceeded(
+                f"the sign-pattern walk for m={m} passed {_MAX_ROOTS} patterns"
             )
     return witnesses, transitions
 

@@ -6,11 +6,18 @@ bounds are theorems, so a violation is treated as an implementation bug.
 The second bound involves the parallel-wall constant, which is computed
 exactly from the small roots (`parallel_wall_constant`); its ball estimate
 is kept only as an oracle for the tests.
+
+The fellow-traveller scans compare the distinct prefix points of two
+elements' words position by position, never word pairs; the scan over
+every word pair, `_max_deviation`, is their oracle, and runs only to name
+a report's witness when a check's running maximum rises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, product, starmap
 from operator import xor
 
 from .coxeter import CoxeterSystem, Element, Word
@@ -147,22 +154,69 @@ def _max_deviation(words, words2, path, prefixes):
     return best, witness
 
 
+def _witness(words, words2, path, prefixes):
+    """The first witness (v, v2, i) of the pair scan, read off the oracle."""
+    return _max_deviation(words, words2, path, prefixes)[1]
+
+
+def _prefix_columns(system: CoxeterSystem, g: Element, words) -> list[set[Element]]:
+    """Column i-1 holds the distinct length-i prefixes of g's words, for i
+    from 1 to l(g): voracious words are reduced, so all have length l(g)."""
+    columns: list[set[Element]] = [set() for _ in range(g.length)]
+    for v in words:
+        p = system.identity
+        for column, a in zip(columns, v):
+            p = system.right_multiply(p, a)
+            column.add(p)
+    return columns
+
+
 def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     """The scan of both fellow-traveller checks: for g in the slice up to
     max_len and s with h = g*s ("right") or s*g ("left") in it too, yields
-    (g, s, h, n, d, at): n word pairs, and their `_max_deviation` d and at.
-    On the left the paths of g's words start at s and end at h."""
+    (g, s, h, n, d, witness): n word pairs, their `_max_deviation` d, and
+    a function computing its first witness (v, v2, i) with the pair scan.
+
+    d is the largest distance within a column: column i holds the distinct
+    length-i prefixes of g's words (on the left, s times them, ending at h)
+    against those of h's, and past the end a word stays at its last point.
+    So a pair costs the sum over i of the column sizes' product, not
+    |L(g)|*|L(h)|*l.
+    """
     system = shadow.system
-    slice_ = enumerate_language(shadow, max_len)
+    by_element = enumerate_language(shadow, max_len).by_element
     prefixes = _prefix_table(system)
-    for g, words_g in slice_.by_element.items():
-        for s in system.gens:
-            h = system.multiply(g, s) if side == "right" else system.multiply(s, g)
-            path = prefixes if side == "right" else lambda v: prefixes(s.word + v)[1:]
-            words_h = slice_.by_element.get(h)
-            if words_h is not None:
-                d, at = _max_deviation(words_g, words_h, path, prefixes)
-                yield g, s, h, len(words_g) * len(words_h), d, at
+    columns = {g: _prefix_columns(system, g, words) for g, words in by_element.items()}
+    masks = {g: [[p.mask for p in column] for column in cols] for g, cols in columns.items()}
+    if side == "left":
+        # s*g = (g^-1 * s)^-1, read off the memoised neighbour slots; every
+        # prefix of a word in the slice is in the slice's ball
+        gens = range(system.rank)
+        lefts = {
+            g: [system.inverse(system.right_multiply(system.inverse(g), i)) for i in gens]
+            for g in by_element
+        }
+    for g, words_g in by_element.items():
+        for i, s in enumerate(system.gens):
+            h = system.right_multiply(g, i) if side == "right" else lefts[g][i]
+            words_h = by_element.get(h)
+            if words_h is None:
+                continue
+            if side == "right":
+                path, cols_g, end = prefixes, masks[g], g.mask
+            else:
+                path = lambda v, s=s.word: prefixes(s + v)[1:]
+                cols_g = [[lefts[p][i].mask for p in column] for column in columns[g]]
+                end = h.mask
+            cols_h = masks[h]
+            n = max(len(cols_g), len(cols_h))
+            cols_g = cols_g + [[end]] * (n - len(cols_g))
+            cols_h = cols_h + [[h.mask]] * (n - len(cols_h))
+            pairs = chain.from_iterable(map(product, cols_g, cols_h))
+            d = max(map(int.bit_count, starmap(xor, pairs)))
+            yield g, s, h, len(words_g) * len(words_h), d, partial(
+                _witness, words_g, words_h, path, prefixes
+            )
 
 
 def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
@@ -171,10 +225,10 @@ def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport
     bound = 2 * shadow.constant_m
     best = pairs = 0
     witness = ""
-    for _, _, _, n, d, at in _neighbour_deviations(shadow, radius, "right"):
+    for _, _, _, n, d, witness_of in _neighbour_deviations(shadow, radius, "right"):
         pairs += n
         if d > best:
-            best, (v, v2, i) = d, at
+            best, (v, v2, i) = d, witness_of()
             witness = f"v={render(v)} v'={render(v2)} i={i}"
     return FellowTravellerReport(
         kind="first",
@@ -236,10 +290,10 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
     bound = 4 * m_const * (m_const + q) + 2 * q
     best = best_extended = pairs = 0
     witness = ""
-    for g, s, h, n, d, at in _neighbour_deviations(shadow, radius + 1, "left"):
+    for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius + 1, "left"):
         pairs += n
         if d > best_extended:
-            best_extended, (v, v2, i) = d, at
+            best_extended, (v, v2, i) = d, witness_of()
             witness = f"v={render(v)} v'={render(v2)} s={s} i={i}"
         if g.length <= radius and h.length <= radius and d > best:
             best = d

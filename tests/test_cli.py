@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from garside import cli
+from garside import CoxeterSystem, cli, parse_group_file, shadow_from_gates
 from garside.cli import main
+from garside.verify import _max_deviation, _prefix_table
+from garside.voracious import enumerate_language
 
 DINF = "name: D-infinity\ngenerators: s t\nmatrix:\n1 0\n0 1\n"
 S3 = "name: I2(3)\ngenerators: s t\nmatrix:\n1 3\n3 1\n"
@@ -305,18 +307,52 @@ def test_verify_affine_mlow1_passes_without_a_plateau(workspace):
     assert text.rstrip().endswith("result: pass")
 
 
+def _first_pair_scan_witness(system, shadow, max_len):
+    """The second check's witness straight from the pair scan: the first
+    (v, v', s, i) reaching the largest deviation, in scan order."""
+    by_element = enumerate_language(shadow, max_len).by_element
+    prefixes = _prefix_table(system)
+    best, witness = 0, None
+    for g, words in by_element.items():
+        for s in system.gens:
+            words2 = by_element.get(system.multiply(s, g))
+            if words2 is not None:
+                path = lambda v: prefixes(s.word + v)[1:]
+                d, at = _max_deviation(words, words2, path, prefixes)
+                if d > best:
+                    best, witness = d, (*at, s)
+    v, v2, i, s = witness
+    return f"v={system.render_word(v)} v'={system.render_word(v2)} s={s} i={i}"
+
+
 def test_second_ftp_bound_violation_exits_3(workspace, monkeypatch):
     # a negative parallel-wall constant puts the bound below any deviation
     monkeypatch.setattr("garside.verify.parallel_wall_constant", lambda system, m: -m)
-    shadow = workspace / "L.txt"
-    group = workspace / "dinf.txt"
-    run("shadow", "--group", group, "--kind", "low", "--out", shadow)
-    report = workspace / "report.txt"
-    assert run("verify", "--group", group, "--shadow", shadow,
-               "--radius", "4", "--out", report) == 3
-    text = report.read_text()
-    assert "check: second-ftp FAIL" in text
-    assert text.rstrip().endswith("result: FAIL")
+    for group in (workspace / "dinf.txt", workspace / "a2.txt"):
+        shadow = workspace / "L.txt"
+        run("shadow", "--group", group, "--kind", "low", "--out", shadow)
+        report = workspace / "report.txt"
+        assert run("verify", "--group", group, "--shadow", shadow,
+                   "--radius", "4", "--out", report) == 3
+        text = report.read_text()
+        assert "check: second-ftp FAIL" in text
+        assert text.rstrip().endswith("result: FAIL")
+        # the FAIL line names the pair scan's first witness of the maximum
+        system = CoxeterSystem(parse_group_file(group.read_text()))
+        expected = _first_pair_scan_witness(system, shadow_from_gates(system, "low"), 5)
+        line = next(x for x in text.splitlines() if x.startswith("check: second-ftp"))
+        assert line.endswith(f" witness={expected}"), (line, expected)
+
+
+def test_root_limit_exits_2(workspace, monkeypatch, capsys):
+    # the small-root walk of affine-A2 for m=2 meets 18 walls; below that
+    # limit the shadow is not built, and the CLI says why
+    monkeypatch.setattr("garside.shi._MAX_ROOTS", 10)
+    out = workspace / "x.txt"
+    assert run("shadow", "--group", workspace / "a2.txt", "--kind", "mlow=2",
+               "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: root-limit: the small-root walk for m=2")
+    assert not out.exists()
 
 
 def test_project(workspace, capsys):

@@ -3,6 +3,8 @@ from collections import defaultdict
 import pytest
 
 from garside import (
+    CoxeterSystem,
+    RootLimitExceeded,
     elementary_walls,
     elementary_walls_oracle,
     is_shi_gate,
@@ -13,6 +15,7 @@ from garside import (
     wall_separation_oracle,
     weak_leq,
 )
+from garside import shi
 from conftest import ALL_SYSTEMS, get_system
 
 
@@ -182,3 +185,14 @@ def test_root_depth_matches_bfs_layers(system):
     for root, depth in seen.items():
         if depth <= 5:
             assert system.root_depth(root) == depth
+
+
+def test_walks_past_the_size_limit_raise_a_typed_error(monkeypatch):
+    # affine-A2 has 12 1-elementary walls and 49 1-Shi sign patterns
+    system = CoxeterSystem(get_system("affine_a2").matrix)
+    elementary_walls(system, 1)  # cached before the limit drops
+    monkeypatch.setattr(shi, "_MAX_ROOTS", 10)
+    with pytest.raises(RootLimitExceeded, match="small-root walk for m=2 passed 10 roots"):
+        elementary_walls(system, 2)
+    with pytest.raises(RootLimitExceeded, match="sign-pattern walk for m=1 passed 10 patterns"):
+        shi_gates(system, 1)

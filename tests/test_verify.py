@@ -13,14 +13,18 @@ from garside import (
 )
 from garside.shi import elementary_walls, separation_count
 from garside.verify import (
+    _max_deviation,
+    _neighbour_deviations,
+    _prefix_table,
     check_low_containment,
     check_original_projection,
     check_projection_monotone,
     check_refinement_by_shi,
     check_step_bound,
 )
+from garside.voracious import enumerate_language
 
-from conftest import _BUILDERS, get_system
+from conftest import _BUILDERS, ALL_SYSTEMS, get_system
 
 
 
@@ -100,6 +104,37 @@ def test_second_ftp_dinf(dinf):
     assert report.max_deviation <= report.theoretical_bound
     m, q = shadow.constant_m, parallel_wall_constant(dinf, shadow.constant_m)
     assert report.theoretical_bound == 4 * m * (m + q) + 2 * q
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+@pytest.mark.parametrize("kind, m", [("low", None), ("gamma", None), ("m-low", 1)])
+def test_column_scan_matches_the_pair_scan(name, kind, m):
+    # every neighbour pair of the slice is scanned, its deviation is the
+    # maximum over all word pairs, and its witness is the pair scan's first
+    system = get_system(name)
+    shadow = shadow_from_gates(system, kind, m)
+    radius = 5
+    by_element = enumerate_language(shadow, radius).by_element
+    prefixes = _prefix_table(system)
+    for side in ("right", "left"):
+        expected = [
+            (g, s, h)
+            for g in by_element
+            for s in system.gens
+            if (h := system.multiply(g, s) if side == "right" else system.multiply(s, g))
+            in by_element
+        ]
+        scanned = []
+        for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius, side):
+            scanned.append((g, s, h))
+            words, words2 = by_element[g], by_element[h]
+            if side == "right":
+                path = prefixes
+            else:
+                path = lambda v: prefixes(s.word + v)[1:]
+            assert n == len(words) * len(words2)
+            assert (d, witness_of()) == _max_deviation(words, words2, path, prefixes), (side, g, s)
+        assert scanned == expected
 
 
 def test_lemma_chain(dinf, affine_a2):
