@@ -9,9 +9,10 @@ filled on first use, so multiplication is a lookup once an edge has been
 walked (Casselman, Computation in Coxeter groups I).  All length and
 descent decisions go through the geometric representation on roots,
 computed exactly in the ring the labels need: root coordinates are plain
-ints when every label is 2, 3 or infinity, and `Scalar`s of Z[sqrt2],
-Z[sqrt3] or Z[phi] (nested when several of the labels 4, 5, 6 occur)
-otherwise.  There is no floating point and no tolerance anywhere.
+ints when every label is 2, 3 or infinity; otherwise a coordinate outside
+Z is a `Scalar` of Z[sqrt2], Z[sqrt3] or Z[phi] (nested when several of
+the labels 4, 5, 6 occur), and one in Z is still an int.  There is no
+floating point and no tolerance anywhere.
 
 The module also owns the group definition file format: an ordered list of
 generator names followed by the matrix, rejected with line-precise errors
@@ -57,12 +58,13 @@ class InternalInconsistencyError(RuntimeError):
 
 def _generator_name_fault(name: str) -> str | None:
     """Why `name` cannot name a generator, or None.  The text formats write
-    the identity as '-', split names at whitespace and list words with ',',
-    and the DOT export writes names inside '"' quotes, where '\\' escapes."""
+    the identity as '-', split names at whitespace, list words with ',' and
+    start comments with '#', and the DOT export writes names inside '"'
+    quotes, where '\\' escapes."""
     if name == "-":
         return "'-' names the identity, not a generator"
-    if not name or any(c.isspace() or c in ',"\\' for c in name):
-        return f"generator name {name!r} is empty or holds whitespace, ',', '\"' or '\\'"
+    if not name or any(c.isspace() or c in ',#"\\' for c in name):
+        return f"generator name {name!r} is empty or holds whitespace, ',', '#', '\"' or '\\'"
     return None
 
 
@@ -84,6 +86,15 @@ class CoxeterMatrix:
                 raise ValueError(fault)
         if len(set(self.generators)) != n:
             raise ValueError("generator names must be distinct")
+        name = self.name
+        if name is not None and (
+            name != name.strip() or "#" in name or len(name.splitlines()) != 1
+        ):
+            # the group file writes the name on one 'name:' line, strips it
+            # and cuts it at '#'
+            raise ValueError(
+                f"display name {name!r} is empty, has outer whitespace or holds '#' or a line break"
+            )
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError(f"matrix must be {n}x{n}")
         for i in range(n):
@@ -174,6 +185,8 @@ def parse_group_file(text: str) -> CoxeterMatrix:
         elif line.startswith("matrix:"):
             if generators is None:
                 raise GroupFileError(f"line {lineno}: 'matrix:' before 'generators:'")
+            if line != "matrix:":
+                raise GroupFileError(f"line {lineno}: text after 'matrix:' on its line")
             in_matrix = True
             matrix_line = lineno
         else:
@@ -207,8 +220,8 @@ def format_group_file(matrix: CoxeterMatrix) -> str:
 
 
 class Root:
-    """A root in simple-root coordinates, ints or `Scalar`s (an int and a
-    Scalar of equal value hash alike); positive or negative, never mixed.
+    """A root in simple-root coordinates, each an int or, outside Z, a
+    `Scalar`, so a value has one form; positive or negative, never mixed.
 
     A system interns the roots it hands out: one object per value, with a
     dense `id` (simple roots first) and its negative as the partner that

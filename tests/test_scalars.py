@@ -1,115 +1,98 @@
 import ast
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, sqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from garside.scalars import HALF, ONE, SQRT2, SQRT3, SQRT5, TWO, ZERO, Scalar
+from garside.scalars import PHI, SQRT2, SQRT3, Scalar, sign_of
+
+SQRT5 = PHI + PHI - 1
+# sqrt(d) for the squarefree divisors of 30
+SQRT_OF = {1: 1, 2: SQRT2, 3: SQRT3, 5: SQRT5, 6: SQRT2 * SQRT3,
+           10: SQRT2 * SQRT5, 15: SQRT3 * SQRT5, 30: SQRT2 * SQRT3 * SQRT5}
+# a Z-basis of the ring Z[sqrt2, sqrt3, phi]
+RING_BASIS = (1, SQRT2, SQRT3, PHI, SQRT2 * SQRT3, SQRT2 * PHI, SQRT3 * PHI,
+              SQRT2 * SQRT3 * PHI)
+_FLOAT_PHI = (1 + sqrt(5)) / 2
+RING_FLOATS = (1.0, sqrt(2), sqrt(3), _FLOAT_PHI, sqrt(6), sqrt(2) * _FLOAT_PHI,
+               sqrt(3) * _FLOAT_PHI, sqrt(6) * _FLOAT_PHI)
+
+
+def combine(coeffs, basis):
+    """sum(c * e) over the basis, by the ring operations under test."""
+    out = 0
+    for c, e in zip(coeffs, basis):
+        out = out + c * e
+    return out
 
 
 def test_basic_identities():
-    assert SQRT2 * SQRT2 == TWO
-    assert SQRT3 * SQRT3 == Scalar.from_rational(3)
-    assert SQRT2 * SQRT3 == Scalar.sqrt_of(6)
-    assert SQRT2 * Scalar.sqrt_of(6) == 2 * SQRT3
-    assert Scalar.sqrt_of(10) * Scalar.sqrt_of(15) == 5 * Scalar.sqrt_of(6)
+    for square, n in ((SQRT2 * SQRT2, 2), (SQRT3 * SQRT3, 3), (SQRT5 * SQRT5, 5)):
+        assert type(square) is int and square == n
+    assert SQRT2 * SQRT_OF[6] == 2 * SQRT3
+    assert SQRT_OF[10] * SQRT_OF[15] == 5 * SQRT_OF[6]
+    assert SQRT_OF[30] * SQRT_OF[30] == 30
 
 
 def test_golden_ratio_satisfies_its_equation():
-    phi = (ONE + SQRT5) * Scalar.from_rational(Fraction(1, 2))
-    assert phi * phi == phi + ONE
+    assert PHI * PHI == PHI + 1
+    assert PHI * (PHI - 1) == 1 and type(PHI * (PHI - 1)) is int
 
 
 def test_sign_of_close_values():
-    # sqrt2 + sqrt3 - sqrt5 is small (~0.91e-1... actually 0.9) but nonzero
+    # sqrt2 + sqrt3 - sqrt5 is about 0.91: close, but nonzero
     x = SQRT2 + SQRT3 - SQRT5
     assert x.sign() == 1
-    # 3 - 2*sqrt2 and sqrt2 - 1 squared agree: (sqrt2-1)^2 = 3 - 2 sqrt2
-    y = (SQRT2 - ONE) * (SQRT2 - ONE) - (Scalar.from_rational(3) - 2 * SQRT2)
-    assert y.sign() == 0 and y.is_zero()
+    # (sqrt2 - 1)^2 = 3 - 2*sqrt2, so their difference is the int 0
+    y = (SQRT2 - 1) * (SQRT2 - 1) - (3 - 2 * SQRT2)
+    assert y == 0 and type(y) is int and sign_of(y) == 0
 
 
 def test_tiny_nonzero_sign_is_exact():
     # (sqrt2 - 1)^20 is ~ 1.1e-8; interval refinement must still resolve it
-    x = ONE
+    x = 1
     for _ in range(20):
-        x = x * (SQRT2 - ONE)
+        x = x * (SQRT2 - 1)
     assert x.sign() == 1
     assert (-x).sign() == -1
 
 
 def test_total_order_matches_floats():
-    values = [ZERO, ONE, SQRT2, SQRT3, SQRT5, SQRT2 + SQRT3, -SQRT2, 2 * ONE]
-    by_exact = sorted(values)
-    by_float = sorted(values, key=float)
-    assert [float(v) for v in by_exact] == [float(v) for v in by_float]
+    pairs = [(0, 0.0), (1, 1.0), (SQRT2, sqrt(2)), (SQRT3, sqrt(3)), (SQRT5, sqrt(5)),
+             (PHI, _FLOAT_PHI), (SQRT2 + SQRT3, sqrt(2) + sqrt(3)), (-SQRT2, -sqrt(2)),
+             (2, 2.0)]
+    by_exact = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
+    by_float = sorted(range(len(pairs)), key=lambda i: pairs[i][1])
+    assert by_exact == by_float
 
 
 def test_equality_and_hash():
-    a = SQRT2 + ONE
-    b = ONE + SQRT2
+    a = SQRT2 + 1
+    b = 1 + SQRT2
     assert a == b and hash(a) == hash(b)
     assert a != SQRT2
-    assert Scalar.from_rational(2) == 2
+    # a Scalar never equals an int: a value in Z is always an int
+    assert SQRT2 != 0 and PHI != 1 and (PHI + 1) - PHI == 1
+    for same in ((SQRT2 + PHI) - PHI, (PHI + SQRT2) * (PHI - SQRT2) - PHI * PHI + 2 + SQRT2):
+        assert same == SQRT2 and hash(same) == hash(SQRT2)
 
 
-def test_unsupported_sqrt_rejected():
-    with pytest.raises(ValueError):
-        Scalar.sqrt_of(7)
-
-
-small_rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=8
-)
-scalars = st.builds(
-    lambda a, b, c, d: Scalar.from_rational(a)
-    + Scalar.from_rational(b) * SQRT2
-    + Scalar.from_rational(c) * SQRT3
-    + Scalar.from_rational(d) * SQRT5,
-    small_rationals,
-    small_rationals,
-    small_rationals,
-    small_rationals,
-)
-
-
-@given(scalars, scalars, scalars)
-def test_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + ZERO == a and a * ONE == a
-
-
-@given(scalars)
-def test_sign_consistent_with_float(x):
-    approx = float(x)
-    if abs(approx) > 1e-9:
-        assert x.sign() == (1 if approx > 0 else -1)
-    assert (x - x).sign() == 0
-
-
-def test_sign_beyond_float_range_is_exact():
-    huge = Scalar([10**400, -1, 0, 0, 0, 0, 0, 0])
-    assert huge.sign() == 1 and (-huge).sign() == -1
-    # the sqrt2 term overflows to inf as a float, yet the sum is negative
-    x = Scalar([0, 1294 * 10**305, 0, 0, 0, -72 * 10**305, -18 * 10**306, -18 * 10**306])
-    assert x.sign() == -1 and (-x).sign() == 1
-
-
-def test_only_ints_and_fractions_are_accepted():
-    assert Scalar.from_rational(Fraction(3, 4)) * 4 == Scalar.from_rational(3)
-    assert Scalar([Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0]) == HALF + SQRT2
-    for bad in (0.5, "1/2"):
-        with pytest.raises(TypeError):
-            Scalar.from_rational(bad)
-        with pytest.raises(TypeError):
-            Scalar([bad, 0, 0, 0, 0, 0, 0, 0])
+def test_only_ints_and_scalars_are_accepted():
+    with pytest.raises(TypeError):
+        Scalar([1, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        Scalar()
+    ops = (operator.add, operator.sub, operator.mul, operator.lt)
+    for bad in (0.5, Fraction(1, 2), Fraction(2)):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(SQRT2, bad)
+            with pytest.raises(TypeError):
+                op(bad, SQRT2)
 
 
 def test_no_module_imports_fractions():
@@ -122,11 +105,53 @@ def test_no_module_imports_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            assert "fractions" not in {n.split(".")[0] for n in names}, path.name
+            assert not {"fractions", "numbers"} & {n.split(".")[0] for n in names}, path.name
+
+
+def test_scalars_module_uses_no_float():
+    path = Path(__file__).resolve().parent.parent / "src" / "garside" / "scalars.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        assert not (isinstance(node, ast.Constant) and type(node.value) is float)
+        assert not (isinstance(node, ast.Name) and node.id in ("float", "sqrt"))
+
+
+ring_coeffs = st.lists(
+    st.one_of(st.just(0), st.integers(-8, 8)), min_size=8, max_size=8
+)
+scalars = ring_coeffs.map(lambda coeffs: combine(coeffs, RING_BASIS))
+
+
+@given(scalars, scalars, scalars)
+def test_ring_axioms(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a * 0 == 0
+
+
+@given(ring_coeffs)
+def test_sign_consistent_with_float(coeffs):
+    x = combine(coeffs, RING_BASIS)
+    approx = sum(c * f for c, f in zip(coeffs, RING_FLOATS))
+    if abs(approx) > 1e-9:
+        assert sign_of(x) == (1 if approx > 0 else -1)
+    assert sign_of(x - x) == 0 and type(x - x) is int
+
+
+def test_sign_beyond_float_range_is_exact():
+    huge = 10**400 - SQRT2
+    assert huge.sign() == 1 and (-huge).sign() == -1
+    # the sqrt2 term overflows to inf as a float, yet the sum is negative
+    x = combine([0, 1294 * 10**305, 0, 0, 0, -72 * 10**305, -18 * 10**306, -18 * 10**306],
+                SQRT_OF.values())
+    assert x.sign() == -1 and (-x).sign() == 1
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: Fraction coefficients on the same basis, decimal signs
+# Independent oracle: Fraction coefficients over sqrt(1), ..., sqrt(30),
+# decimal signs
 
 MODEL_BASIS = (1, 2, 3, 5, 6, 10, 15, 30)
 
@@ -146,9 +171,6 @@ class Model:
     def __init__(self, coeffs):
         self.c = {d: Fraction(x) for d, x in zip(MODEL_BASIS, coeffs)}
 
-    def coeffs(self):
-        return [self.c[d] for d in MODEL_BASIS]
-
     def __add__(self, other):
         return Model([self.c[d] + other.c[d] for d in MODEL_BASIS])
 
@@ -162,6 +184,9 @@ class Model:
                 e, k = _basis_product(d1, d2)
                 out[k] += x * y * e
         return Model([out[d] for d in MODEL_BASIS])
+
+    def is_integer(self):
+        return self.c[1].denominator == 1 and not any(x for d, x in self.c.items() if d != 1)
 
     def sign(self):
         # 120 digits decide every sign met below: the drawn values are zero
@@ -184,36 +209,76 @@ class Model:
         return " + ".join(terms) if terms else "0"
 
 
-def assert_matches(scalar, model):
-    assert repr(scalar) == repr(model)
-    assert scalar.sign() == model.sign()
-    assert scalar.is_zero() == (model.sign() == 0)
-    rebuilt = Scalar(model.coeffs())
-    assert scalar == rebuilt and hash(scalar) == hash(rebuilt)
+def model_int(n):
+    return Model([n] + [0] * 7)
 
 
-model_coeffs = st.lists(
-    st.one_of(
-        st.just(0),
-        st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 4))),
-    ),
-    min_size=8,
-    max_size=8,
+def model_sqrt(d):
+    return Model([int(e == d) for e in MODEL_BASIS])
+
+
+MODEL_PHI = Model([Fraction(1, 2), 0, 0, Fraction(1, 2), 0, 0, 0, 0])
+MODEL_RING_BASIS = tuple(
+    model_sqrt(d) * (MODEL_PHI if with_phi else model_int(1))
+    for with_phi, d in ((0, 1), (0, 2), (0, 3), (1, 1), (0, 6), (1, 2), (1, 3), (1, 6))
 )
 
 
-@given(model_coeffs, model_coeffs)
-def test_scalar_agrees_with_fraction_model(p, q):
-    x, y = Model(p), Model(q)
-    a, b = Scalar(p), Scalar(q)
+def model_of(coeffs, basis=MODEL_RING_BASIS):
+    out = model_int(0)
+    for c, e in zip(coeffs, basis):
+        out = out + model_int(c) * e
+    return out
+
+
+def rebuild(model):
+    """The model's value rebuilt over the ring basis: sqrt5 = 2*phi - 1, so
+    c*sqrt(d) + e*sqrt(5d) = (c - e)*sqrt(d) + 2e*sqrt(d)*phi."""
+    c = model.c
+    ring = {}
+    for d in (1, 2, 3, 6):
+        ring[d], ring[d, "phi"] = c[d] - c[5 * d], 2 * c[5 * d]
+    order = (1, 2, 3, (1, "phi"), 6, (2, "phi"), (3, "phi"), (6, "phi"))
+    coeffs = [ring[key] for key in order]
+    assert all(x.denominator == 1 for x in coeffs), model
+    return combine([int(x) for x in coeffs], RING_BASIS)
+
+
+def level(x):
+    """The tower level of an int or a Scalar, after checking its canonical
+    form: an int, or a + b*w at a level k >= 1 with b nonzero and a, b below k."""
+    if type(x) is int:
+        return 0
+    assert type(x) is Scalar and x.k in (1, 2, 3)
+    assert level(x.a) < x.k and level(x.b) < x.k and not (type(x.b) is int and x.b == 0)
+    return x.k
+
+
+def assert_matches(x, model):
+    """x, an int or a Scalar in canonical form, has the model's value."""
+    level(x)
+    assert repr(x) == repr(model)
+    assert sign_of(x) == model.sign()
+    assert (type(x) is int) == model.is_integer()
+    rebuilt = rebuild(model)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+@given(ring_coeffs, ring_coeffs, st.integers(-5, 5))
+def test_scalar_agrees_with_fraction_model(p, q, n):
+    x, y, m = model_of(p), model_of(q), model_int(n)
+    a, b = combine(p, RING_BASIS), combine(q, RING_BASIS)
     assert_matches(a, x)
     assert_matches(a + b, x + y)
     assert_matches(a - b, x - y)
     assert_matches(a * b, x * y)
     assert_matches(a - a, x - x)
-    assert (a == b) == (x.coeffs() == y.coeffs())
+    assert_matches(n - a * n, m - x * m)
+    assert a - a == 0 and type(a - a) is int
+    assert (a == b) == (p == q)  # the ring basis is a Z-basis
     assert a * b == b * a and hash(a * b) == hash(b * a)
-    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    c = (a + b) - b
+    assert c == a and hash(c) == hash(a) and type(c) is type(a)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -226,14 +291,15 @@ def test_scalar_agrees_with_fraction_model(p, q):
 def test_exact_sign_cases_agree_with_fraction_model(coeffs):
     for sign in (1, -1):
         values = [sign * c for c in coeffs]
-        assert_matches(Scalar(values), Model(values))
-        half = Model([Fraction(1, 2)] + [0] * 7)
-        assert_matches(Scalar(values) * HALF, Model(values) * half)
+        x = combine(values, SQRT_OF.values())
+        model = Model(values)
+        assert_matches(x, model)
+        assert_matches(x * PHI, model * MODEL_PHI)
 
 
 def test_tiny_power_agrees_with_fraction_model():
-    scalar, model = ONE, Model([1] + [0] * 7)
+    scalar, model = 1, model_int(1)
     for _ in range(20):
-        scalar, model = scalar * (SQRT2 - ONE), model * Model([-1, 1, 0, 0, 0, 0, 0, 0])
+        scalar, model = scalar * (SQRT2 - 1), model * Model([-1, 1, 0, 0, 0, 0, 0, 0])
     assert_matches(scalar, model)
-    assert_matches(-scalar, Model([0] * 8) - model)
+    assert_matches(-scalar, model_int(0) - model)

@@ -11,6 +11,7 @@ from garside import (
     parallel_wall_constant,
     shadow_from_gates,
 )
+from garside import scalars
 from garside.shi import elementary_walls, separation_count
 from garside.verify import (
     _max_deviation,
@@ -172,6 +173,26 @@ def test_rational_system_creates_no_scalar(monkeypatch):
     monkeypatch.setattr("garside.scalars._make", refuse)
     shadow = low(_BUILDERS["affine_a2"]())
     assert full_suite(shadow, 4).all_passed
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "affine_g2", "h3", "triangle_456"])
+def test_scalars_are_made_in_canonical_form(monkeypatch, name):
+    # a Scalar is a + b*w at a level k >= 1 with b nonzero, and a value in Z
+    # is an int: no computation makes a Scalar that equals an int
+    make = scalars._make
+
+    def checked(a, b, k):
+        assert k >= 1 and (type(b) is scalars.Scalar or b != 0), (a, b, k)
+        return make(a, b, k)
+
+    monkeypatch.setattr("garside.scalars._make", checked)
+    if name == "triangle_456":
+        system = make_system(["s", "t", "u"], {("s", "t"): 4, ("s", "u"): 5, ("t", "u"): 6})
+    else:
+        system = _BUILDERS[name]()
+    assert full_suite(low(system), 4).all_passed
+    for root in system._canonical.values():
+        assert all(type(c) in (int, scalars.Scalar) for c in root.coeffs), root
 
 
 def test_full_suite_affine_a2(affine_a2):
