@@ -44,7 +44,7 @@ print("part gated by s (ball of radius 3):",
 gamma = shadow_from_gates(a2, "gamma")
 report = refinement_check(gamma, low, 6)
 print("\nequal low-projections force equal gamma-projections:",
-      "verified" if report.ok else "FAILED", f"({report.classes_checked} parts)")
+      "verified" if report.passed else "FAILED", f"({report.details})")
 
 print("\nserialized low shadow of the infinite dihedral group:")
 dinf = make_system(["s", "t"], {("s", "t"): 0}, "D-infinity")

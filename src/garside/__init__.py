@@ -60,7 +60,6 @@ from .automata import (
 from .shadows import (
     CutoffExceeded,
     GarsideShadow,
-    RefinementReport,
     ShadowFileError,
     ValidationResult,
     b_projection,

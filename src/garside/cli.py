@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import tempfile
 from hashlib import sha256
@@ -98,13 +99,36 @@ def _cache_put(key: str, payload: str) -> None:
     _write_out(_cache_dir() / f"{key}.txt", payload)
 
 
+def _umask() -> int:
+    """The process's umask, which `os.umask` reads only by setting it."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _write_out(path: str | Path, payload: str) -> None:
-    """Write a file whole or not at all, through a temporary file beside it."""
+    """Write a file whole or not at all, through a temporary file beside it.
+
+    A symlink is followed, and the file it names is written.  A target that
+    exists and is not a regular file (a FIFO, a device) is written straight
+    into.  A replaced file keeps its mode; a new one gets 0o666 less the
+    umask, as `open` would give it."""
     target = Path(path)
     tmp = None
     try:
+        if target.is_symlink():
+            target = Path(os.path.realpath(target))
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG | (0o666 & ~_umask())
+        if not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            return
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, target)

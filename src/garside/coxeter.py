@@ -772,14 +772,24 @@ class CoxeterSystem:
 def make_system(
     generators: Sequence[str], labels: dict[tuple[str, str], int], name: str | None = None
 ) -> CoxeterSystem:
-    """Convenience constructor: unlisted pairs default to label 2 (commuting)."""
+    """Convenience constructor: unlisted pairs default to label 2 (commuting).
+
+    A label naming an unknown generator, or a pair labelled twice in both
+    orders with different values, raises ValueError."""
     gens = tuple(generators)
     index = {g: i for i, g in enumerate(gens)}
     n = len(gens)
     entries = [[2] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = 1
+    given: dict[frozenset, int] = {}
     for (a, b), m in labels.items():
+        for g in (a, b):
+            if g not in index:
+                raise ValueError(f"label of ({a!r}, {b!r}) names unknown generator {g!r}")
+        pair = frozenset((a, b))
+        if given.setdefault(pair, m) != m:
+            raise ValueError(f"pair ({a!r}, {b!r}) is labelled both {given[pair]} and {m}")
         i, j = index[a], index[b]
         entries[i][j] = m
         entries[j][i] = m

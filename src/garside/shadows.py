@@ -54,6 +54,18 @@ class ValidationResult:
 
 
 @dataclass(frozen=True)
+class CheckResult:
+    """The result of one check on a ball, as it reads on one `check:` line
+    of a verification report: the check's name, its verdict, its figures,
+    and a witness that names the first failure (printed only on failure)."""
+
+    name: str
+    passed: bool
+    details: str
+    witness: str = ""
+
+
+@dataclass(frozen=True)
 class GarsideShadow:
     """A validated finite Garside shadow with its length constant.
 
@@ -254,17 +266,19 @@ def partition_part(shadow: GarsideShadow, b: Element, radius: int) -> tuple[Elem
     )
 
 
-@dataclass(frozen=True)
-class RefinementReport:
-    ok: bool
-    radius: int
-    classes_checked: int
-    counterexample: tuple = ()
+def _first_split(elements, key, value):
+    """The refinement scan: the first element whose key's class already
+    holds a different value (None if there is none), and the number of
+    classes seen by then."""
+    classes: dict = {}
+    for x in elements:
+        mine = value(x)
+        if classes.setdefault(key(x), mine) != mine:
+            return x, len(classes)
+    return None, len(classes)
 
 
-def refinement_check(
-    small: GarsideShadow, large: GarsideShadow, radius: int
-) -> RefinementReport:
+def refinement_check(small: GarsideShadow, large: GarsideShadow, radius: int) -> CheckResult:
     """Verify that the partition of the larger shadow refines the smaller's.
 
     For all x, y in the ball: equal projections onto the large shadow force
@@ -272,13 +286,14 @@ def refinement_check(
     implementation bug, not a property of the input."""
     if not small.members <= large.members:
         raise ValueError("refinement_check requires the first shadow inside the second")
-    by_large: dict[Element, Element] = {}
-    for x in small.system.ball(radius):
-        key = b_projection(large, x)
-        mine = b_projection(small, x)
-        if by_large.setdefault(key, mine) != mine:
-            return RefinementReport(False, radius, len(by_large), (x, key))
-    return RefinementReport(True, radius, len(by_large))
+    x, parts = _first_split(
+        small.system.ball(radius),
+        lambda x: b_projection(large, x),
+        lambda x: b_projection(small, x),
+    )
+    if x is not None:
+        return CheckResult("refinement", False, f"radius={radius}", f"x={x}")
+    return CheckResult("refinement", True, f"radius={radius} parts={parts}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Exhaustive verification of the structural claims on Cayley balls.
 
 Every check here is exhaustive over a ball, never sampled, and each report
-is deterministic given (system, shadow, radius).  The fellow-traveller
-bounds are theorems, so a violation is treated as an implementation bug.
-The second bound involves the parallel-wall constant, which is computed
-exactly from the small roots (`parallel_wall_constant`); its ball estimate
-is kept only as an oracle for the tests.
+is deterministic given (system, shadow, radius).  A check returns one
+`CheckResult` (defined in `shadows`, beside `refinement_check`), which is
+one `check:` line of a report; the fellow-traveller checks return a
+`FellowTravellerReport`, a CheckResult that also keeps the figures of its
+line.  `full_suite` lists the checks, and `VerdictBundle.to_text` prints
+a witness only on a failed line.
+
+The fellow-traveller bounds are theorems, so a violation is treated as an
+implementation bug.  The second bound involves the parallel-wall constant,
+which is computed exactly from the small roots (`parallel_wall_constant`);
+its ball estimate is kept only as an oracle for the tests.
 
 The fellow-traveller scans compare the distinct prefix points of two
 elements' words position by position, never word pairs; the scan over
@@ -21,7 +27,7 @@ from itertools import chain, product, starmap
 from operator import xor
 
 from .coxeter import CoxeterSystem, Element, Word
-from .shadows import GarsideShadow, b_projection
+from .shadows import CheckResult, GarsideShadow, _first_split, b_projection
 from .shi import elementary_walls, is_shi_gate, separation_count
 from .voracious import (
     cross_validate_regularity,
@@ -33,23 +39,16 @@ from .voracious import (
 from .weak_order import _lower_set, weak_leq
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    details: str
-    witness: str = ""
+@dataclass(frozen=True, kw_only=True)
+class FellowTravellerReport(CheckResult):
+    """A fellow-traveller check's line, with the figures it is made of.
+    The witness is kept when the check passes, for the largest deviation."""
 
-
-@dataclass(frozen=True)
-class FellowTravellerReport:
     kind: str  # "first" | "second"
     radius: int
     pairs_checked: int
     max_deviation: int
     theoretical_bound: int | None
-    witness: str
-    passed: bool
     extended_max: int | None = None  # second kind: max at radius + 1
     plateau: bool | None = None
 
@@ -77,7 +76,7 @@ class VerdictBundle:
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             line = f"check: {c.name} {status} {c.details}"
-            if c.witness:
+            if c.witness and not c.passed:
                 line += f" witness={c.witness}"
             lines.append(line)
         lines.append(f"result: {'pass' if self.all_passed else 'FAIL'}")
@@ -88,24 +87,15 @@ class VerdictBundle:
 # Condition (1): surjectivity with finite fibers
 
 
-@dataclass(frozen=True)
-class ConditionOneReport:
-    radius: int
-    elements: int
-    max_words_per_element: int
-    passed: bool
-
-
-def check_condition_one(shadow: GarsideShadow, radius: int) -> ConditionOneReport:
+def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
     """Every ball element is represented by at least one (and finitely many)
     voracious words."""
     slice_ = enumerate_language(shadow, radius)
     counts = [len(words) for words in slice_.by_element.values()]
-    return ConditionOneReport(
-        radius=radius,
-        elements=len(slice_.by_element),
-        max_words_per_element=max(counts),
-        passed=len(counts) == len(shadow.system.ball(radius)) and min(counts) >= 1,
+    return CheckResult(
+        "condition-one",
+        len(counts) == len(shadow.system.ball(radius)) and min(counts) >= 1,
+        f"radius={radius} elements={len(counts)} max-words={max(counts)}",
     )
 
 
@@ -231,13 +221,15 @@ def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport
             best, (v, v2, i) = d, witness_of()
             witness = f"v={render(v)} v'={render(v2)} i={i}"
     return FellowTravellerReport(
+        name="first-ftp",
+        passed=best <= bound,
+        details=f"radius={radius} max-deviation={best} bound={bound} pairs={pairs}",
+        witness=witness,
         kind="first",
         radius=radius,
         pairs_checked=pairs,
         max_deviation=best,
         theoretical_bound=bound,
-        witness=witness,
-        passed=best <= bound,
     )
 
 
@@ -298,13 +290,16 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
         if g.length <= radius and h.length <= radius and d > best:
             best = d
     return FellowTravellerReport(
+        name="second-ftp",
+        passed=best_extended <= bound,
+        details=f"radius={radius} max-deviation={best} extended={best_extended} "
+        f"plateau={best == best_extended} bound={bound}",
+        witness=witness,
         kind="second",
         radius=radius,
         pairs_checked=pairs,
         max_deviation=best,
         theoretical_bound=bound,
-        witness=witness,
-        passed=best_extended <= bound,
         extended_max=best_extended,
         plateau=best == best_extended,
     )
@@ -409,17 +404,12 @@ def check_refinement_by_shi(shadow: GarsideShadow, radius: int) -> CheckResult:
     system = shadow.system
     m = shadow.constant_m
     small = elementary_walls(system, m).mask
-    by_pattern: dict[int, Element] = {}
-    for x in system.ball(radius):
-        key = x.mask & small
-        mine = b_projection(shadow, x)
-        if by_pattern.setdefault(key, mine) != mine:
-            return CheckResult(
-                "refinement-by-shi", False, f"radius={radius} M={m}", f"x={x}"
-            )
-    return CheckResult(
-        "refinement-by-shi", True, f"radius={radius} M={m} parts={len(by_pattern)}"
+    x, parts = _first_split(
+        system.ball(radius), lambda x: x.mask & small, lambda x: b_projection(shadow, x)
     )
+    if x is not None:
+        return CheckResult("refinement-by-shi", False, f"radius={radius} M={m}", f"x={x}")
+    return CheckResult("refinement-by-shi", True, f"radius={radius} M={m} parts={parts}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,62 +418,20 @@ def check_refinement_by_shi(shadow: GarsideShadow, radius: int) -> CheckResult:
 
 def full_suite(shadow: GarsideShadow, radius: int) -> VerdictBundle:
     """Run every structural check against one shadow at one radius."""
-    system = shadow.system
-    checks: list[CheckResult] = []
-
-    c1 = check_condition_one(shadow, radius)
-    checks.append(
-        CheckResult(
-            "condition-one",
-            c1.passed,
-            f"radius={radius} elements={c1.elements} "
-            f"max-words={c1.max_words_per_element}",
-        )
-    )
-
-    reg = cross_validate_regularity(shadow, radius)
-    checks.append(
-        CheckResult(
-            "regularity",
-            reg.ok,
-            f"max-len={radius} words={reg.words_checked}",
-            "" if reg.ok else f"missing={reg.missing_from_automaton[:3]} "
-            f"extra={reg.extra_in_automaton[:3]}",
-        )
-    )
-
-    ftp1 = check_first_ftp(shadow, radius)
-    checks.append(
-        CheckResult(
-            "first-ftp",
-            ftp1.passed,
-            f"radius={radius} max-deviation={ftp1.max_deviation} "
-            f"bound={ftp1.theoretical_bound} pairs={ftp1.pairs_checked}",
-            ftp1.witness if not ftp1.passed else "",
-        )
-    )
-
-    ftp2 = check_second_ftp(shadow, radius)
-    checks.append(
-        CheckResult(
-            "second-ftp",
-            ftp2.passed,
-            f"radius={radius} max-deviation={ftp2.max_deviation} "
-            f"extended={ftp2.extended_max} plateau={ftp2.plateau} "
-            f"bound={ftp2.theoretical_bound}",
-            ftp2.witness if not ftp2.passed else "",
-        )
-    )
-
-    checks.append(check_projection_monotone(shadow, min(radius, 6)))
+    checks = [
+        check_condition_one(shadow, radius),
+        cross_validate_regularity(shadow, radius),
+        check_first_ftp(shadow, radius),
+        check_second_ftp(shadow, radius),
+        check_projection_monotone(shadow, min(radius, 6)),
+    ]
     if shadow.provenance == "low":
         checks.append(check_original_projection(shadow, radius))
     checks.append(check_step_bound(shadow, radius))
     checks.append(check_low_containment(shadow))
     checks.append(check_refinement_by_shi(shadow, radius))
-
     return VerdictBundle(
-        system_name=system.matrix.name or "unnamed",
+        system_name=shadow.system.matrix.name or "unnamed",
         shadow_provenance=shadow.provenance,
         constant_m=shadow.constant_m,
         radius=radius,

@@ -16,6 +16,10 @@ A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
 closest to g); the two must coincide for the shadow of low elements, and
 the tests compare them exhaustively on balls.
+
+`cross_validate_regularity` compares the automaton's language with the
+enumerated slice, accept states included, and returns the `regularity`
+line of a verification report as a `CheckResult`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
-from .shadows import GarsideShadow, b_projection
+from .shadows import CheckResult, GarsideShadow, b_projection
 from .shi import separation_count
 from .weak_order import _lower_set, reduced_words, weak_leq
 
@@ -188,23 +192,16 @@ def fsa_accepts(aut: Automaton, word: Word) -> Acceptance:
     return Acceptance(True, tuple(sorted(aut.state_labels[q] for q in states)))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    ok: bool
-    max_len: int
-    words_checked: int
-    missing_from_automaton: tuple
-    extra_in_automaton: tuple
-    accept_state_mismatches: tuple
-
-
-def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> RegularityReport:
+def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResult:
     """Exact comparison of the automaton language against the enumerated slice.
 
     Also checks that each voracious word is accepted exactly at the
     projection of the inverse of its element, as the automaton predicts.
+    A failure's witness lists the first missing and extra words and names
+    the first word accepted at other states than predicted.
     """
     system = shadow.system
+    render = system.render_word
     aut = build_voracious_fsa(shadow)
     slice_ = enumerate_language(shadow, max_len)
     from_automaton = aut.enumerate_language(max_len)
@@ -215,16 +212,15 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> Regularity
         if word not in slice_.words:
             continue
         g = system.element(word)
-        predicted = b_projection(shadow, system.inverse(g))
-        got = {aut.state_labels[q] for q in states}
-        if got != {system.render_word(predicted.word)}:
-            mismatches.append((word, tuple(sorted(got)), str(predicted)))
-    ok = not missing and not extra and not mismatches
-    return RegularityReport(
-        ok,
-        max_len,
-        len(slice_.words),
-        missing,
-        extra,
-        tuple(sorted(mismatches)),
-    )
+        predicted = render(b_projection(shadow, system.inverse(g)).word)
+        got = sorted(aut.state_labels[q] for q in states)
+        if got != [predicted]:
+            mismatches.append((word, got, predicted))
+    details = f"max-len={max_len} words={len(slice_.words)}"
+    if not missing and not extra and not mismatches:
+        return CheckResult("regularity", True, details)
+    witness = f"missing={missing[:3]} extra={extra[:3]}"
+    if mismatches:
+        word, got, predicted = min(mismatches)
+        witness += f" word={render(word)} states={','.join(got)} predicted={predicted}"
+    return CheckResult("regularity", False, details, witness)

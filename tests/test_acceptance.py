@@ -131,9 +131,9 @@ def test_criterion_05_monotonicity_and_refinement():
                     failures.append((name, "monotone", str(g), str(g2)))
         gamma = shadow_from_gates(system, "gamma")
         low1 = shadow_from_gates(system, "m-low", 1)
-        if not refinement_check(gamma, low, 6).ok:
+        if not refinement_check(gamma, low, 6).passed:
             failures.append((name, "gamma-in-low"))
-        if not refinement_check(low, low1, 6).ok:
+        if not refinement_check(low, low1, 6).passed:
             failures.append((name, "low-in-low1"))
     _report(
         5,
@@ -150,7 +150,7 @@ def test_criterion_06_regularity():
         for kind, m in (("gamma", None), ("low", None), ("m-low", 1)):
             shadow = shadow_from_gates(system, kind, m)
             report = cross_validate_regularity(shadow, 8)
-            if not report.ok:
+            if not report.passed:
                 failures.append((name, kind, m))
     _report(
         6,

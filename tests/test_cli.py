@@ -1,4 +1,6 @@
 import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -198,6 +200,58 @@ def test_unwritable_out_exits_1_and_leaves_no_temp_file(workspace, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: io:")
     assert not list(workspace.rglob("*.tmp"))
+
+
+def _low_shadow_text(workspace):
+    plain = workspace / "plain.txt"
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", plain) == 0
+    return plain.read_text()
+
+
+def test_out_writes_through_a_symlink(workspace):
+    real, link = workspace / "real.txt", workspace / "link"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == _low_shadow_text(workspace)
+    # a dangling link makes the file it names
+    real.unlink()
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", link) == 0
+    assert link.is_symlink() and real.read_text() == _low_shadow_text(workspace)
+    assert not list(workspace.rglob("*.tmp"))
+
+
+def test_out_writes_into_a_fifo(workspace):
+    fifo = workspace / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", fifo) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [_low_shadow_text(workspace)]
+
+
+def test_new_out_file_gets_the_umask_mode(workspace):
+    out = workspace / "new.txt"
+    old = os.umask(0o027)
+    try:
+        assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", out) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_replaced_out_file_keeps_its_mode(workspace):
+    out = workspace / "kept.txt"
+    out.write_text("old\n")
+    out.chmod(0o604)
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", out) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604
+    assert out.read_text() == _low_shadow_text(workspace)
 
 
 def test_automaton_export(workspace):

@@ -44,6 +44,12 @@ def test_matrix_validation():
         CoxeterMatrix(("s", "t"), ((1, 1), (1, 1)))
     with pytest.raises(ValueError, match="distinct"):
         CoxeterMatrix(("s", "s"), ((1, 3), (3, 1)))
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        make_system(["s", "t"], {("s", "x"): 3})
+    with pytest.raises(ValueError, match=r"pair \('t', 's'\) is labelled both 3 and 4"):
+        make_system(["s", "t"], {("s", "t"): 3, ("t", "s"): 4})
+    # the same label given in both orders is no conflict
+    assert make_system(["s", "t"], {("s", "t"): 3, ("t", "s"): 3}).matrix.label(0, 1) == 3
 
 
 @pytest.mark.parametrize("name", ["-", "", "s,", "a b", "a\tb", 'x"', "x\\", "x#"])

@@ -325,9 +325,9 @@ def test_refinement_gamma_low_low1(name):
     gamma = shadow_from_gates(system, "gamma")
     low = shadow_from_gates(system, "low")
     low1 = shadow_from_gates(system, "m-low", 1)
-    assert refinement_check(gamma, low, 6).ok
-    assert refinement_check(low, low1, 6).ok
-    assert refinement_check(low, low, 6).ok  # vacuous
+    assert refinement_check(gamma, low, 6).passed
+    assert refinement_check(low, low1, 6).passed
+    assert refinement_check(low, low, 6).passed  # vacuous
 
 
 def test_refinement_precondition(dinf):

@@ -1,6 +1,10 @@
+import inspect
+
 import pytest
 
 from garside import (
+    CheckResult,
+    FellowTravellerReport,
     check_condition_one,
     check_first_ftp,
     check_lemma_chain,
@@ -11,7 +15,7 @@ from garside import (
     parallel_wall_constant,
     shadow_from_gates,
 )
-from garside import scalars
+from garside import scalars, verify
 from garside.shi import elementary_walls, separation_count
 from garside.verify import (
     _max_deviation,
@@ -23,7 +27,8 @@ from garside.verify import (
     check_refinement_by_shi,
     check_step_bound,
 )
-from garside.voracious import enumerate_language
+from garside.shadows import refinement_check
+from garside.voracious import cross_validate_regularity, enumerate_language
 
 from conftest import _BUILDERS, ALL_SYSTEMS, get_system
 
@@ -35,14 +40,13 @@ def low(system):
 
 def test_condition_one(dinf, s3):
     report = check_condition_one(low(dinf), 6)
-    assert report.passed and report.elements == 13
-    assert report.max_words_per_element == 1
+    assert report.passed and report.details == "radius=6 elements=13 max-words=1"
     # with the whole finite group as shadow, the top element has 2 words
     from garside import garside_closure
 
     everything = garside_closure(s3, [], 8)
     report = check_condition_one(everything, 3)
-    assert report.passed and report.max_words_per_element == 2
+    assert report.passed and report.details == "radius=3 elements=6 max-words=2"
 
 
 def test_first_ftp_dinf(dinf):
@@ -216,3 +220,72 @@ def test_report_fields_are_stable(dinf):
         "low-containment",
         "refinement-by-shi",
     ]
+
+
+GOLDEN_REPORTS = {
+    ("dinf", "low", 5): """\
+# verification report v1
+system: D-infinity
+shadow: low
+constant-m: 1
+radius: 5
+check: condition-one pass radius=5 elements=11 max-words=1
+check: regularity pass max-len=5 words=11
+check: first-ftp pass radius=5 max-deviation=1 bound=2 pairs=20
+check: second-ftp pass radius=5 max-deviation=1 extended=1 plateau=True bound=4
+check: projection-monotone pass radius=5 pairs=21
+check: original-projection pass radius=5 elements=11
+check: step-bound pass radius=5 max-step=1 bound=1
+check: low-containment pass M=1 members=3
+check: refinement-by-shi pass radius=5 M=1 parts=5
+result: pass
+""",
+    ("triangle_334", "gamma", 4): """\
+# verification report v1
+system: triangle-334
+shadow: gamma
+constant-m: 5
+radius: 4
+check: condition-one pass radius=4 elements=35 max-words=2
+check: regularity pass max-len=4 words=42
+check: first-ftp pass radius=4 max-deviation=4 bound=10 pairs=110
+check: second-ftp pass radius=4 max-deviation=3 extended=3 plateau=True bound=232
+check: projection-monotone pass radius=4 pairs=129
+check: step-bound pass radius=4 max-step=4 bound=5
+check: low-containment pass M=5 members=18
+check: refinement-by-shi pass radius=4 M=5 parts=35
+result: pass
+""",
+}
+
+
+@pytest.mark.parametrize("name, kind, radius", GOLDEN_REPORTS)
+def test_full_report_is_byte_stable(name, kind, radius):
+    # a passing line prints no witness, though a fellow-traveller report
+    # keeps the witness of its largest deviation
+    report = full_suite(shadow_from_gates(get_system(name), kind), radius).to_text()
+    assert report == GOLDEN_REPORTS[name, kind, radius]
+
+
+def test_every_check_returns_one_report_line(affine_a2):
+    # each check is one `check:` line: a CheckResult, or a FellowTravellerReport,
+    # which is a CheckResult carrying the figures of its line
+    shadow = low(affine_a2)
+    checks = [
+        fn for name, fn in vars(verify).items()
+        if name.startswith("check_") and inspect.isfunction(fn)
+    ]
+    assert len(checks) == 9
+    results = [
+        fn(shadow, 3) if "radius" in inspect.signature(fn).parameters else fn(shadow)
+        for fn in checks
+    ]
+    results += [cross_validate_regularity(shadow, 3), refinement_check(shadow, shadow, 3)]
+    for result in results:
+        assert type(result) in (CheckResult, FellowTravellerReport), result
+        assert isinstance(result.name, str) and result.name
+        assert isinstance(result.passed, bool) and result.passed
+        assert isinstance(result.details, str) and result.details
+        assert isinstance(result.witness, str)
+    names = [r.name for r in results]
+    assert len(set(names)) == len(names)

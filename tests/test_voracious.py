@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -298,7 +299,23 @@ def test_regularity_cross_validation(name, kind, m):
     system = get_system(name)
     shadow = shadow_from_gates(system, kind, m)
     report = cross_validate_regularity(shadow, 6)
-    assert report.ok, (report.missing_from_automaton, report.extra_in_automaton)
+    assert report.passed, report.witness
+
+
+def test_regularity_failure_names_accept_state_mismatch(monkeypatch, affine_a2):
+    # the same language, accepted at the wrong states: only the witness's
+    # word names the fault, since no word is missing or extra
+    build = voracious.build_voracious_fsa
+
+    def reversed_labels(shadow):
+        aut = build(shadow)
+        return replace(aut, state_labels=aut.state_labels[::-1])
+
+    monkeypatch.setattr(voracious, "build_voracious_fsa", reversed_labels)
+    report = cross_validate_regularity(low(affine_a2), 3)
+    assert not report.passed
+    assert report.details == "max-len=3 words=22"
+    assert report.witness == "missing=() extra=() word=- states=usts predicted=-"
 
 
 def test_no_edges_into_identity(system):
