@@ -8,9 +8,13 @@ verification suite), ``project`` (inspect projections of one word).
 All outputs are deterministic; the file-producing commands go through a
 content-addressed cache keyed by the group matrix, the computation kind,
 its parameters and the code (directory from GARSIDE_CACHE_DIR, default
-~/.cache/garside; ``--no-cache`` bypasses it).  Exit codes: 0 success,
-1 I/O, parse or argument errors, 2 shadow validation, group mismatch or
-an exceeded size limit, 3 failed verification checks.
+~/.cache/garside; ``--no-cache`` bypasses it).  A shadow file is keyed by
+the hash of its text and parsed only on a miss; only a text that validated
+is stored.  A cache entry that cannot be written gives a warning, not an
+error.  Exit codes: 0 success, 1 I/O, parse or argument errors, 2 shadow
+validation, group mismatch or an exceeded size limit, 3 failed
+verification checks.  `main` builds its parser once per process and
+picks the ``cmd_*`` function at each call.
 """
 
 from __future__ import annotations
@@ -96,7 +100,12 @@ def _cache_get(key: str) -> str | None:
 
 
 def _cache_put(key: str, payload: str) -> None:
-    _write_out(_cache_dir() / f"{key}.txt", payload)
+    """Store a result; a store that fails warns and does not fail the command."""
+    path = _cache_dir() / f"{key}.txt"
+    try:
+        _replace(path, payload, 0o666 & ~_umask())
+    except OSError as exc:
+        print(f"warning: cache: cannot write {path}: {exc}", file=sys.stderr)
 
 
 def _umask() -> int:
@@ -106,15 +115,30 @@ def _umask() -> int:
     return mask
 
 
+def _replace(target: Path, payload: str, mode: int) -> None:
+    """Write a file whole or not at all: a temporary file beside it, with
+    the given permission bits, renamed over it."""
+    tmp = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        os.fchmod(fd, mode)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        os.replace(tmp, target)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _write_out(path: str | Path, payload: str) -> None:
-    """Write a file whole or not at all, through a temporary file beside it.
+    """Write an output file whole or not at all, through `_replace`.
 
     A symlink is followed, and the file it names is written.  A target that
     exists and is not a regular file (a FIFO, a device) is written straight
     into.  A replaced file keeps its mode; a new one gets 0o666 less the
     umask, as `open` would give it."""
     target = Path(path)
-    tmp = None
     try:
         if target.is_symlink():
             target = Path(os.path.realpath(target))
@@ -126,17 +150,9 @@ def _write_out(path: str | Path, payload: str) -> None:
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(payload)
             return
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        os.fchmod(fd, stat.S_IMODE(mode))
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp, target)
+        _replace(target, payload, stat.S_IMODE(mode))
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"cannot write {target}: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _read_input(path: str, what: str, code: int, prefix: str) -> str:
@@ -159,11 +175,16 @@ def _load_system(group_path: str) -> CoxeterSystem:
         raise CliError(EXIT_IO, "unsupported-label", str(exc)) from exc
 
 
-def _load_shadow(system: CoxeterSystem, shadow_path: str):
-    """The shadow of a file, and the hash of its text for cache keys."""
+def _read_shadow(shadow_path: str) -> tuple[str, str]:
+    """A shadow file's text, and its hash for cache keys."""
     text = _read_input(shadow_path, "shadow", EXIT_VALIDATION, "shadow-invalid")
+    return text, sha256(text.encode()).hexdigest()
+
+
+def _parse_shadow(system: CoxeterSystem, text: str):
+    """The shadow of a file's text, parsed and revalidated."""
     try:
-        return shadow_from_text(system, text), sha256(text.encode()).hexdigest()
+        return shadow_from_text(system, text)
     except ShadowFileError as exc:
         raise CliError(EXIT_VALIDATION, "shadow-invalid", str(exc)) from exc
 
@@ -241,13 +262,13 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_automaton(args) -> int:
-    system = _load_system(args.group)
-    shadow, shadow_hash = _load_shadow(system, args.shadow)
     if args.format not in ("dot", "text"):
         raise CliError(EXIT_IO, "bad-format", f"format must be dot or text, not {args.format!r}")
+    system = _load_system(args.group)
+    text, shadow_hash = _read_shadow(args.shadow)
 
     def compute() -> str:
-        aut = build_voracious_fsa(shadow)
+        aut = build_voracious_fsa(_parse_shadow(system, text))
         return aut.to_dot() if args.format == "dot" else aut.to_text()
 
     parts = ("automaton", shadow_hash, args.format)
@@ -258,10 +279,10 @@ def cmd_automaton(args) -> int:
 def cmd_language(args) -> int:
     _check_radius("--max-len", args.max_len)
     system = _load_system(args.group)
-    shadow, shadow_hash = _load_shadow(system, args.shadow)
+    text, shadow_hash = _read_shadow(args.shadow)
 
     def compute() -> str:
-        slice_ = enumerate_language(shadow, args.max_len)
+        slice_ = enumerate_language(_parse_shadow(system, text), args.max_len)
         ordered = sorted(slice_.words, key=lambda w: (len(w), w))
         return "\n".join(system.render_word(w) for w in ordered) + "\n"
 
@@ -273,10 +294,10 @@ def cmd_language(args) -> int:
 def cmd_verify(args) -> int:
     _check_radius("--radius", args.radius)
     system = _load_system(args.group)
-    shadow, shadow_hash = _load_shadow(system, args.shadow)
+    text, shadow_hash = _read_shadow(args.shadow)
 
     def compute() -> str:
-        return full_suite(shadow, args.radius).to_text()
+        return full_suite(_parse_shadow(system, text), args.radius).to_text()
 
     payload = _produce(args, system, ("verify", shadow_hash, str(args.radius)), compute)
     _write_out(args.out, payload)
@@ -287,7 +308,7 @@ def cmd_verify(args) -> int:
 
 def cmd_project(args) -> int:
     system = _load_system(args.group)
-    shadow, _ = _load_shadow(system, args.shadow)
+    shadow = _parse_shadow(system, _read_shadow(args.shadow)[0])
     try:
         g = system.element(args.word)
     except ValueError as exc:
@@ -309,7 +330,9 @@ def cmd_project(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call."""
     parser = argparse.ArgumentParser(
         prog="garside",
         description="Garside shadows, voracious languages and their automata",
@@ -325,39 +348,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12,
                    help="closure: longest m-low element the join scan may read")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_shadow)
 
     p = sub.add_parser("automaton", parents=[common], help="export the language automaton")
     p.add_argument("--shadow", required=True, help="serialized shadow file")
     p.add_argument("--format", default="text", help="dot | text")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_automaton)
 
     p = sub.add_parser("language", parents=[common], help="dump a language slice")
     p.add_argument("--shadow", required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_language)
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p.add_argument("--shadow", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("project", parents=[common], help="project one word")
     p.add_argument("--shadow", required=True)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_project)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so that a replaced cmd_* function is the one called
+    command = {
+        "shadow": cmd_shadow,
+        "automaton": cmd_automaton,
+        "language": cmd_language,
+        "verify": cmd_verify,
+        "project": cmd_project,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except RootLimitExceeded as exc:
         print(f"error: root-limit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

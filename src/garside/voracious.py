@@ -10,7 +10,8 @@ w whenever projecting w*b onto B gives back w, labelled by the element
 w^{-1}, which reads all reduced words of w^{-1} (the maximal chains of
 [e, w^{-1}]; Björner & Brenti, GTM 231, ch. 3).  No label word is stored:
 acceptance walks the automaton's prefix index, and the exports list an
-edge's words only when they write it.
+edge's words only when they write it.  The edges are found by folding
+words through B's transition table delta(b, s) = projection_B(s b).
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
@@ -165,16 +166,46 @@ def build_voracious_fsa(shadow: GarsideShadow) -> Automaton:
     itself, and the identity pair would only add an empty-labelled
     self-loop.  Since B is closed under suffixes, the labels' prefixes are
     the inverses of the members, so the prefix index has |B| nodes.
+
+    delta(x, s) = projection_B(s x), for s not a left descent of x.  For
+    w b reduced, folding w's letters from the right through delta from b
+    gives projection_B(w b) (Hohlweg, Nadeau & Williams, J. Algebra 2016).
+    w b is reduced iff w^{-1} and b share no inversion, and then so is
+    w' b for each suffix w' of w.  So for each b a walk of B's suffix tree
+    (w's parent is w less its first letter) prunes the branches that stop
+    being reduced and finds the w that the fold gives back.
     """
     system = shadow.system
     states = shadow.ordered
     if states[0] != system.identity:
         raise InternalInconsistencyError("identity must be the first shadow member")
+    index = {b.word: i for i, b in enumerate(states)}
+    children = [[] for _ in states]  # children[k]: (j, s) where w_j's word is s + w_k's
+    for j, w in enumerate(states[1:], 1):
+        children[index[w.word[1:]]].append((j, w.word[0]))
+    delta = [
+        [
+            None if b.mask >> s & 1
+            else index[b_projection(shadow, system.multiply(system.gens[s], b)).word]
+            for s in range(system.rank)
+        ]
+        for b in states
+    ]
+    inverse_masks = [system.inverse(w).mask for w in states]
     edges = []
     for i, b in enumerate(states):
-        for j, w in enumerate(states):
-            if not w.is_identity() and b_projection(shadow, system.multiply(w, b)) == w:
-                edges.append((i, j, system.inverse(w)))
+        found = []
+        stack = [(0, i)]  # (w, projection_B(w b)) for reduced w b
+        while stack:
+            k, fold = stack.pop()
+            for j, s in children[k]:
+                if inverse_masks[j] & b.mask:
+                    continue
+                step = delta[fold][s]
+                if step == j:
+                    found.append(j)
+                stack.append((j, step))
+        edges.extend((i, j, system.inverse(states[j])) for j in sorted(found))
     return Automaton(
         generator_names=system.generator_names,
         state_labels=tuple(system.render_word(b.word) for b in states),
@@ -219,7 +250,8 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     details = f"max-len={max_len} words={len(slice_.words)}"
     if not missing and not extra and not mismatches:
         return CheckResult("regularity", True, details)
-    witness = f"missing={missing[:3]} extra={extra[:3]}"
+    listed = lambda words: "(" + ", ".join(map(render, words[:3])) + ")"
+    witness = f"missing={listed(missing)} extra={listed(extra)}"
     if mismatches:
         word, got, predicted = min(mismatches)
         witness += f" word={render(word)} states={','.join(got)} predicted={predicted}"

@@ -491,3 +491,123 @@ def test_cached_results_are_keyed_on_the_code(workspace, monkeypatch):
     monkeypatch.setattr(cli, "_code_fingerprint", lambda: "changed code")
     assert run(*verify) == 0  # changed code: a miss, so the suite runs again
     assert report.read_text().rstrip().endswith("result: pass")
+
+
+# ---------------------------------------------------------------------------
+# One parser per process, cache lookups before the shadow is parsed, and
+# cache stores that cannot fail a command
+
+
+def _dinf_low_shadow(workspace):
+    group, shadow = workspace / "dinf.txt", workspace / "L.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--no-cache", "--out", shadow) == 0
+    return group, shadow
+
+
+def test_successive_calls_share_one_parser_but_not_its_flags(workspace, monkeypatch):
+    group, shadow = _dinf_low_shadow(workspace)
+    parser = cli.build_parser()
+    calls = []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or parse(argv))
+    automaton = ("automaton", "--group", group, "--shadow", shadow, "--out", workspace / "a.txt")
+    assert run(*automaton, "--no-cache") == 0
+    assert not Path(os.environ["GARSIDE_CACHE_DIR"]).exists()
+    assert run(*automaton) == 0  # no --no-cache carried over: the result is stored
+    assert len(list(Path(os.environ["GARSIDE_CACHE_DIR"]).glob("*.txt"))) == 1
+    assert len(calls) == 2 and cli.build_parser() is parser
+
+
+def test_a_failed_parse_leaves_the_next_call_unharmed(workspace, capsys):
+    group, shadow = _dinf_low_shadow(workspace)
+    with pytest.raises(SystemExit):
+        run("verify", "--group", group, "--radius", "x")
+    capsys.readouterr()
+    assert run("verify", "--group", group, "--shadow", shadow, "--radius", "3",
+               "--out", workspace / "r.txt") == 0
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_called(workspace, monkeypatch):
+    group, shadow = _dinf_low_shadow(workspace)
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "3",
+              "--out", workspace / "r.txt")
+    assert run(*verify) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.radius) or 7)
+    assert run(*verify) == 7 and seen == [3]
+
+
+def test_a_cache_hit_does_not_parse_the_shadow(workspace, monkeypatch):
+    group, shadow = _dinf_low_shadow(workspace)
+    first, again = workspace / "r1.txt", workspace / "r2.txt"
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4", "--out")
+    assert run(*verify, first) == 0
+
+    def no_parse(system, text):
+        raise AssertionError("shadow parsed on a cache hit")
+
+    monkeypatch.setattr(cli, "shadow_from_text", no_parse)
+    assert run(*verify, again) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_a_changed_shadow_text_is_a_miss(workspace, monkeypatch):
+    group, shadow = _dinf_low_shadow(workspace)
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4",
+              "--out", workspace / "r.txt")
+    assert run(*verify) == 0
+    parsed = []
+    parse = cli.shadow_from_text
+    monkeypatch.setattr(cli, "shadow_from_text",
+                        lambda system, text: parsed.append(text) or parse(system, text))
+    shadow.write_text(shadow.read_text() + "# the same shadow, another text\n")
+    assert run(*verify) == 0
+    assert parsed == [shadow.read_text()]
+
+
+@pytest.mark.parametrize("cache_flag", [(), ("--no-cache",)])
+def test_an_invalid_shadow_exits_2_with_the_cache_on_or_off(workspace, capsys, cache_flag):
+    group, shadow = _dinf_low_shadow(workspace)
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4",
+              "--out", workspace / "r.txt", *cache_flag)
+    assert run(*verify) == 0
+    shadow.write_text(shadow.read_text().replace("\nt\n", "\nst\n"))
+    capsys.readouterr()
+    assert run(*verify) == 2
+    assert capsys.readouterr().err.startswith("error: shadow-invalid:")
+    assert run(*verify) == 2  # nothing was stored for the invalid text
+
+
+def test_a_cache_dir_that_is_a_file_warns_and_the_command_succeeds(workspace, monkeypatch, capsys):
+    group, shadow = _dinf_low_shadow(workspace)
+    blocked = workspace / "not-a-dir"
+    blocked.write_text("")
+    monkeypatch.setenv("GARSIDE_CACHE_DIR", str(blocked))
+    report, words = workspace / "r.txt", workspace / "w.txt"
+    capsys.readouterr()
+    assert run("verify", "--group", group, "--shadow", shadow, "--radius", "4",
+               "--out", report) == 0
+    assert report.read_text().rstrip().endswith("result: pass")
+    assert run("language", "--group", group, "--shadow", shadow, "--max-len", "3",
+               "--out", words) == 0
+    assert words.read_text().splitlines()[:3] == ["-", "s", "t"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(ln.startswith("warning: cache: ") for ln in lines)
+
+
+def test_a_cache_entry_that_is_a_directory_warns_and_is_left_alone(workspace, capsys):
+    group, shadow = _dinf_low_shadow(workspace)
+    report = workspace / "r.txt"
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4", "--out", report)
+    assert run(*verify) == 0
+    (entry,) = Path(os.environ["GARSIDE_CACHE_DIR"]).glob("*.txt")
+    expected = report.read_bytes()
+    entry.unlink()
+    entry.mkdir()
+    report.unlink()
+    capsys.readouterr()
+    assert run(*verify) == 0
+    assert report.read_bytes() == expected
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"warning: cache: cannot write {entry}:")
+    assert entry.is_dir() and not list(workspace.rglob("*.tmp"))

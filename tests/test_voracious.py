@@ -267,6 +267,41 @@ def test_exports_list_each_edge_as_its_sorted_reduced_words(name, kind, m):
     assert aut.to_dot() == old_layout(shadow, aut, dot=True)
 
 
+def oracle_fsa_edges(shadow):
+    """The oracle for `build_voracious_fsa`: the double loop over pairs of
+    members, with an edge b -> w for w != e exactly when projecting w*b
+    onto B gives back w."""
+    system = shadow.system
+    return tuple(
+        (i, j, system.inverse(w))
+        for i, b in enumerate(shadow.ordered)
+        for j, w in enumerate(shadow.ordered)
+        if not w.is_identity() and b_projection(shadow, system.multiply(w, b)) == w
+    )
+
+
+SHADOW_KINDS = (("low", None), ("gamma", None), ("m-low", 1))
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+@pytest.mark.parametrize("kind,m", SHADOW_KINDS)
+def test_automaton_walk_matches_the_pair_oracle(name, kind, m):
+    shadow = shadow_from_gates(get_system(name), kind, m)
+    aut = build_voracious_fsa(shadow)
+    expected = oracle_fsa_edges(shadow)
+    assert aut.edges == expected
+    reference = replace(aut, edges=expected)
+    assert aut.to_text() == reference.to_text()
+    assert aut.to_dot() == reference.to_dot()
+
+
+def test_automaton_walk_matches_the_pair_oracle_on_a_large_shadow():
+    # the exports of affine G2's m-low(2) automaton would list about 30
+    # million words, so only the edges are compared
+    shadow = shadow_from_gates(get_system("affine_g2"), "m-low", 2)
+    assert build_voracious_fsa(shadow).edges == oracle_fsa_edges(shadow)
+
+
 def test_building_and_accepting_list_no_word(monkeypatch):
     # the expected verdicts come first, from the language of a twin system;
     # the tested system is fresh, so no memo table holds words of other tests
@@ -316,6 +351,22 @@ def test_regularity_failure_names_accept_state_mismatch(monkeypatch, affine_a2):
     assert not report.passed
     assert report.details == "max-len=3 words=22"
     assert report.witness == "missing=() extra=() word=- states=usts predicted=-"
+
+
+def test_regularity_failure_renders_the_missing_words(monkeypatch, affine_a2):
+    # without the first edge (- -> s, labelled s) the automaton misses the
+    # words that start with its only reduced word
+    build = voracious.build_voracious_fsa
+
+    def first_edge_dropped(shadow):
+        aut = build(shadow)
+        return replace(aut, edges=aut.edges[1:])
+
+    monkeypatch.setattr(voracious, "build_voracious_fsa", first_edge_dropped)
+    report = cross_validate_regularity(low(affine_a2), 3)
+    assert not report.passed
+    assert report.details == "max-len=3 words=22"
+    assert report.witness == "missing=(s, stu, sut) extra=()"
 
 
 def test_no_edges_into_identity(system):
