@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, render_word
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word
+from .coxeter import render_word, shortlex_key
 from .shi import _inverses_sorted, sign_patterns
 from .weak_order import reduced_words
 
@@ -72,7 +73,7 @@ def _prefix_index(
                 if y not in nodes:
                     nodes.add(y)
                     stack.append(y)
-    ids = {x: i for i, x in enumerate(sorted(nodes))}
+    ids = {x: i for i, x in enumerate(sorted(nodes, key=shortlex_key))}
     step: list[dict[int, int]] = [{} for _ in ids]
     for y, s, x in arrows:
         step[ids[y]][s] = ids[x]

@@ -68,11 +68,15 @@ class CliError(Exception):
         self.prefix = prefix
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an argument error (exit 1), not by exiting 2."""
+
+    def error(self, message):
+        raise CliError(EXIT_IO, "usage", message)
+
+
 def _cache_dir() -> Path:
-    env = os.environ.get("GARSIDE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "garside"
+    return Path(os.environ.get("GARSIDE_CACHE_DIR") or Path.home() / ".cache" / "garside")
 
 
 @functools.cache
@@ -221,10 +225,7 @@ def cmd_shadow(args) -> int:
             m = -1
         if m < 0:
             raise CliError(EXIT_IO, "bad-kind", f"bad m in {kind!r}")
-        kind_key, builder = (
-            f"mlow={m}",
-            lambda: shadow_from_gates(system, "m-low", m),
-        )
+        kind_key, builder = f"mlow={m}", lambda: shadow_from_gates(system, "m-low", m)
     elif kind == "low":
         kind_key, builder = "low", lambda: shadow_from_gates(system, "low")
     elif kind == "gamma":
@@ -333,7 +334,7 @@ def cmd_project(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="garside",
         description="Garside shadows, voracious languages and their automata",
     )
@@ -372,17 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up at call time, so that a replaced cmd_* function is the one called
-    command = {
-        "shadow": cmd_shadow,
-        "automaton": cmd_automaton,
-        "language": cmd_language,
-        "verify": cmd_verify,
-        "project": cmd_project,
-    }[args.command]
     try:
-        return command(args)
+        args = build_parser().parse_args(argv)
+        # looked up at call time, so that a replaced cmd_* function is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except RootLimitExceeded as exc:
         print(f"error: root-limit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

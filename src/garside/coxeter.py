@@ -318,6 +318,11 @@ def render_word(generator_names: Sequence[str], word: Word) -> str:
     return word_separator(generator_names).join(generator_names[s] for s in word)
 
 
+def shortlex_key(g: "Element") -> tuple[int, Word]:
+    """Sort key of the ShortLex order under the declared generator order."""
+    return len(g.word), g.word
+
+
 # ---------------------------------------------------------------------------
 # Elements
 
@@ -479,7 +484,7 @@ class CoxeterSystem:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def render_word(self, word: Word) -> str:
-        return render_word(self.generator_names, word)
+        return self.word_separator.join(map(self.generator_names.__getitem__, word)) or "-"
 
     def parse_word(self, text: str) -> Word:
         text = text.strip()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, shortlex_key
 from .shi import low_index, shi_gates
 from .automata import cone_type_gates
 from .weak_order import _first_above
@@ -95,7 +95,7 @@ def _missing_suffixes(system: CoxeterSystem, members):
     """The suffix scan: yields (b, s*b) for each member b in ShortLex order
     and left descent s of b (bit s of its mask) with s*b not a member.  By
     induction on length, the members' suffixes are all members iff none is."""
-    for b in sorted(members):
+    for b in sorted(members, key=shortlex_key):
         for s in range(system.rank):
             if b.mask >> s & 1:
                 w = system.multiply(system.gens[s], b)
@@ -120,7 +120,7 @@ def _join_failures(members, gates):
     Yields (top, b, x) with top and b from `_top_below`; their join exists
     and lies below x.
     """
-    members = sorted(members)
+    members = sorted(members, key=shortlex_key)
     for x in gates:
         top, strays = _top_below(members, x)
         for b in strays:
@@ -144,11 +144,9 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     system._own(*members)
     for s in system.gens:
         if s not in members:
-            return ValidationResult(
-                False, f"generator {s} missing", (s,), 0
-            )
+            return ValidationResult(False, f"generator {s} missing", (s,))
     for b, w in _missing_suffixes(system, members):
-        return ValidationResult(False, f"suffix {w} of {b} missing", (b, w), 0)
+        return ValidationResult(False, f"suffix {w} of {b} missing", (b, w))
 
     gates = shi_gates(system, max(map(low_index, members)))
     search_radius = gates[-1].length
@@ -167,7 +165,7 @@ def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShad
     members = frozenset(elements)
     return GarsideShadow(
         system=system,
-        ordered=tuple(sorted(members)),
+        ordered=tuple(sorted(members, key=shortlex_key)),
         members=members,
         constant_m=max(g.length for g in members),
         provenance=provenance,

@@ -1,12 +1,12 @@
 """Small roots, Shi sign patterns, and the gates of the Shi partitions.
 
 A wall is m-elementary when at most m walls separate it from the identity
-vertex.  Two independent routes compute these sets:
+vertex.  Two independent routes compute the set E_m of these walls:
 
-* the fast route walks the root graph outward from the simple roots,
-  updating the separation count by +1, 0 or -1 under a simple reflection
-  as 2B(alpha_s, root), read off the reflected root, is <= -2, strictly
-  between -2 and 2, or >= 2;
+* the fast route walks the root graph outward from the simple roots, one
+  depth at a time, updating the separation count by +1, 0 or -1 under a
+  simple reflection as 2B(alpha_s, root), read off the reflected root, is
+  <= -2, strictly between -2 and 2, or >= 2;
 * the oracle route counts separating walls directly from the definition on
   a finite Cayley ball, using nothing but half-space signs.
 
@@ -15,20 +15,23 @@ them against each other on every supported system.  The count of a single
 wall comes from the inward walk, `CoxeterSystem.root_descent`, which the
 tests also hold against the outward walk.
 
-`sign_patterns` walks the reachable sign patterns over the m-elementary
-walls once; they are the states of the canonical reduced-word automaton
-(`automata.canonical_automaton`), and the gate of each m-Shi part is the
-inverse of the shortest word realizing its pattern (`shi_gates`).  The
-tests check the gates against per-part minima computed naively on balls.
-Whether one element is a gate is decided locally, from the least m for
-which it is m-low (`low_index`, read by `is_shi_gate`); the tests hold that
-against the definition, a scan of the length-l(g) ball.
+E_m is numbered in its sorted order, `SmallRootSet.ordered`: bit k of a
+sign pattern is the k-th wall, as in `shi_sign_vector`.  `sign_patterns`
+walks the reachable patterns, held as ints, once; they are the states of
+the canonical reduced-word automaton (`automata.canonical_automaton`), and
+the gate of each m-Shi part is the inverse of the shortest word realizing
+its pattern (`shi_gates`).  The tests check the gates against per-part
+minima computed naively on balls, and the walk against one over sets of
+roots.  Whether one element is a gate is decided locally, from the least m
+for which it is m-low (`low_index`, read by `is_shi_gate`); the tests hold
+that against the definition, a scan of the length-l(g) ball.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .coxeter import (
     CoxeterSystem,
@@ -36,6 +39,7 @@ from .coxeter import (
     InternalInconsistencyError,
     Root,
     Word,
+    shortlex_key,
 )
 from .scalars import sign_of
 
@@ -78,58 +82,59 @@ class SignVector:
 
 
 def separation_count(system: CoxeterSystem, root: Root) -> int:
-    """Number of walls separating the identity vertex from this wall.
-
-    Read off the descent walk of `CoxeterSystem.root_descent`.
-    """
+    """Walls separating the identity vertex from this wall (`root_descent`)."""
     return system.root_descent(root)[1]
 
 
 def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
-    """The finite set of m-elementary walls (fast root-graph route)."""
+    """The finite set of m-elementary walls (fast root-graph route), sorted
+    by the depths the walk finds, as `root_sort_key` sorts them."""
     if m < 0:
         raise ValueError("m must be >= 0")
     per_system = system.cache("small_roots")
     if m in per_system:
         return per_system[m]
 
-    values: dict[Root, int] = {alpha: 0 for alpha in system.simple_roots}
-    queue: deque[Root] = deque(system.simple_roots)
+    # Separation counts by root id (alpha_s has id s).  The walk goes by layers,
+    # the kept roots of depth 1, 2, ...: a kept root's descent path is kept, so
+    # it is met first from the layer below it, by a step with 2B < 0.
+    values: dict[int, int] = dict.fromkeys(range(system.rank), 0)
+    queue, sizes = deque(system.simple_roots), []  # sizes[d - 1]: the roots of depth d
     while queue:
-        beta = queue.popleft()
-        n_beta = values[beta]
-        for s in range(system.rank):
-            if beta == system.simple_roots[s]:
-                continue
-            gamma = system.reflect(s, beta)
-            # s(beta) = beta - 2B(alpha_s, beta) alpha_s
-            two_b = beta.coeffs[s] - gamma.coeffs[s]
-            if sign_of(two_b - 2) >= 0:
-                delta = -1
-            elif sign_of(two_b + 2) <= 0:
-                delta = 1
-            else:
-                delta = 0
-            n_gamma = n_beta + delta
-            known = values.get(gamma)
-            if known is not None:
-                if known != n_gamma:
-                    raise InternalInconsistencyError(
-                        f"separation count mismatch at {gamma}: {known} vs {n_gamma}"
-                    )
-                continue
-            values[gamma] = n_gamma
-            if n_gamma <= m:
-                queue.append(gamma)
-                if len(values) > _MAX_ROOTS:
-                    raise RootLimitExceeded(
-                        f"the small-root walk for m={m} passed {_MAX_ROOTS} roots"
-                    )
-
-    kept = [root for root, n in values.items() if n <= m]
-    ordered = tuple(sorted(kept, key=system.root_sort_key))
-    mask = sum(1 << root.id for root in kept)
-    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(kept), mask)
+        sizes.append(len(queue))  # the queue holds one whole layer
+        for _ in range(sizes[-1]):
+            beta = queue.popleft()
+            n_beta = values[beta.id]
+            for s in range(system.rank):
+                if beta.id == s:
+                    continue
+                gamma = system.reflect(s, beta)
+                # s(beta) = beta - 2B(alpha_s, beta) alpha_s
+                two_b = beta.coeffs[s] - gamma.coeffs[s]
+                # the count drops by one where 2B >= 2 and grows by one where 2B <= -2
+                delta = -1 if sign_of(two_b - 2) >= 0 else int(sign_of(two_b + 2) <= 0)
+                n_gamma = n_beta + delta
+                known = values.get(gamma.id)
+                if known is not None:
+                    if known != n_gamma:
+                        raise InternalInconsistencyError(
+                            f"separation count mismatch at {gamma}: {known} vs {n_gamma}"
+                        )
+                    continue
+                values[gamma.id] = n_gamma
+                if n_gamma <= m:
+                    if delta < 0 or not delta and sign_of(two_b) > 0:
+                        raise InternalInconsistencyError(f"{gamma} met from above its depth")
+                    queue.append(gamma)
+                    if len(values) > _MAX_ROOTS:
+                        raise RootLimitExceeded(
+                            f"the small-root walk for m={m} passed {_MAX_ROOTS} roots"
+                        )
+    # `values` met the kept roots layer by layer; sort each layer by coordinates
+    kept = iter([system._roots[i] for i, n in values.items() if n <= m])
+    ordered = tuple(r for n in sizes for r in sorted(islice(kept, n), key=lambda r: r.coeffs))
+    mask = sum(1 << root.id for root in ordered)
+    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(ordered), mask)
     return out
 
 
@@ -168,9 +173,7 @@ def wall_separation_oracle(system: CoxeterSystem, radius: int) -> dict[Root, int
 def elementary_walls_oracle(system: CoxeterSystem, m: int, radius: int) -> tuple[Root, ...]:
     """m-elementary walls per the ball-restricted wall-count definition."""
     counts = wall_separation_oracle(system, radius)
-    return tuple(
-        sorted((r for r, c in counts.items() if c <= m), key=system.root_sort_key)
-    )
+    return tuple(sorted((r for r, c in counts.items() if c <= m), key=system.root_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +196,7 @@ def shi_sign_vector(g: Element, m: int) -> SignVector:
     return SignVector(tuple(g.mask >> root.id & 1 == 1 for root in srs.ordered))
 
 
-def sign_patterns(
-    system: CoxeterSystem, m: int
-) -> tuple[list[Word], list[tuple[int, int, int]]]:
+def sign_patterns(system: CoxeterSystem, m: int) -> tuple[list[Word], list[tuple[int, int, int]]]:
     """The reachable m-Shi sign patterns, walked breadth-first from id.
 
     Returns a shortest (ShortLex-first) reduced word for each pattern, in
@@ -204,25 +205,32 @@ def sign_patterns(
     Patterns are tracked on inverses: reading a reduced word for g keeps
     the set of m-elementary walls sent negative by g, which is the
     separation pattern of g^{-1}.  The reachable patterns are the states
-    of the canonical reduced-word automaton, so the walk terminates.
+    of the canonical reduced-word automaton, so the walk terminates.  A
+    pattern is an int over E_m, bit k for `ordered[k]`: reading s maps its
+    set bits through one table of images, and s is a descent iff the bit of
+    alpha_s is set.
     """
-    roots = elementary_walls(system, m).roots
-    states: list[frozenset] = [frozenset()]
-    index: dict[frozenset, int] = {states[0]: 0}
-    witnesses: list[Word] = [()]
-    transitions: list[tuple[int, int, int]] = []
+    ordered = elementary_walls(system, m).ordered
+    bit = {root.id: 1 << k for k, root in enumerate(ordered)}
+    reflect = lambda s, beta: system._reflections[s][beta.id] or system.reflect(s, beta)
+    # img[s][k]: the bit of s(beta_k), 0 when that image leaves E_m
+    img = [[bit.get(reflect(s, beta).id, 0) for beta in ordered] for s in range(system.rank)]
+    simple = [bit[s] for s in range(system.rank)]  # alpha_s has root id s
+    states, index = [0], {0: 0}
+    witnesses, transitions = [()], []
     # `states` grows as new patterns are found; reading it in order is the BFS
     for i, state in enumerate(states):
-        for s in range(system.rank):
-            alpha = system.simple_roots[s]
-            if alpha in state:
+        members, rest = [], state  # the bits of the state, lowest first
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        for s, alpha in enumerate(simple):
+            if state & alpha:
                 continue  # s is a descent: not a reduced continuation
-            nxt = {alpha}
-            for gamma in state:
-                image = system.reflect(s, gamma)
-                if image in roots:
-                    nxt.add(image)
-            key = frozenset(nxt)
+            # s permutes the roots and sends none of the state to alpha_s,
+            # so the kept images are distinct bits and their sum is their union
+            key = alpha + sum(map(img[s].__getitem__, members))
             j = index.get(key)
             if j is None:
                 j = index[key] = len(states)
@@ -230,9 +238,7 @@ def sign_patterns(
                 witnesses.append(witnesses[i] + (s,))
             transitions.append((i, s, j))
         if len(states) > _MAX_ROOTS:
-            raise RootLimitExceeded(
-                f"the sign-pattern walk for m={m} passed {_MAX_ROOTS} patterns"
-            )
+            raise RootLimitExceeded(f"the sign-pattern walk for m={m} passed {_MAX_ROOTS} patterns")
     return witnesses, transitions
 
 
@@ -255,22 +261,25 @@ def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
 def _inverses_sorted(system: CoxeterSystem, words) -> tuple[Element, ...]:
     """The inverses of the elements of reduced words, ShortLex sorted.  The
     reversed word is a reduced word of the inverse, so each takes one walk."""
-    return tuple(sorted(system.element(word[::-1]) for word in words))
+    return tuple(sorted((system.element(word[::-1]) for word in words), key=shortlex_key))
 
 
 def low_index(g: Element) -> int:
     """The least m for which g is m-low: the largest separation count over
     the walls between g and g*s, for the right descents s of g (bit s of the
-    mask of g^-1); 0 for the identity.
+    mask of g^-1); 0 for the identity.  The wall is the one set bit of the
+    XOR of the inversion masks of g and g*s.
 
     Parts are convex, so g is the minimum of its m-Shi part iff each of
     those walls is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
     """
     system = g.system
-    right = system.inverse(g).mask
-    below = (system.right_multiply(g, s) for s in range(system.rank) if right >> s & 1)
-    walls = (wall for h in below for wall in system.separating_walls(g, h))
-    return max((separation_count(system, wall) for wall in walls), default=0)
+    right, out = system.inverse(g).mask, 0
+    for s in range(system.rank):
+        if right >> s & 1:
+            wall = (g.mask ^ system.right_multiply(g, s).mask).bit_length() - 1
+            out = max(out, separation_count(system, system._roots[wall]))
+    return out
 
 
 def is_shi_gate(g: Element, m: int) -> bool:

@@ -350,10 +350,7 @@ def check_projection_monotone(shadow: GarsideShadow, radius: int) -> CheckResult
             checked += 1
             if not weak_leq(voracious_projection(shadow, g2), nu):
                 return CheckResult(
-                    "projection-monotone",
-                    False,
-                    f"radius={radius}",
-                    f"g={g} g'={g2}",
+                    "projection-monotone", False, f"radius={radius}", f"g={g} g'={g2}"
                 )
     return CheckResult("projection-monotone", True, f"radius={radius} pairs={checked}")
 
@@ -363,9 +360,7 @@ def check_original_projection(shadow: GarsideShadow, radius: int) -> CheckResult
     system = shadow.system
     for g in system.ball(radius):
         if op_voracious_projection(g) != voracious_projection(shadow, g):
-            return CheckResult(
-                "original-projection", False, f"radius={radius}", f"g={g}"
-            )
+            return CheckResult("original-projection", False, f"radius={radius}", f"g={g}")
     return CheckResult(
         "original-projection", True, f"radius={radius} elements={len(system.ball(radius))}"
     )
@@ -390,9 +385,7 @@ def check_low_containment(shadow: GarsideShadow) -> CheckResult:
     m = shadow.constant_m
     for b in shadow.ordered:
         if not is_shi_gate(b, m):
-            return CheckResult(
-                "low-containment", False, f"M={m}", f"member={b}"
-            )
+            return CheckResult("low-containment", False, f"M={m}", f"member={b}")
     return CheckResult("low-containment", True, f"M={m} members={len(shadow)}")
 
 

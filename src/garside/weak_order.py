@@ -17,7 +17,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterable
 
-from .coxeter import Element
+from .coxeter import Element, shortlex_key
 from .shi import low_index, shi_gates
 
 
@@ -92,7 +92,7 @@ def reduced_words(g: Element) -> frozenset:
 def lower_interval(g: Element) -> WeakOrderInterval:
     """All x with x <= g: exactly the prefixes of reduced words of g."""
     members = _lower_set(g)
-    return WeakOrderInterval(g, tuple(sorted(members)), members)
+    return WeakOrderInterval(g, tuple(sorted(members, key=shortlex_key)), members)
 
 
 def meet(elements: Iterable[Element]) -> Element:

@@ -108,6 +108,30 @@ def test_negative_radius_exits_1(workspace, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--group", "g", "--shadow", "b", "--radius", "x", "--out", "o"),
+     "argument --radius: invalid int value: 'x'"),
+    (("verify", "--group", "g", "--shadow", "b", "--out", "o"),
+     "the following arguments are required: --radius"),
+    (("frob",), "argument command: invalid choice: 'frob'"),
+])
+def test_a_usage_error_exits_1(workspace, argv, message, capsys):
+    # argument errors share exit 1 with I/O and parse errors; argparse's 2 is
+    # reserved here for shadow validation
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: usage: {message}")
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (("--help",), ("verify", "--help")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert "usage: garside" in capsys.readouterr().out
+
+
 def test_malformed_matrix_exits_1(workspace, capsys):
     code = run("shadow", "--group", workspace / "bad.txt", "--kind", "low",
                "--out", workspace / "x.txt")
@@ -520,8 +544,7 @@ def test_successive_calls_share_one_parser_but_not_its_flags(workspace, monkeypa
 
 def test_a_failed_parse_leaves_the_next_call_unharmed(workspace, capsys):
     group, shadow = _dinf_low_shadow(workspace)
-    with pytest.raises(SystemExit):
-        run("verify", "--group", group, "--radius", "x")
+    assert run("verify", "--group", group, "--radius", "x") == 1
     capsys.readouterr()
     assert run("verify", "--group", group, "--shadow", shadow, "--radius", "3",
                "--out", workspace / "r.txt") == 0

@@ -21,7 +21,7 @@ from garside import (
     word_infix,
     word_prefix,
 )
-from garside.coxeter import render_word
+from garside.coxeter import render_word, shortlex_key
 from garside.scalars import PHI, SQRT2, SQRT3
 from garside.shi import elementary_walls
 
@@ -622,3 +622,16 @@ def test_render_word_joins_multi_letter_names_with_spaces():
     assert render_word(("s", "t"), (0, 1, 0)) == "sts"
     assert render_word(("x1", "y"), (0, 1)) == "x1 y"
     assert render_word(("x1", "y"), ()) == "-"
+
+
+def test_system_render_word_matches_the_module_function():
+    # the system joins with the separator it computed once at construction
+    for system in (get_system("aa_product"), make_system(["x1", "y"], {("x1", "y"): 3})):
+        for g in system.ball(3):
+            assert system.render_word(g.word) == render_word(system.generator_names, g.word)
+
+
+def test_shortlex_key_sorts_as_element_order(system):
+    ball = list(system.ball(5))[::-1]
+    assert sorted(ball, key=shortlex_key) == sorted(ball)
+    assert [g.word for g in sorted(ball, key=shortlex_key)] == [g.word for g in system.ball(5)]

@@ -8,6 +8,7 @@ from garside import (
     elementary_walls,
     elementary_walls_oracle,
     is_shi_gate,
+    low_index,
     m_close,
     separation_count,
     shi_gates,
@@ -86,6 +87,59 @@ def test_descent_walk_agrees_with_outward_walk(name):
                 gamma = system.reflect(s, beta)
                 if gamma.sign() > 0 and gamma not in srs:
                     assert separation_count(system, gamma) > m
+
+
+def _sign_patterns_over_root_sets(system, m):
+    """Oracle for `shi.sign_patterns`: the same breadth-first walk with each
+    pattern held as a frozenset of Root objects, imaged root by root."""
+    roots = elementary_walls(system, m).roots
+    states = [frozenset()]
+    index = {states[0]: 0}
+    witnesses, transitions = [()], []
+    for i, state in enumerate(states):
+        for s in range(system.rank):
+            alpha = system.simple_roots[s]
+            if alpha in state:
+                continue
+            key = frozenset({alpha} | {system.reflect(s, g) for g in state} & roots)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(states)
+                states.append(key)
+                witnesses.append(witnesses[i] + (s,))
+            transitions.append((i, s, j))
+    return witnesses, transitions
+
+
+_PATTERN_CASES = [(name, m) for name in ALL_SYSTEMS for m in range(4)]
+_PATTERN_CASES += [(name, m) for name in ("affine_g2", "h3") for m in (0, 1)]
+
+
+@pytest.mark.parametrize("name, m", _PATTERN_CASES)
+def test_bitmask_sign_patterns_match_the_root_set_walk(name, m):
+    system = get_system(name)
+    assert shi.sign_patterns(system, m) == _sign_patterns_over_root_sets(system, m)
+
+
+@pytest.mark.parametrize("name, m", _PATTERN_CASES)
+def test_walk_depth_order_is_the_root_sort_key_order(name, m):
+    # the outward walk's depths against root_descent's inward ones; a fresh
+    # system, so root_descent starts from its simple roots alone
+    system = CoxeterSystem(get_system(name).matrix)
+    srs = elementary_walls(system, m)
+    assert srs.ordered == tuple(sorted(srs.roots, key=system.root_sort_key))
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_low_index_matches_the_wall_set_definition(name):
+    # the largest separation count over separating_walls(g, g*s), s a right
+    # descent of g, against the one bit of the mask XOR that low_index reads
+    system = get_system(name)
+    for g in system.ball(6 if system.rank <= 3 else 5):
+        right = [s for s in range(system.rank) if system.right_multiply(g, s).length < g.length]
+        walls = [w for s in right for w in system.separating_walls(g, system.right_multiply(g, s))]
+        expected = max((separation_count(system, w) for w in walls), default=0)
+        assert low_index(g) == expected, str(g)
 
 
 def test_sign_vectors(dinf):
