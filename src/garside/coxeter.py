@@ -552,9 +552,9 @@ class CoxeterSystem:
 
     def act_word(self, word: Word, root: Root) -> Root:
         """Image of a root under the element represented by `word`."""
-        out = root
+        out, table = self._intern_root(root), self._reflections
         for s in reversed(word):
-            out = self.reflect(s, out)
+            out = table[s][out.id] or self.reflect(s, out)
         return out
 
     def act_inverse_word(self, word: Word, root: Root) -> Root:

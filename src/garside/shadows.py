@@ -69,8 +69,9 @@ class CheckResult:
 class GarsideShadow:
     """A validated finite Garside shadow with its length constant.
 
-    The last two fields memoise the projection onto the shadow and the
-    voracious language of each element; they take no part in equality.
+    The last three fields memoise the projection onto the shadow, the
+    voracious language of each element and the prefix columns of its words
+    (`verify`); they take no part in equality.
     """
 
     system: CoxeterSystem
@@ -80,6 +81,7 @@ class GarsideShadow:
     provenance: str
     projection_cache: dict = field(default_factory=dict, compare=False, repr=False)
     language_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    column_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self):
         return len(self.ordered)

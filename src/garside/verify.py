@@ -16,14 +16,19 @@ its ball estimate is kept only as an oracle for the tests.
 The fellow-traveller scans compare the distinct prefix points of two
 elements' words position by position, never word pairs; the scan over
 every word pair, `_max_deviation`, is their oracle, and runs only to name
-a report's witness when a check's running maximum rises.
+a report's witness when a check's running maximum rises.  Each Cayley
+edge's deviation is computed once, from its shorter end, and the prefix
+columns are memoised on the shadow: a suite walks each element's words
+once, and condition one reads off those walks that every word spells its
+element.  `original-projection` compares with the wall description, whose
+critical walls are read as masks off N(g^-1) (`op_voracious_projection`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product, starmap
+from itertools import chain, islice, product, starmap
 from operator import xor
 
 from .coxeter import CoxeterSystem, Element, Word
@@ -89,14 +94,20 @@ class VerdictBundle:
 
 def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
     """Every ball element is represented by at least one (and finitely many)
-    voracious words."""
-    slice_ = enumerate_language(shadow, radius)
-    counts = [len(words) for words in slice_.by_element.values()]
-    return CheckResult(
-        "condition-one",
-        len(counts) == len(shadow.system.ball(radius)) and min(counts) >= 1,
-        f"radius={radius} elements={len(counts)} max-words={max(counts)}",
-    )
+    voracious words, and each of them spells it: the walk that builds the
+    element's prefix columns ends at its mask, at its length."""
+    system = shadow.system
+    by_element = enumerate_language(shadow, radius).by_element
+    most = max(map(len, by_element.values()))
+    details = f"radius={radius} elements={len(by_element)} max-words={most}"
+    for g, words in by_element.items():
+        columns = _prefix_columns(shadow, g, words)
+        if len(columns) != g.length or g.length and columns[-1] != (g.mask,):
+            word = next(v for v in words if len(v) != g.length or system.element(v) is not g)
+            return CheckResult(
+                "condition-one", False, details, f"g={g} word={system.render_word(word)}"
+            )
+    return CheckResult("condition-one", True, details)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +160,24 @@ def _witness(words, words2, path, prefixes):
     return _max_deviation(words, words2, path, prefixes)[1]
 
 
-def _prefix_columns(system: CoxeterSystem, g: Element, words) -> list[set[Element]]:
-    """Column i-1 holds the distinct length-i prefixes of g's words, for i
-    from 1 to l(g): voracious words are reduced, so all have length l(g)."""
-    columns: list[set[Element]] = [set() for _ in range(g.length)]
-    for v in words:
-        p = system.identity
-        for column, a in zip(columns, v):
-            p = system.right_multiply(p, a)
-            column.add(p)
+def _prefix_columns(shadow: GarsideShadow, g: Element, words) -> list[tuple[int, ...]]:
+    """Column i-1 holds the masks of the distinct length-i prefixes of g's
+    words, i up to the longest word, a word staying at its last point past
+    its end: l(g) columns ending in g's mask alone if every word spells g
+    (condition one).  Memoised on the shadow, as the language is."""
+    cache = shadow.column_cache
+    columns = cache.get(g)
+    if columns is None:
+        system = shadow.system
+        columns = [set() for _ in range(max(map(len, words)))]
+        for v in words:
+            p = system.identity
+            for column, a in zip(columns, v):
+                p = system.right_multiply(p, a)
+                column.add(p.mask)
+            for column in columns[len(v) :]:
+                column.add(p.mask)
+        columns = cache[g] = list(map(tuple, columns))
     return columns
 
 
@@ -171,39 +191,44 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     length-i prefixes of g's words (on the left, s times them, ending at h)
     against those of h's, and past the end a word stays at its last point.
     So a pair costs the sum over i of the column sizes' product, not
-    |L(g)|*|L(h)|*l.
+    |L(g)|*|L(h)|*l.  Left multiplication by s is an isometry, d(s*p, q) =
+    d(p, s*q), so (h, s, g) has the d of (g, s, h): it is computed once per
+    edge, from its shorter end, which comes first in ShortLex order.
     """
     system = shadow.system
     by_element = enumerate_language(shadow, max_len).by_element
     prefixes = _prefix_table(system)
-    columns = {g: _prefix_columns(system, g, words) for g, words in by_element.items()}
-    masks = {g: [[p.mask for p in column] for column in cols] for g, cols in columns.items()}
+    columns = {g: _prefix_columns(shadow, g, words) for g, words in by_element.items()}
     if side == "left":
-        # s*g = (g^-1 * s)^-1, read off the memoised neighbour slots; every
-        # prefix of a word in the slice is in the slice's ball
-        gens = range(system.rank)
-        lefts = {
-            g: [system.inverse(system.right_multiply(system.inverse(g), i)) for i in gens]
-            for g in by_element
-        }
+        # s*g = (s*g')*t for g = g'*t, g' earlier in ShortLex order; on the
+        # last layer only the s*g in the slice, s a left descent of g (bit s
+        # of its mask), are formed.  The slice's ball holds every prefix.
+        lefts = {system.identity.mask: list(system.gens)}  # keyed as column points are
+        for g in islice(by_element, 1, None):
+            t, top = g.word[-1], len(g.word) == max_len
+            lefts[g.mask] = [
+                None if top and not g.mask >> i & 1 else system.right_multiply(x, t)
+                for i, x in enumerate(lefts[system.right_multiply(g, t).mask])
+            ]
+    mirrored = {}  # (g, i): d of the edge met first from g's shorter neighbour
     for g, words_g in by_element.items():
         for i, s in enumerate(system.gens):
-            h = system.right_multiply(g, i) if side == "right" else lefts[g][i]
+            h = system.right_multiply(g, i) if side == "right" else lefts[g.mask][i]
             words_h = by_element.get(h)
             if words_h is None:
                 continue
-            if side == "right":
-                path, cols_g, end = prefixes, masks[g], g.mask
+            if len(h.word) < len(g.word):
+                d = mirrored.pop((g, i))
             else:
-                path = lambda v, s=s.word: prefixes(s + v)[1:]
-                cols_g = [[lefts[p][i].mask for p in column] for column in columns[g]]
-                end = h.mask
-            cols_h = masks[h]
-            n = max(len(cols_g), len(cols_h))
-            cols_g = cols_g + [[end]] * (n - len(cols_g))
-            cols_h = cols_h + [[h.mask]] * (n - len(cols_h))
-            pairs = chain.from_iterable(map(product, cols_g, cols_h))
-            d = max(map(int.bit_count, starmap(xor, pairs)))
+                cols_g, cols_h, end = columns[g], columns[h], g.mask
+                if side == "left":  # s times g's prefixes, ending at h
+                    cols_g, end = [[lefts[p][i].mask for p in c] for c in cols_g], h.mask
+                n = max(len(cols_g), len(cols_h))
+                cols_g = cols_g + [[end]] * (n - len(cols_g))
+                cols_h = cols_h + [[h.mask]] * (n - len(cols_h))
+                pairs = chain.from_iterable(map(product, cols_g, cols_h))
+                d = mirrored[h, i] = max(map(int.bit_count, starmap(xor, pairs)))
+            path = prefixes if side == "right" else lambda v, s=s.word: prefixes(s + v)[1:]
             yield g, s, h, len(words_g) * len(words_h), d, partial(
                 _witness, words_g, words_h, path, prefixes
             )

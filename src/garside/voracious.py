@@ -26,12 +26,14 @@ line of a verification report as a `CheckResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
 from .shadows import CheckResult, GarsideShadow, b_projection
 from .shi import separation_count
-from .weak_order import _lower_set, reduced_words, weak_leq
+from .weak_order import _lower_set, reduced_words
 
 
 @dataclass(frozen=True)
@@ -85,23 +87,22 @@ def op_voracious_projection(g: Element) -> Element:
     from g, and returns the largest element below g not cut off from the
     identity by any of them.  Serves as an independent oracle for the
     projection attached to the shadow of low elements.
+
+    g^-1 maps the walls of N(g) onto those of N(g^-1), so the critical walls
+    are g(beta) for the roots beta of N(g^-1) that no wall separates from
+    the identity, and p <= g avoids them iff its mask misses theirs.
     """
     system = g.system
-    critical = [
-        wall
-        for wall in system.inversion_walls(g)
-        if separation_count(system, system.act_inverse_word(g.word, wall)) == 0
-    ]
-    candidates = [
-        p for p in _lower_set(g) if system.inversion_walls(p).isdisjoint(critical)
-    ]
-    best = max(candidates, key=lambda p: (p.length, p.word))
-    for p in candidates:
-        if not weak_leq(p, best):
-            raise InternalInconsistencyError(
-                f"no largest element below {g} avoiding its closest walls: "
-                f"{best} vs {p}"
-            )
+    critical = 0
+    for beta in system.inversion_walls(system.inverse(g)):
+        if separation_count(system, beta) == 0:
+            critical |= 1 << system.act_word(g.word, beta).abs().id
+    candidates = {p.mask: p for p in _lower_set(g) if not p.mask & critical}
+    best = candidates.get(reduce(or_, candidates))  # above them all, if it is one
+    if best is None:
+        raise InternalInconsistencyError(
+            f"no largest element below {g} avoiding its closest walls"
+        )
     return best
 
 

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from garside import (
     check_second_ftp,
     estimate_parallel_wall,
     full_suite,
+    language_of,
     make_system,
     parallel_wall_constant,
     shadow_from_gates,
@@ -47,6 +49,42 @@ def test_condition_one(dinf, s3):
     everything = garside_closure(s3, [], 8)
     report = check_condition_one(everything, 3)
     assert report.passed and report.details == "radius=3 elements=6 max-words=2"
+
+
+def test_condition_one_fails_on_a_word_of_another_element():
+    # the language memo files the words of ts under st: condition one names
+    # the first element with a word that does not spell it, and the suite
+    # still reports every check
+    system = _BUILDERS["affine_a2"]()
+    shadow = low(system)
+    g, other = system.element("st"), system.element("ts")
+    shadow.language_cache[g] = language_of(shadow, other)
+    report = check_condition_one(shadow, 3)
+    assert not report.passed and report.witness == "g=st word=ts"
+    lines = full_suite(shadow, 3).to_text().splitlines()
+    assert lines[5] == (
+        "check: condition-one FAIL radius=3 elements=19 max-words=2 witness=g=st word=ts"
+    )
+    assert lines[-1] == "result: FAIL"
+
+
+def test_each_element_is_walked_once_per_suite():
+    # condition one walks the words of ball(R), second-ftp only the last
+    # layer of ball(R + 1), and first-ftp none: every walk fills the column memo
+    class Walks(dict):
+        def __init__(self):
+            super().__init__()
+            self.walked = []
+
+        def __setitem__(self, g, columns):
+            self.walked.append(g)
+            super().__setitem__(g, columns)
+
+    system = _BUILDERS["triangle_334"]()
+    shadow = replace(low(system), column_cache=Walks())
+    radius = 6
+    full_suite(shadow, radius)
+    assert shadow.column_cache.walked == list(system.ball(radius + 1))
 
 
 def test_first_ftp_dinf(dinf):
@@ -265,6 +303,72 @@ def test_full_report_is_byte_stable(name, kind, radius):
     # keeps the witness of its largest deviation
     report = full_suite(shadow_from_gates(get_system(name), kind), radius).to_text()
     assert report == GOLDEN_REPORTS[name, kind, radius]
+
+
+def _report(provenance, name, m, radius, lines):
+    head = ["# verification report v1", f"system: {name}", f"shadow: {provenance}",
+            f"constant-m: {m}", f"radius: {radius}"]
+    return "\n".join(head + [f"check: {line}" for line in lines] + ["result: pass", ""])
+
+
+# the reports of the benchmark's four verify inputs as the scan over every
+# ordered neighbour pair, with its own table of prefix columns per check, gave
+# them, and the witnesses that the two fellow-traveller lines keep
+PINNED_REPORTS = {
+    ("triangle_334", "low", None, 7): (_report("low", "triangle-334", 5, 7, [
+        "condition-one pass radius=7 elements=132 max-words=4",
+        "regularity pass max-len=7 words=186",
+        "first-ftp pass radius=7 max-deviation=4 bound=10 pairs=654",
+        "second-ftp pass radius=7 max-deviation=3 extended=3 plateau=True bound=232",
+        "projection-monotone pass radius=6 pairs=377",
+        "original-projection pass radius=7 elements=132",
+        "step-bound pass radius=7 max-step=5 bound=5",
+        "low-containment pass M=5 members=18",
+        "refinement-by-shi pass radius=7 M=5 parts=132",
+    ]), ("v=sus v'=usus i=2", "v=st v'=sts s=t i=1")),
+    ("affine_a2", "low", None, 8): (_report("low", "affine-A2", 4, 8, [
+        "condition-one pass radius=8 elements=109 max-words=4",
+        "regularity pass max-len=8 words=190",
+        "first-ftp pass radius=8 max-deviation=2 bound=8 pairs=906",
+        "second-ftp pass radius=8 max-deviation=3 extended=3 plateau=True bound=190",
+        "projection-monotone pass radius=6 pairs=289",
+        "original-projection pass radius=8 elements=109",
+        "step-bound pass radius=8 max-step=4 bound=4",
+        "low-containment pass M=4 members=16",
+        "refinement-by-shi pass radius=8 M=4 parts=109",
+    ]), ("v=st v'=tst i=1", "v=st v'=sts s=t i=1")),
+    ("aa_product", "m-low", 1, 6): (_report("m-low(1)", "A1~xA1~", 4, 6, [
+        "condition-one pass radius=6 elements=85 max-words=12",
+        "regularity pass max-len=6 words=297",
+        "first-ftp pass radius=6 max-deviation=4 bound=8 pairs=3968",
+        "second-ftp pass radius=6 max-deviation=3 extended=3 plateau=True bound=118",
+        "projection-monotone pass radius=6 pairs=493",
+        "step-bound pass radius=6 max-step=4 bound=4",
+        "low-containment pass M=4 members=25",
+        "refinement-by-shi pass radius=6 M=4 parts=81",
+    ]), ("v=abc v'=cdab i=2", "v=ac v'=cba s=b i=1")),
+    ("triangle_334", "gamma", None, 6): (_report("gamma", "triangle-334", 5, 6, [
+        "condition-one pass radius=6 elements=88 max-words=2",
+        "regularity pass max-len=6 words=118",
+        "first-ftp pass radius=6 max-deviation=4 bound=10 pairs=378",
+        "second-ftp pass radius=6 max-deviation=3 extended=3 plateau=True bound=232",
+        "projection-monotone pass radius=6 pairs=377",
+        "step-bound pass radius=6 max-step=5 bound=5",
+        "low-containment pass M=5 members=18",
+        "refinement-by-shi pass radius=6 M=5 parts=88",
+    ]), ("v=sus v'=usus i=2", "v=st v'=sts s=t i=1")),
+}
+
+
+@pytest.mark.parametrize("name, kind, m, radius", PINNED_REPORTS)
+def test_reports_match_the_scan_of_every_ordered_pair(name, kind, m, radius):
+    # one deviation per Cayley edge, on one column table for both checks,
+    # changes no byte of a report and no kept witness
+    bundle = full_suite(shadow_from_gates(_BUILDERS[name](), kind, m), radius)
+    text, witnesses = PINNED_REPORTS[name, kind, m, radius]
+    assert bundle.to_text() == text
+    kept = tuple(c.witness for c in bundle.checks if isinstance(c, FellowTravellerReport))
+    assert kept == witnesses
 
 
 def test_every_check_returns_one_report_line(affine_a2):

@@ -71,6 +71,35 @@ def test_original_projection_examples(dinf):
     assert op_voracious_projection(dinf.element("stst")) == dinf.element("sts")
 
 
+def projection_by_wall_scan(g):
+    """The original projection read straight off the walls: every wall of
+    N(g) moved back by g^-1 to count the walls between it and g, and every
+    element below g compared with the closest ones as sets of roots."""
+    from garside.shi import separation_count
+    from garside.weak_order import _lower_set
+
+    system = g.system
+    critical = [
+        wall
+        for wall in system.inversion_walls(g)
+        if separation_count(system, system.act_inverse_word(g.word, wall)) == 0
+    ]
+    candidates = [p for p in _lower_set(g) if system.inversion_walls(p).isdisjoint(critical)]
+    best = max(candidates, key=lambda p: (p.length, p.word))
+    assert all(weak_leq(p, best) for p in candidates), g
+    return best
+
+
+@pytest.mark.parametrize(
+    "name, radius", [(name, 6) for name in ALL_SYSTEMS] + [("affine_g2", 8), ("h3", 8)]
+)
+def test_original_projection_matches_the_wall_scan(name, radius):
+    # the mask route maps back only the critical walls, read off N(g^-1)
+    system = get_system(name)
+    for g in system.ball(radius):
+        assert op_voracious_projection(g) is projection_by_wall_scan(g), g
+
+
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_original_projection_matches_low_projection(name):
     system = get_system(name)
