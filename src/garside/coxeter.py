@@ -559,10 +559,7 @@ class CoxeterSystem:
 
     def act_inverse_word(self, word: Word, root: Root) -> Root:
         """Image of a root under the inverse of the element of `word`."""
-        out = root
-        for s in word:
-            out = self.reflect(s, out)
-        return out
+        return self.act_word(word[::-1], root)
 
     # -- normal forms --------------------------------------------------------
 
@@ -622,7 +619,7 @@ class CoxeterSystem:
             raise MixedSystemError("elements from different systems")
         out = g
         for s in h.word:
-            out = self.right_multiply(out, s)
+            out = out._right[s] or self.right_multiply(out, s)
         return out
 
     def inverse(self, g: Element) -> Element:

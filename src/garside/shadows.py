@@ -15,14 +15,16 @@ that x.  Both scans run in ShortLex order, so every run names the same
 witness.
 
 The projection of g onto a shadow B is the join of the shadow elements
-below g.  For a valid shadow that join is itself a shadow element below g,
-so it is found directly as the longest candidate, with the dominance over
-all other candidates asserted rather than assumed.
+below g.  For s x > x, projection_B(s x) = projection_B(s projection_B(x))
+(Hohlweg, Nadeau & Williams, J. Algebra 2016).  So any reduced word of g,
+read through B's transition table delta(b, s) = projection_B(s b) from its
+last letter, gives projection_B(g), and from its first, projection_B(g^-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, shortlex_key
 from .shi import low_index, shi_gates
@@ -69,9 +71,8 @@ class CheckResult:
 class GarsideShadow:
     """A validated finite Garside shadow with its length constant.
 
-    The last three fields memoise the projection onto the shadow, the
-    voracious language of each element and the prefix columns of its words
-    (`verify`); they take no part in equality.
+    The last two fields memoise each element's voracious language and its
+    words' prefix columns (`verify`); equality ignores them and `delta`.
     """
 
     system: CoxeterSystem
@@ -79,7 +80,6 @@ class GarsideShadow:
     members: frozenset[Element]
     constant_m: int
     provenance: str
-    projection_cache: dict = field(default_factory=dict, compare=False, repr=False)
     language_cache: dict = field(default_factory=dict, compare=False, repr=False)
     column_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -91,6 +91,23 @@ class GarsideShadow:
 
     def __contains__(self, g: Element) -> bool:
         return g in self.members
+
+    @cached_property
+    def delta(self) -> list[list[int | None]]:
+        """delta[i][s] = j for projection_B(s b_i) = b_j (b_i = ordered[i]),
+        by the below-x scan; None where s is a left descent of b_i."""
+        system, ordered = self.system, self.ordered
+        index = {b: i for i, b in enumerate(ordered)}
+        table = [[None] * system.rank for _ in ordered]
+        for row, b in zip(table, ordered):
+            for s in range(system.rank):
+                if not b.mask >> s & 1:
+                    x = system.multiply(system.gens[s], b)
+                    top, strays = _top_below(ordered, x)
+                    if strays:
+                        raise InternalInconsistencyError(f"members below {x} have no maximum")
+                    row[s] = index[top]
+        return table
 
 
 def _missing_suffixes(system: CoxeterSystem, members):
@@ -179,7 +196,7 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
 
     Validation failure here is a fatal internal error, not a user error.
     Results are cached per system, so repeated calls share one validated
-    object (and its projection cache).
+    object (and its transition table).
     """
     cache = system.cache("gate_shadows")
     cache_key = (kind, m)
@@ -237,24 +254,19 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
 # Projection and partition
 
 
-def b_projection(shadow: GarsideShadow, g: Element) -> Element:
-    """The join of the shadow elements below g.
-
-    The result is the longest shadow member below g; that it bounds every
-    other candidate is asserted, since for a valid shadow the join of the
-    candidates is itself a candidate."""
-    cache = shadow.projection_cache
-    hit = cache.get(g)
-    if hit is not None:
-        return hit
+def _fold(shadow: GarsideShadow, g: Element, step: int = 1) -> Element:
+    """projection_B(g^-1): g's normal form read through `delta` from its
+    first letter; projection_B(g) with step -1, read from its last."""
     shadow.system._own(g)
-    top, strays = _top_below(shadow.ordered, g)
-    if strays:
-        raise InternalInconsistencyError(
-            f"projection candidates of {g} have no maximum: {top} vs {strays[0]}"
-        )
-    cache[g] = top
-    return top
+    delta, i = shadow.delta, 0
+    for s in g.word[::step]:
+        i = delta[i][s]
+    return shadow.ordered[i]
+
+
+def b_projection(shadow: GarsideShadow, g: Element) -> Element:
+    """The join of the shadow elements below g (module docstring)."""
+    return _fold(shadow, g, -1)
 
 
 def partition_part(shadow: GarsideShadow, b: Element, radius: int) -> tuple[Element, ...]:

@@ -10,8 +10,8 @@ w whenever projecting w*b onto B gives back w, labelled by the element
 w^{-1}, which reads all reduced words of w^{-1} (the maximal chains of
 [e, w^{-1}]; Björner & Brenti, GTM 231, ch. 3).  No label word is stored:
 acceptance walks the automaton's prefix index, and the exports list an
-edge's words only when they write it.  The edges are found by folding
-words through B's transition table delta(b, s) = projection_B(s b).
+edge's words only when they write it.  Every projection, the edges' too,
+folds words through the shadow's transition table `GarsideShadow.delta`.
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
@@ -31,7 +31,7 @@ from operator import or_
 
 from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
-from .shadows import CheckResult, GarsideShadow, b_projection
+from .shadows import CheckResult, GarsideShadow, _fold
 from .shi import separation_count
 from .weak_order import _lower_set, reduced_words
 
@@ -64,20 +64,22 @@ REJECTED = Acceptance(False, ())
 
 def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
     """One voracious step: g times the shadow projection of its inverse."""
-    system = shadow.system
-    return system.multiply(g, b_projection(shadow, system.inverse(g)))
+    return shadow.system.multiply(g, _fold(shadow, g))
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
+    system, delta, ordered = shadow.system, shadow.delta, shadow.ordered
+    system._own(g)
     steps = [g]
-    while not steps[-1].is_identity():
-        nxt = voracious_projection(shadow, steps[-1])
-        if nxt.length >= steps[-1].length:
-            raise InternalInconsistencyError(
-                f"voracious projection failed to shorten {steps[-1]}"
-            )
-        steps.append(nxt)
-    return VoraciousChain(g, tuple(steps))
+    while not g.is_identity():
+        i = 0  # voracious_projection, with its fold inline: this is the hot path
+        for s in g.word:
+            i = delta[i][s]
+        g = system.multiply(g, ordered[i])
+        if g.length >= steps[-1].length:
+            raise InternalInconsistencyError(f"voracious projection failed to shorten {steps[-1]}")
+        steps.append(g)
+    return VoraciousChain(steps[0], tuple(steps))
 
 
 def op_voracious_projection(g: Element) -> Element:
@@ -125,9 +127,10 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     if out is not None:
         return out
     system = shadow.system
+    system._own(g)
     steps = []  # (element, reduced words of its last segment)
     while out is None and not g.is_identity():
-        b = b_projection(shadow, system.inverse(g))
+        b = _fold(shadow, g)
         steps.append((g, reduced_words(system.inverse(b))))
         g = system.multiply(g, b)
         out = cache.get(g)
@@ -168,30 +171,20 @@ def build_voracious_fsa(shadow: GarsideShadow) -> Automaton:
     self-loop.  Since B is closed under suffixes, the labels' prefixes are
     the inverses of the members, so the prefix index has |B| nodes.
 
-    delta(x, s) = projection_B(s x), for s not a left descent of x.  For
-    w b reduced, folding w's letters from the right through delta from b
-    gives projection_B(w b) (Hohlweg, Nadeau & Williams, J. Algebra 2016).
+    For w b reduced, folding w's letters from the right through the
+    shadow's delta from b gives projection_B(w b) (`shadows` docstring).
     w b is reduced iff w^{-1} and b share no inversion, and then so is
     w' b for each suffix w' of w.  So for each b a walk of B's suffix tree
     (w's parent is w less its first letter) prunes the branches that stop
     being reduced and finds the w that the fold gives back.
     """
-    system = shadow.system
-    states = shadow.ordered
+    system, states = shadow.system, shadow.ordered
     if states[0] != system.identity:
         raise InternalInconsistencyError("identity must be the first shadow member")
     index = {b.word: i for i, b in enumerate(states)}
     children = [[] for _ in states]  # children[k]: (j, s) where w_j's word is s + w_k's
     for j, w in enumerate(states[1:], 1):
         children[index[w.word[1:]]].append((j, w.word[0]))
-    delta = [
-        [
-            None if b.mask >> s & 1
-            else index[b_projection(shadow, system.multiply(system.gens[s], b)).word]
-            for s in range(system.rank)
-        ]
-        for b in states
-    ]
     inverse_masks = [system.inverse(w).mask for w in states]
     edges = []
     for i, b in enumerate(states):
@@ -202,7 +195,7 @@ def build_voracious_fsa(shadow: GarsideShadow) -> Automaton:
             for j, s in children[k]:
                 if inverse_masks[j] & b.mask:
                     continue
-                step = delta[fold][s]
+                step = shadow.delta[fold][s]
                 if step == j:
                     found.append(j)
                 stack.append((j, step))
@@ -232,8 +225,7 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     A failure's witness lists the first missing and extra words and names
     the first word accepted at other states than predicted.
     """
-    system = shadow.system
-    render = system.render_word
+    system, render = shadow.system, shadow.system.render_word
     aut = build_voracious_fsa(shadow)
     slice_ = enumerate_language(shadow, max_len)
     from_automaton = aut.enumerate_language(max_len)
@@ -243,8 +235,7 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     for word, states in from_automaton.items():
         if word not in slice_.words:
             continue
-        g = system.element(word)
-        predicted = render(b_projection(shadow, system.inverse(g)).word)
+        predicted = render(_fold(shadow, system.element(word)).word)
         got = sorted(aut.state_labels[q] for q in states)
         if got != [predicted]:
             mismatches.append((word, got, predicted))

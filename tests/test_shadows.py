@@ -17,6 +17,7 @@ from garside import (
     meet,
     lower_interval,
     partition_part,
+    reduced_words,
     refinement_check,
     shadow_from_gates,
     shadow_from_text,
@@ -27,6 +28,9 @@ from garside import (
     validate_shadow,
     weak_leq,
 )
+
+from garside.coxeter import InternalInconsistencyError, shortlex_key
+from garside.shadows import GarsideShadow, _top_below
 
 from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, _BUILDERS
 
@@ -300,6 +304,49 @@ def test_projection_properties(name):
         for b in shadow:
             if weak_leq(b, g):
                 assert weak_leq(b, p)
+
+
+def scan_projection(shadow, x):
+    """The below-x scan over the members, the fold's oracle."""
+    top, strays = _top_below(shadow.ordered, x)
+    assert not strays, (x, strays)
+    return top
+
+
+def fold(shadow, letters):
+    i = 0
+    for s in letters:
+        i = shadow.delta[i][s]
+    return shadow.ordered[i]
+
+
+@pytest.mark.parametrize(
+    "name,radius", [(name, 7) for name in ALL_SYSTEMS] + [("affine_g2", 6), ("h3", 6)]
+)
+@pytest.mark.parametrize("kind,m", (("low", None), ("gamma", None), ("m-low", 1)))
+def test_every_reduced_word_folds_to_the_scan(name, radius, kind, m):
+    # projection_B(s x) = projection_B(s projection_B(x)) for s x > x, so every
+    # reduced word of g, not only its normal form, folds to projection_B(g)
+    # from its last letter and to projection_B(g^-1) from its first
+    system = get_system(name)
+    shadow = shadow_from_gates(system, kind, m)
+    for g in system.ball(radius):
+        below_g = scan_projection(shadow, g)
+        below_inverse = scan_projection(shadow, system.inverse(g))
+        assert b_projection(shadow, g) is below_g
+        for word in reduced_words(g):
+            assert fold(shadow, word[::-1]) is below_g, (g, word)
+            assert fold(shadow, word) is below_inverse, (g, word)
+
+
+def test_transition_table_asserts_a_maximum(s3):
+    # {e, s, t, st, ts} is suffix-closed but lacks the join sts of st and ts,
+    # so below t*st = sts the members have no maximum
+    members = frozenset(s3.element(w) for w in ("", "s", "t", "st", "ts"))
+    ordered = tuple(sorted(members, key=shortlex_key))
+    fake = GarsideShadow(s3, ordered, members, 2, "not join-closed")
+    with pytest.raises(InternalInconsistencyError, match="no maximum"):
+        fake.delta
 
 
 def test_partition_parts(dinf):

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from functools import cache
 from itertools import product
 
 import pytest
 
 from garside import automata, voracious, weak_order
 from garside import (
+    MixedSystemError,
     b_projection,
     build_voracious_fsa,
     cross_validate_regularity,
@@ -22,6 +24,8 @@ from garside import (
     voracious_projection,
     weak_leq,
 )
+
+from garside.shadows import _top_below
 
 from conftest import _BUILDERS, ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball
 
@@ -50,6 +54,19 @@ def test_projection_shortens_and_stays_below(system):
         if not g.is_identity():
             assert nu.length < g.length
         assert system.word_metric(nu, g) <= shadow.constant_m
+
+
+@pytest.mark.parametrize("foreign", ["s3", "affine_a2"])
+@pytest.mark.parametrize(
+    "project", [b_projection, voracious_projection, voracious_chain, language_of]
+)
+def test_projections_reject_foreign_elements(project, foreign):
+    # s3 has D-infinity's rank, so its letters index the transition table
+    # and a fold would give a wrong member; affine A2 has a letter too many
+    shadow = low(get_system("dinf"))
+    for g in list(get_system(foreign).ball(3))[1:]:
+        with pytest.raises(MixedSystemError):
+            project(shadow, g)
 
 
 def test_chain_terminates_quickly(system):
@@ -220,7 +237,7 @@ def assert_accepted_at_projection_of_inverse(shadow, max_len):
     slice_ = enumerate_language(shadow, max_len)
     for g, words in slice_.by_element.items():
         expected = system.render_word(
-            b_projection(shadow, system.inverse(g)).word
+            _top_below(shadow.ordered, system.inverse(g))[0].word
         )
         for word in words:
             result = fsa_accepts(aut, word)
@@ -299,13 +316,15 @@ def test_exports_list_each_edge_as_its_sorted_reduced_words(name, kind, m):
 def oracle_fsa_edges(shadow):
     """The oracle for `build_voracious_fsa`: the double loop over pairs of
     members, with an edge b -> w for w != e exactly when projecting w*b
-    onto B gives back w."""
+    onto B gives back w, the projection taken by the below-x scan rather
+    than through the transition table the automaton folds."""
     system = shadow.system
+    projection = cache(lambda x: _top_below(shadow.ordered, x)[0])
     return tuple(
         (i, j, system.inverse(w))
         for i, b in enumerate(shadow.ordered)
         for j, w in enumerate(shadow.ordered)
-        if not w.is_identity() and b_projection(shadow, system.multiply(w, b)) == w
+        if not w.is_identity() and projection(system.multiply(w, b)) == w
     )
 
 
