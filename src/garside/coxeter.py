@@ -335,7 +335,8 @@ class Element:
     one directly raises `TypeError`.  `mask` is its inversion set: bit i is
     set iff the interned root of id i separates it from the identity.
     `_right[s]` (g*s) and `_inverse` are its Cayley-graph neighbours, filled
-    on first use by `right_multiply` and `inverse`, the only readers.
+    on first use by `right_multiply` and `inverse`, read by those two and
+    by `multiply`.
     """
 
     __slots__ = ("system", "word", "mask", "_right", "_inverse")

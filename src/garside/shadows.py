@@ -94,8 +94,8 @@ class GarsideShadow:
 
     @cached_property
     def delta(self) -> list[list[int | None]]:
-        """delta[i][s] = j for projection_B(s b_i) = b_j (b_i = ordered[i]),
-        by the below-x scan; None where s is a left descent of b_i."""
+        """delta[i][s] = j for projection_B(s b_i) = b_j (b_i = ordered[i]): s b_i
+        if a member, else by the below-x scan; None if s is a left descent."""
         system, ordered = self.system, self.ordered
         index = {b: i for i, b in enumerate(ordered)}
         table = [[None] * system.rank for _ in ordered]
@@ -103,7 +103,7 @@ class GarsideShadow:
             for s in range(system.rank):
                 if not b.mask >> s & 1:
                     x = system.multiply(system.gens[s], b)
-                    top, strays = _top_below(ordered, x)
+                    top, strays = (x, ()) if x in index else _top_below(ordered, x)
                     if strays:
                         raise InternalInconsistencyError(f"members below {x} have no maximum")
                     row[s] = index[top]
@@ -257,7 +257,8 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
 def _fold(shadow: GarsideShadow, g: Element, step: int = 1) -> Element:
     """projection_B(g^-1): g's normal form read through `delta` from its
     first letter; projection_B(g) with step -1, read from its last."""
-    shadow.system._own(g)
+    if g.system is not shadow.system:  # inline test: `_own` raises, but costs a call
+        shadow.system._own(g)
     delta, i = shadow.delta, 0
     for s in g.word[::step]:
         i = delta[i][s]

@@ -19,8 +19,9 @@ closest to g); the two must coincide for the shadow of low elements, and
 the tests compare them exhaustively on balls.
 
 `cross_validate_regularity` compares the automaton's language with the
-enumerated slice, accept states included, and returns the `regularity`
-line of a verification report as a `CheckResult`.
+enumerated slice, accept states included (predicted by the below-x scan
+of `shadows`, so the table is checked, not trusted), and returns the
+`regularity` line of a verification report as a `CheckResult`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import or_
 
 from .automata import Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
-from .shadows import CheckResult, GarsideShadow, _fold
+from .shadows import CheckResult, GarsideShadow, _fold, _top_below
 from .shi import separation_count
 from .weak_order import _lower_set, reduced_words
 
@@ -68,14 +69,10 @@ def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
-    system, delta, ordered = shadow.system, shadow.delta, shadow.ordered
-    system._own(g)
+    system = shadow.system
     steps = [g]
     while not g.is_identity():
-        i = 0  # voracious_projection, with its fold inline: this is the hot path
-        for s in g.word:
-            i = delta[i][s]
-        g = system.multiply(g, ordered[i])
+        g = system.multiply(g, _fold(shadow, g))
         if g.length >= steps[-1].length:
             raise InternalInconsistencyError(f"voracious projection failed to shorten {steps[-1]}")
         steps.append(g)
@@ -235,7 +232,8 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     for word, states in from_automaton.items():
         if word not in slice_.words:
             continue
-        predicted = render(_fold(shadow, system.element(word)).word)
+        g = system.inverse(system.element(word))
+        predicted = render(_top_below(shadow.ordered, g)[0].word)
         got = sorted(aut.state_labels[q] for q in states)
         if got != [predicted]:
             mismatches.append((word, got, predicted))

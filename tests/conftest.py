@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from garside import CoxeterSystem, make_system
+from garside.shadows import _top_below
 
 
 def _dinf():
@@ -78,6 +79,14 @@ def get_system(name: str) -> CoxeterSystem:
 ALL_SYSTEMS = tuple(name for name in _BUILDERS if name not in ("affine_g2", "h3"))
 RANK2_SYSTEMS = ("dinf", "s3", "i24")
 FINITE_SYSTEMS = ("s3", "i24")
+
+
+def scan_projection(shadow, x):
+    """projection_B(x) by the below-x scan over the members, the oracle for
+    folds through the shadow's transition table; asserts the maximum."""
+    top, strays = _top_below(shadow.ordered, x)
+    assert not strays, (x, strays)
+    return top
 
 
 @pytest.fixture(params=ALL_SYSTEMS)

@@ -30,9 +30,9 @@ from garside import (
 )
 
 from garside.coxeter import InternalInconsistencyError, shortlex_key
-from garside.shadows import GarsideShadow, _top_below
+from garside.shadows import GarsideShadow
 
-from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, _BUILDERS
+from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, scan_projection, _BUILDERS
 
 SHADOW_KINDS = (("low", None), ("m-low", 1), ("m-low", 2), ("gamma", None))
 
@@ -304,13 +304,6 @@ def test_projection_properties(name):
         for b in shadow:
             if weak_leq(b, g):
                 assert weak_leq(b, p)
-
-
-def scan_projection(shadow, x):
-    """The below-x scan over the members, the fold's oracle."""
-    top, strays = _top_below(shadow.ordered, x)
-    assert not strays, (x, strays)
-    return top
 
 
 def fold(shadow, letters):

@@ -6,6 +6,7 @@ import pytest
 
 from garside import automata, voracious, weak_order
 from garside import (
+    GarsideShadow,
     MixedSystemError,
     b_projection,
     build_voracious_fsa,
@@ -25,9 +26,9 @@ from garside import (
     weak_leq,
 )
 
-from garside.shadows import _top_below
-
-from conftest import _BUILDERS, ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball
+from conftest import (
+    _BUILDERS, ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball, scan_projection
+)
 
 
 def low(system):
@@ -236,9 +237,7 @@ def assert_accepted_at_projection_of_inverse(shadow, max_len):
     aut = build_voracious_fsa(shadow)
     slice_ = enumerate_language(shadow, max_len)
     for g, words in slice_.by_element.items():
-        expected = system.render_word(
-            _top_below(shadow.ordered, system.inverse(g))[0].word
-        )
+        expected = system.render_word(scan_projection(shadow, system.inverse(g)).word)
         for word in words:
             result = fsa_accepts(aut, word)
             assert result.accepted
@@ -319,7 +318,7 @@ def oracle_fsa_edges(shadow):
     onto B gives back w, the projection taken by the below-x scan rather
     than through the transition table the automaton folds."""
     system = shadow.system
-    projection = cache(lambda x: _top_below(shadow.ordered, x)[0])
+    projection = cache(lambda x: scan_projection(shadow, x))
     return tuple(
         (i, j, system.inverse(w))
         for i, b in enumerate(shadow.ordered)
@@ -415,6 +414,22 @@ def test_regularity_failure_renders_the_missing_words(monkeypatch, affine_a2):
     assert not report.passed
     assert report.details == "max-len=3 words=22"
     assert report.witness == "missing=(s, stu, sut) extra=()"
+
+
+def test_regularity_checks_the_transition_table(affine_a2):
+    # a wrong delta entry reaches the automaton and the language slice
+    # alike; only a prediction that does not read delta can see it
+    shadow = low(affine_a2)
+    fake = GarsideShadow(affine_a2, shadow.ordered, shadow.members, shadow.constant_m, "fake")
+    position = {b: i for i, b in enumerate(shadow.ordered)}
+    table = [row[:] for row in shadow.delta]
+    s, t = affine_a2.gens[:2]
+    assert table[position[s]][1] == position[t * s]  # projection_B(ts) = ts
+    table[position[s]][1] = position[t]
+    vars(fake)["delta"] = table
+    report = cross_validate_regularity(fake, 3)
+    assert not report.passed
+    assert report.witness == "missing=() extra=() word=st states=t predicted=ts"
 
 
 def test_no_edges_into_identity(system):
