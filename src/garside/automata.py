@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word
-from .coxeter import render_word, shortlex_key
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, shortlex_key
 from .shi import _inverses_sorted, sign_patterns
 from .weak_order import reduced_words
 
@@ -200,9 +199,8 @@ class Automaton:
 
     def _rendered_edges(self):
         """(src, dst, the label's words joined by ',') for each edge."""
-        names = self.generator_names
         for src, dst, label in self.edges:
-            yield src, dst, ",".join(render_word(names, w) for w in label_words(label))
+            yield src, dst, ",".join(map(label.system.render_word, label_words(label)))
 
     def to_text(self) -> str:
         lines = ["# automaton v1"]
@@ -366,9 +364,9 @@ def minimize(aut: Automaton) -> Automaton:
         if cls[delta[q][a]] != dead_cls
     ]
     accepts = frozenset(i for i, q in enumerate(rep) if q in aut.accepts)
-    labels = tuple(
-        aut.state_labels[0] if not w else render_word(aut.generator_names, w) for w in witness
-    )
+    # a nonempty witness reads edges, whose labels all come from one system
+    render = next(iter(gens.values())).system.render_word if gens else None
+    labels = tuple(render(w) if w else aut.state_labels[0] for w in witness)
     return Automaton(
         generator_names=aut.generator_names,
         state_labels=labels,

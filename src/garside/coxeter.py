@@ -304,20 +304,6 @@ def word_infix(v: Word, i: int, j: int) -> Word:
     return word_prefix(v, j)[i - 1 :]
 
 
-def word_separator(generator_names: Sequence[str]) -> str:
-    """What a written word puts between its letters: nothing when every
-    generator name is a single character, so the names concatenate, and a
-    space otherwise."""
-    return "" if all(len(n) == 1 for n in generator_names) else " "
-
-
-def render_word(generator_names: Sequence[str], word: Word) -> str:
-    """Deterministic textual form of a word; the empty word prints as '-'."""
-    if not word:
-        return "-"
-    return word_separator(generator_names).join(generator_names[s] for s in word)
-
-
 def shortlex_key(g: "Element") -> tuple[int, Word]:
     """Sort key of the ShortLex order under the declared generator order."""
     return len(g.word), g.word
@@ -427,7 +413,9 @@ class CoxeterSystem:
         self.matrix = matrix
         self.rank = matrix.rank
         self.generator_names = matrix.generators
-        self.word_separator = word_separator(matrix.generators)
+        # between a written word's letters: nothing when every name is one
+        # character, so the names concatenate, and a space otherwise
+        self.word_separator = "" if all(len(n) == 1 for n in matrix.generators) else " "
         self._gen_index = {g: i for i, g in enumerate(matrix.generators)}
         # _two_b[s]: the pairs (t, 2B(alpha_s, alpha_t)) with a nonzero value,
         # 2 for t = s and -2cos(pi/m) otherwise: ints when m is 2, 3 or infinity
@@ -485,6 +473,7 @@ class CoxeterSystem:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def render_word(self, word: Word) -> str:
+        """Deterministic textual form of a word; the empty word prints as '-'."""
         return self.word_separator.join(map(self.generator_names.__getitem__, word)) or "-"
 
     def parse_word(self, text: str) -> Word:

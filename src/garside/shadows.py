@@ -196,8 +196,11 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
 
     Validation failure here is a fatal internal error, not a user error.
     Results are cached per system, so repeated calls share one validated
-    object (and its transition table).
+    object (and its transition table).  The 0-low elements are the low
+    ones, so m-low with m = 0 is the low shadow.
     """
+    if kind == "m-low" and m == 0:
+        kind, m = "low", None
     cache = system.cache("gate_shadows")
     cache_key = (kind, m)
     if cache_key in cache:

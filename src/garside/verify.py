@@ -16,12 +16,13 @@ its ball estimate is kept only as an oracle for the tests.
 The fellow-traveller scans compare the distinct prefix points of two
 elements' words position by position, never word pairs; the scan over
 every word pair, `_max_deviation`, is their oracle, and runs only to name
-a report's witness when a check's running maximum rises.  Each Cayley
-edge's deviation is computed once, from its shorter end, and the prefix
-columns are memoised on the shadow: a suite walks each element's words
-once, and condition one reads off those walks that every word spells its
-element.  `original-projection` compares with the wall description, whose
-critical walls are read as masks off N(g^-1) (`op_voracious_projection`).
+a report's witness when a check's running maximum rises.  Left
+multiplication is an isometry, so each Cayley edge is visited once, from
+its shorter end, and the prefix columns are memoised on the shadow: a
+suite walks each element's words once, and condition one reads off those
+walks that every word spells its element.  `original-projection`
+compares with the wall description, whose critical walls are read as
+masks off N(g^-1) (`op_voracious_projection`).
 """
 
 from __future__ import annotations
@@ -182,54 +183,52 @@ def _prefix_columns(shadow: GarsideShadow, g: Element, words) -> list[tuple[int,
 
 
 def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
-    """The scan of both fellow-traveller checks: for g in the slice up to
-    max_len and s with h = g*s ("right") or s*g ("left") in it too, yields
-    (g, s, h, n, d, witness): n word pairs, their `_max_deviation` d, and
-    a function computing its first witness (v, v2, i) with the pair scan.
+    """The scan of both fellow-traveller checks, one visit per Cayley edge:
+    for g in the slice up to max_len and s with h = g*s ("right") or s*g
+    ("left") in it and one letter longer, yields (g, s, h, n, d, witness):
+    n word pairs, their `_max_deviation` d, and a function computing its
+    first witness (v, v2, i) with the pair scan.
 
     d is the largest distance within a column: column i holds the distinct
     length-i prefixes of g's words (on the left, s times them, ending at h)
     against those of h's, and past the end a word stays at its last point.
     So a pair costs the sum over i of the column sizes' product, not
     |L(g)|*|L(h)|*l.  Left multiplication by s is an isometry, d(s*p, q) =
-    d(p, s*q), so (h, s, g) has the d of (g, s, h): it is computed once per
-    edge, from its shorter end, which comes first in ShortLex order.
+    d(p, s*q), so (h, s, g) has the d of (g, s, h), and n counts the word
+    pairs of both: 2*|L(g)|*|L(h)|.  The shorter end comes first in
+    ShortLex order, so a running maximum would not rise at the other one.
     """
     system = shadow.system
     by_element = enumerate_language(shadow, max_len).by_element
     prefixes = _prefix_table(system)
     columns = {g: _prefix_columns(shadow, g, words) for g, words in by_element.items()}
     if side == "left":
-        # s*g = (s*g')*t for g = g'*t, g' earlier in ShortLex order; on the
-        # last layer only the s*g in the slice, s a left descent of g (bit s
-        # of its mask), are formed.  The slice's ball holds every prefix.
-        lefts = {system.identity.mask: list(system.gens)}  # keyed as column points are
+        # s*p for the prefix points p, keyed as column points are: s*g =
+        # (s*g')*t for g = g'*t, g' earlier in ShortLex order.  No point of
+        # a shorter element's word lies on the top layer.
+        lefts = {system.identity.mask: system.gens}
         for g in islice(by_element, 1, None):
-            t, top = g.word[-1], len(g.word) == max_len
+            if len(g.word) == max_len:
+                break
+            t = g.word[-1]
             lefts[g.mask] = [
-                None if top and not g.mask >> i & 1 else system.right_multiply(x, t)
-                for i, x in enumerate(lefts[system.right_multiply(g, t).mask])
+                system.right_multiply(x, t) for x in lefts[system.right_multiply(g, t).mask]
             ]
-    mirrored = {}  # (g, i): d of the edge met first from g's shorter neighbour
     for g, words_g in by_element.items():
+        if len(g.word) == max_len:
+            break  # a longer neighbour lies outside the slice
         for i, s in enumerate(system.gens):
             h = system.right_multiply(g, i) if side == "right" else lefts[g.mask][i]
             words_h = by_element.get(h)
-            if words_h is None:
+            if words_h is None or len(h.word) < len(g.word):
                 continue
-            if len(h.word) < len(g.word):
-                d = mirrored.pop((g, i))
-            else:
-                cols_g, cols_h, end = columns[g], columns[h], g.mask
-                if side == "left":  # s times g's prefixes, ending at h
-                    cols_g, end = [[lefts[p][i].mask for p in c] for c in cols_g], h.mask
-                n = max(len(cols_g), len(cols_h))
-                cols_g = cols_g + [[end]] * (n - len(cols_g))
-                cols_h = cols_h + [[h.mask]] * (n - len(cols_h))
-                pairs = chain.from_iterable(map(product, cols_g, cols_h))
-                d = mirrored[h, i] = max(map(int.bit_count, starmap(xor, pairs)))
+            cols_g, end = columns[g], g.mask
+            if side == "left":  # s times g's prefixes, ending at h
+                cols_g, end = [[lefts[p][i].mask for p in c] for c in cols_g], h.mask
+            pairs = chain.from_iterable(map(product, cols_g + [[end]], columns[h]))
+            d = max(map(int.bit_count, starmap(xor, pairs)))
             path = prefixes if side == "right" else lambda v, s=s.word: prefixes(s + v)[1:]
-            yield g, s, h, len(words_g) * len(words_h), d, partial(
+            yield g, s, h, 2 * len(words_g) * len(words_h), d, partial(
                 _witness, words_g, words_h, path, prefixes
             )
 
@@ -337,19 +336,18 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
 def check_lemma_chain(shadow: GarsideShadow, radius: int) -> CheckResult:
     """Interleaving of the iterated projections of g and of g*s below it."""
     system = shadow.system
+
+    def step(chain, k):
+        return chain[min(k, len(chain) - 1)]
+
     checked = 0
     for g in system.ball(radius):
         right = system.inverse(g).mask  # bit i set iff g*s_i is below g
+        chain_g = voracious_chain(shadow, g).steps
         for i, s in enumerate(system.gens):
             if not right >> i & 1:
                 continue
-            g2 = system.right_multiply(g, i)
-            chain_g = voracious_chain(shadow, g).steps
-            chain_g2 = voracious_chain(shadow, g2).steps
-
-            def step(chain, k):
-                return chain[min(k, len(chain) - 1)]
-
+            chain_g2 = voracious_chain(shadow, system.right_multiply(g, i)).steps
             n = max(len(chain_g), len(chain_g2))
             for k in range(1, n + 1):
                 checked += 1
@@ -382,13 +380,11 @@ def check_projection_monotone(shadow: GarsideShadow, radius: int) -> CheckResult
 
 def check_original_projection(shadow: GarsideShadow, radius: int) -> CheckResult:
     """The wall-description projection agrees with the low-shadow one."""
-    system = shadow.system
-    for g in system.ball(radius):
+    ball = shadow.system.ball(radius)
+    for g in ball:
         if op_voracious_projection(g) != voracious_projection(shadow, g):
             return CheckResult("original-projection", False, f"radius={radius}", f"g={g}")
-    return CheckResult(
-        "original-projection", True, f"radius={radius} elements={len(system.ball(radius))}"
-    )
+    return CheckResult("original-projection", True, f"radius={radius} elements={len(ball)}")
 
 
 def check_step_bound(shadow: GarsideShadow, radius: int) -> CheckResult:

@@ -88,6 +88,23 @@ def test_closure_cutoff_bounds_the_scanned_length(workspace, capsys, group, cuto
         assert "elements: 16" in out.read_text()
 
 
+def test_mlow0_is_the_low_shadow(workspace):
+    # the 0-low elements are the low ones: one shadow, with provenance low,
+    # so verify runs the low shadow's original-projection check on it too
+    texts = []
+    for kind in ("low", "mlow=0"):
+        shadow, report = workspace / f"{kind}.txt", workspace / f"{kind}.report"
+        assert run("shadow", "--group", workspace / "a2.txt", "--kind", kind, "--out", shadow) == 0
+        assert run("verify", "--group", workspace / "a2.txt", "--shadow", shadow,
+                   "--radius", "5", "--out", report) == 0
+        texts.append((shadow.read_text(), report.read_text()))
+    assert texts[0] == texts[1]
+    assert "provenance: low" in texts[1][0]
+    assert "check: original-projection pass" in texts[1][1]
+    system = CoxeterSystem(parse_group_file(A2))
+    assert shadow_from_gates(system, "m-low", 0) is shadow_from_gates(system, "low")
+
+
 def test_negative_m_is_a_bad_kind(workspace, capsys):
     code = run("shadow", "--group", workspace / "a2.txt", "--kind", "mlow=-1",
                "--out", workspace / "x.txt")

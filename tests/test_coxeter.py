@@ -21,7 +21,7 @@ from garside import (
     word_infix,
     word_prefix,
 )
-from garside.coxeter import render_word, shortlex_key
+from garside.coxeter import shortlex_key
 from garside.scalars import PHI, SQRT2, SQRT3
 from garside.shi import elementary_walls
 
@@ -619,16 +619,16 @@ def test_negative_ball_radius_rejected(dinf):
 
 
 def test_render_word_joins_multi_letter_names_with_spaces():
-    assert render_word(("s", "t"), (0, 1, 0)) == "sts"
-    assert render_word(("x1", "y"), (0, 1)) == "x1 y"
-    assert render_word(("x1", "y"), ()) == "-"
-
-
-def test_system_render_word_matches_the_module_function():
-    # the system joins with the separator it computed once at construction
-    for system in (get_system("aa_product"), make_system(["x1", "y"], {("x1", "y"): 3})):
+    st = make_system(["s", "t"], {("s", "t"): 0})
+    xy = make_system(["x1", "y"], {("x1", "y"): 3})
+    assert st.render_word((0, 1, 0)) == "sts"
+    assert xy.render_word((0, 1)) == "x1 y"
+    assert xy.render_word(()) == "-"
+    # one-character names concatenate, and any longer name puts spaces between all
+    for system, sep in ((st, ""), (xy, " "), (get_system("aa_product"), "")):
         for g in system.ball(3):
-            assert system.render_word(g.word) == render_word(system.generator_names, g.word)
+            names = [system.generator_names[s] for s in g.word]
+            assert system.render_word(g.word) == (sep.join(names) or "-")
 
 
 def test_shortlex_key_sorts_as_element_order(system):

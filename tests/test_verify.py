@@ -152,8 +152,10 @@ def test_second_ftp_dinf(dinf):
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 @pytest.mark.parametrize("kind, m", [("low", None), ("gamma", None), ("m-low", 1)])
 def test_column_scan_matches_the_pair_scan(name, kind, m):
-    # every neighbour pair of the slice is scanned, its deviation is the
-    # maximum over all word pairs, and its witness is the pair scan's first
+    # each Cayley edge of the slice is scanned once, from its shorter end;
+    # its deviation is the maximum over all word pairs in both orientations
+    # (left multiplication is an isometry), it counts the word pairs of
+    # both, and its witness is the pair scan's first
     system = get_system(name)
     shadow = shadow_from_gates(system, kind, m)
     radius = 5
@@ -166,6 +168,7 @@ def test_column_scan_matches_the_pair_scan(name, kind, m):
             for s in system.gens
             if (h := system.multiply(g, s) if side == "right" else system.multiply(s, g))
             in by_element
+            and h.length == g.length + 1
         ]
         scanned = []
         for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius, side):
@@ -173,11 +176,38 @@ def test_column_scan_matches_the_pair_scan(name, kind, m):
             words, words2 = by_element[g], by_element[h]
             if side == "right":
                 path = prefixes
-            else:
+            else:  # s times the prefixes: g to h, and h back to g = s*h
                 path = lambda v: prefixes(s.word + v)[1:]
-            assert n == len(words) * len(words2)
+            assert n == 2 * len(words) * len(words2)
             assert (d, witness_of()) == _max_deviation(words, words2, path, prefixes), (side, g, s)
+            assert d == _max_deviation(words2, words, path, prefixes)[0], (side, h, s)
         assert scanned == expected
+
+
+@pytest.mark.parametrize("name", ["dinf", "affine_a2", "triangle_334", "aa_product"])
+def test_first_ftp_bound_violation_names_the_pair_scan_witness(name):
+    # with M = 0 the bound is 0, so the first positive deviation fails the
+    # check; its witness is the first rise of the pair scan over every
+    # (g, g*s) in scan order, and its pairs are those of every such pair
+    system = get_system(name)
+    radius = 5
+    shadow = replace(low(system), constant_m=0)
+    by_element = enumerate_language(shadow, radius).by_element
+    prefixes = _prefix_table(system)
+    best = pairs = 0
+    for g, words in by_element.items():
+        for s in system.gens:
+            words2 = by_element.get(system.multiply(g, s))
+            if words2 is not None:
+                pairs += len(words) * len(words2)
+                d, at = _max_deviation(words, words2, prefixes, prefixes)
+                if d > best:
+                    best, (v, v2, i) = d, at
+    report = check_first_ftp(shadow, radius)
+    assert not report.passed and report.theoretical_bound == 0
+    assert (report.max_deviation, report.pairs_checked) == (best, pairs)
+    render = system.render_word
+    assert report.witness == f"v={render(v)} v'={render(v2)} i={i}"
 
 
 def test_lemma_chain(dinf, affine_a2):
