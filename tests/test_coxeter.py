@@ -624,8 +624,16 @@ def test_render_word_joins_multi_letter_names_with_spaces():
     assert st.render_word((0, 1, 0)) == "sts"
     assert xy.render_word((0, 1)) == "x1 y"
     assert xy.render_word(()) == "-"
-    # one-character names concatenate, and any longer name puts spaces between all
-    for system, sep in ((st, ""), (xy, " "), (get_system("aa_product"), "")):
+
+
+def test_system_render_word_matches_the_module_function():
+    # the renderer that used to be a module function is now the system's method; it
+    # must still agree with the explicit join: one-character names concatenate, and
+    # any longer name puts spaces between all
+    for system, sep in (
+        (get_system("aa_product"), ""),
+        (make_system(["x1", "y"], {("x1", "y"): 3}), " "),
+    ):
         for g in system.ball(3):
             names = [system.generator_names[s] for s in g.word]
             assert system.render_word(g.word) == (sep.join(names) or "-")
