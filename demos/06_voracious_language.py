@@ -12,6 +12,7 @@ from garside import (
     build_voracious_fsa,
     enumerate_language,
     fsa_accepts,
+    language_of,
     make_system,
     op_voracious_projection,
     shadow_from_gates,
@@ -29,9 +30,8 @@ print("one projection step:", voracious_projection(low, g))
 print("the original wall-based description agrees:", op_voracious_projection(g))
 
 print("\nvoracious words, by element:")
-slice_ = enumerate_language(low, 4)
 for element in dinf.ball(4):
-    words = ", ".join(dinf.render_word(w) for w in slice_.by_element[element])
+    words = ", ".join(dinf.render_word(w) for w in sorted(language_of(low, element)))
     print(f"  {str(element):5s} <- {words}")
 
 aut = build_voracious_fsa(low)

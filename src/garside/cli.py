@@ -6,8 +6,8 @@ Subcommands: ``shadow`` (compute and serialize a Garside shadow),
 verification suite), ``project`` (inspect projections of one word).
 
 All outputs are deterministic; the file-producing commands go through a
-content-addressed cache keyed by the group matrix, the computation kind,
-its parameters and the code (directory from GARSIDE_CACHE_DIR, default
+content-addressed cache keyed by the group (name included), the computation
+kind, its parameters and the code (directory from GARSIDE_CACHE_DIR, default
 ~/.cache/garside; ``--no-cache`` bypasses it).  A shadow file is keyed by
 the hash of its text and parsed only on a miss; only a text that validated
 is stored.  A cache entry that cannot be written gives a warning, not an
@@ -33,6 +33,7 @@ from .coxeter import (
     CoxeterSystem,
     GroupFileError,
     UnsupportedLabelError,
+    format_group_file,
     parse_group_file,
 )
 from .shadows import (
@@ -199,8 +200,10 @@ def _check_radius(flag: str, value: int) -> None:
 
 
 def _produce(args, system: CoxeterSystem, parts: tuple[str, ...], compute) -> str:
-    """Cache-aware computation of a text artifact, keyed by the group and its parts."""
-    key = _cache_key(system.matrix.content_hash(), *parts)
+    """Cache-aware computation of a text artifact, keyed by the group (its
+    name too, which reports print) and its parts."""
+    group = sha256(format_group_file(system.matrix).encode("utf-8")).hexdigest()
+    key = _cache_key(group, *parts)
     if not args.no_cache:
         hit = _cache_get(key)
         if hit is not None:

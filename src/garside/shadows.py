@@ -177,11 +177,14 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
 
 
 def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShadow:
-    """Validate and wrap an element set; raises on a failed validation."""
+    """Validate and wrap an element set; raises on a failed validation, or
+    on a `low` provenance (which `verify` trusts) for other elements."""
     result = validate_shadow(system, elements)
     if not result:
         raise ValueError(f"not a Garside shadow: {result.violation}")
     members = frozenset(elements)
+    if provenance == "low" and members != frozenset(shi_gates(system, 0)):
+        raise ValueError("provenance low, but the members are not the low elements")
     return GarsideShadow(
         system=system,
         ordered=tuple(sorted(members, key=shortlex_key)),

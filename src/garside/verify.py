@@ -13,10 +13,12 @@ implementation bug.  The second bound involves the parallel-wall constant,
 which is computed exactly from the small roots (`parallel_wall_constant`);
 its ball estimate is kept only as an oracle for the tests.
 
-The fellow-traveller scans compare the distinct prefix points of two
-elements' words position by position, never word pairs; the scan over
-every word pair, `_max_deviation`, is their oracle, and runs only to name
-a report's witness when a check's running maximum rises.  Left
+Condition one and the fellow-traveller scans read each ball element's
+words from `language_of`, their one owner, which memoises them on the
+shadow.  The scans compare the distinct prefix points of two elements'
+words position by position, never word pairs; the scan over every word
+pair, `_max_deviation`, is their oracle, and runs only to name a
+report's witness when a check's running maximum rises.  Left
 multiplication is an isometry, so each Cayley edge is visited once, from
 its shorter end, and the prefix columns are memoised on the shadow: a
 suite walks each element's words once, and condition one reads off those
@@ -32,12 +34,12 @@ from functools import partial
 from itertools import chain, islice, product, starmap
 from operator import xor
 
-from .coxeter import CoxeterSystem, Element, Word
+from .coxeter import CoxeterSystem, Element, Word, shortlex_key
 from .shadows import CheckResult, GarsideShadow, _first_split, b_projection
 from .shi import elementary_walls, is_shi_gate, separation_count
 from .voracious import (
     cross_validate_regularity,
-    enumerate_language,
+    language_of,
     op_voracious_projection,
     voracious_chain,
     voracious_projection,
@@ -50,8 +52,6 @@ class FellowTravellerReport(CheckResult):
     """A fellow-traveller check's line, with the figures it is made of.
     The witness is kept when the check passes, for the largest deviation."""
 
-    kind: str  # "first" | "second"
-    radius: int
     pairs_checked: int
     max_deviation: int
     theoretical_bound: int | None
@@ -98,13 +98,14 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
     voracious words, and each of them spells it: the walk that builds the
     element's prefix columns ends at its mask, at its length."""
     system = shadow.system
-    by_element = enumerate_language(shadow, radius).by_element
-    most = max(map(len, by_element.values()))
-    details = f"radius={radius} elements={len(by_element)} max-words={most}"
-    for g, words in by_element.items():
-        columns = _prefix_columns(shadow, g, words)
+    ball = system.ball(radius)
+    most = max(len(language_of(shadow, g)) for g in ball)
+    details = f"radius={radius} elements={len(ball)} max-words={most}"
+    for g in ball:
+        columns = _prefix_columns(shadow, g)
         if len(columns) != g.length or g.length and columns[-1] != (g.mask,):
-            word = next(v for v in words if len(v) != g.length or system.element(v) is not g)
+            words = language_of(shadow, g)
+            word = min(v for v in words if len(v) != g.length or system.element(v) is not g)
             return CheckResult(
                 "condition-one", False, details, f"g={g} word={system.render_word(word)}"
             )
@@ -115,21 +116,15 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
 # Fellow traveller properties
 
 
-def _prefix_table(system: CoxeterSystem):
-    """A memoising map from a word to the inversion bitmasks of its prefixes,
-    by length."""
-    table: dict[Word, tuple[int, ...]] = {}
-
-    def prefixes(word: Word) -> tuple[int, ...]:
-        hit = table.get(word)
-        if hit is None:
-            out = [system.identity]
-            for s in word:
-                out.append(system.right_multiply(out[-1], s))
-            hit = table[word] = tuple(p.mask for p in out)
-        return hit
-
-    return prefixes
+def _prefix_masks(system: CoxeterSystem, word: Word) -> list[int]:
+    """The inversion bitmasks of a word's prefixes, by length, walked over
+    the stored Cayley edges; no walk is memoised."""
+    p = system.identity
+    out = [p.mask]
+    for s in word:
+        p = p._right[s] or system.right_multiply(p, s)
+        out.append(p.mask)
+    return out
 
 
 def _max_deviation(words, words2, path, prefixes):
@@ -137,7 +132,7 @@ def _max_deviation(words, words2, path, prefixes):
     prefix of v2, over v in words, v2 in words2 and i up to the longer word;
     paths and prefixes stay at their last point past the end of the word.
 
-    Points are inversion bitmasks (see `_prefix_table`), padded to the
+    Points are inversion bitmasks (see `_prefix_masks`), padded to the
     longest word, so a distance is the popcount of an XOR.  Returns the
     maximum and its first witness (v, v2, i) in iteration order, or
     (0, None) when no distance is positive.
@@ -157,11 +152,12 @@ def _max_deviation(words, words2, path, prefixes):
 
 
 def _witness(words, words2, path, prefixes):
-    """The first witness (v, v2, i) of the pair scan, read off the oracle."""
-    return _max_deviation(words, words2, path, prefixes)[1]
+    """The first witness (v, v2, i) of the pair scan over the sorted words,
+    read off the oracle."""
+    return _max_deviation(sorted(words), sorted(words2), path, prefixes)[1]
 
 
-def _prefix_columns(shadow: GarsideShadow, g: Element, words) -> list[tuple[int, ...]]:
+def _prefix_columns(shadow: GarsideShadow, g: Element) -> list[tuple[int, ...]]:
     """Column i-1 holds the masks of the distinct length-i prefixes of g's
     words, i up to the longest word, a word staying at its last point past
     its end: l(g) columns ending in g's mask alone if every word spells g
@@ -169,23 +165,21 @@ def _prefix_columns(shadow: GarsideShadow, g: Element, words) -> list[tuple[int,
     cache = shadow.column_cache
     columns = cache.get(g)
     if columns is None:
-        system = shadow.system
-        columns = [set() for _ in range(max(map(len, words)))]
+        words = language_of(shadow, g)
+        n = max(map(len, words))
+        columns = [set() for _ in range(n)]
         for v in words:
-            p = system.identity
-            for column, a in zip(columns, v):
-                p = system.right_multiply(p, a)
-                column.add(p.mask)
-            for column in columns[len(v) :]:
-                column.add(p.mask)
+            points = _prefix_masks(shadow.system, v)
+            for column, p in zip(columns, points[1:] + points[-1:] * (n - len(v))):
+                column.add(p)
         columns = cache[g] = list(map(tuple, columns))
     return columns
 
 
 def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     """The scan of both fellow-traveller checks, one visit per Cayley edge:
-    for g in the slice up to max_len and s with h = g*s ("right") or s*g
-    ("left") in it and one letter longer, yields (g, s, h, n, d, witness):
+    for g in the ball of radius max_len and s with h = g*s ("right") or s*g
+    ("left") one letter longer, yields (g, s, h, n, d, witness):
     n word pairs, their `_max_deviation` d, and a function computing its
     first witness (v, v2, i) with the pair scan.
 
@@ -199,29 +193,30 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     ShortLex order, so a running maximum would not rise at the other one.
     """
     system = shadow.system
-    by_element = enumerate_language(shadow, max_len).by_element
-    prefixes = _prefix_table(system)
-    columns = {g: _prefix_columns(shadow, g, words) for g, words in by_element.items()}
+    ball = system.ball(max_len)
+    prefixes = partial(_prefix_masks, system)
+    columns = {g: _prefix_columns(shadow, g) for g in ball}
     if side == "left":
         # s*p for the prefix points p, keyed as column points are: s*g =
         # (s*g')*t for g = g'*t, g' earlier in ShortLex order.  No point of
         # a shorter element's word lies on the top layer.
         lefts = {system.identity.mask: system.gens}
-        for g in islice(by_element, 1, None):
+        for g in islice(ball, 1, None):
             if len(g.word) == max_len:
                 break
             t = g.word[-1]
             lefts[g.mask] = [
                 system.right_multiply(x, t) for x in lefts[system.right_multiply(g, t).mask]
             ]
-    for g, words_g in by_element.items():
+    for g in ball:
         if len(g.word) == max_len:
-            break  # a longer neighbour lies outside the slice
+            break  # a longer neighbour lies outside the ball
+        words_g = language_of(shadow, g)
         for i, s in enumerate(system.gens):
             h = system.right_multiply(g, i) if side == "right" else lefts[g.mask][i]
-            words_h = by_element.get(h)
-            if words_h is None or len(h.word) < len(g.word):
+            if len(h.word) < len(g.word):
                 continue
+            words_h = language_of(shadow, h)
             cols_g, end = columns[g], g.mask
             if side == "left":  # s times g's prefixes, ending at h
                 cols_g, end = [[lefts[p][i].mask for p in c] for c in cols_g], h.mask
@@ -249,8 +244,6 @@ def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport
         passed=best <= bound,
         details=f"radius={radius} max-deviation={best} bound={bound} pairs={pairs}",
         witness=witness,
-        kind="first",
-        radius=radius,
         pairs_checked=pairs,
         max_deviation=best,
         theoretical_bound=bound,
@@ -319,8 +312,6 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
         details=f"radius={radius} max-deviation={best} extended={best_extended} "
         f"plateau={best == best_extended} bound={bound}",
         witness=witness,
-        kind="second",
-        radius=radius,
         pairs_checked=pairs,
         max_deviation=best,
         theoretical_bound=bound,
@@ -367,14 +358,14 @@ def check_projection_monotone(shadow: GarsideShadow, radius: int) -> CheckResult
     checked = 0
     for g in system.ball(radius):
         nu = voracious_projection(shadow, g)
-        for g2 in _lower_set(g):
-            if not weak_leq(nu, g2):
-                continue
-            checked += 1
-            if not weak_leq(voracious_projection(shadow, g2), nu):
-                return CheckResult(
-                    "projection-monotone", False, f"radius={radius}", f"g={g} g'={g2}"
-                )
+        above = [g2 for g2 in _lower_set(g) if weak_leq(nu, g2)]
+        checked += len(above)
+        failed = [g2 for g2 in above if not weak_leq(voracious_projection(shadow, g2), nu)]
+        if failed:
+            g2 = min(failed, key=shortlex_key)  # the lower set's order is not stable
+            return CheckResult(
+                "projection-monotone", False, f"radius={radius}", f"g={g} g'={g2}"
+            )
     return CheckResult("projection-monotone", True, f"radius={radius} pairs={checked}")
 
 

@@ -3,15 +3,17 @@
 Given a Garside shadow B, the voracious projection sends g to
 g * projection_B(g^{-1}); iterating it walks any element down to the
 identity in steps of bounded length.  Recording minimal-length words for
-each step yields the language slice for g, and the union over all g is
-the voracious language of B.  For finite B the language is recognized by
-an automaton whose states are the shadow members: an edge runs from b to
-w whenever projecting w*b onto B gives back w, labelled by the element
-w^{-1}, which reads all reduced words of w^{-1} (the maximal chains of
-[e, w^{-1}]; Björner & Brenti, GTM 231, ch. 3).  No label word is stored:
-acceptance walks the automaton's prefix index, and the exports list an
-edge's words only when they write it.  Every projection, the edges' too,
-folds words through the shadow's transition table `GarsideShadow.delta`.
+each step yields the voracious words of g, and the union over all g is
+the voracious language of B.  `language_of` builds an element's words
+and memoises them on the shadow; it is their one owner.  For finite B the
+language is recognized by an automaton whose states are the shadow
+members: an edge runs from b to w whenever projecting w*b onto B gives
+back w, labelled by the element w^{-1}, which reads all reduced words of
+w^{-1} (the maximal chains of [e, w^{-1}]; Björner & Brenti, GTM 231,
+ch. 3).  No label word is stored: acceptance walks the automaton's prefix
+index, and the exports list an edge's words only when they write it.
+Every projection, the edges' too, folds words through the shadow's
+transition table `GarsideShadow.delta`.
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
@@ -47,10 +49,10 @@ class VoraciousChain:
 
 @dataclass(frozen=True)
 class LanguageSlice:
-    """All voracious words of bounded length, grouped by represented element."""
+    """All voracious words of bounded length; `language_of` keeps them by
+    element."""
 
     max_len: int
-    by_element: dict  # Element -> tuple[Word, ...] (ShortLex sorted)
     words: frozenset  # all words in the slice
 
 
@@ -139,17 +141,12 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
 
 
 def enumerate_language(shadow: GarsideShadow, max_len: int) -> LanguageSlice:
-    """The voracious language cut at max_len, grouped by element.
+    """The voracious language cut at max_len.
 
     Voracious words are geodesic, so the slice is the union of the
     per-element languages over the ball of the same radius."""
-    by_element = {}
-    words = set()
-    for g in shadow.system.ball(max_len):
-        lg = language_of(shadow, g)
-        by_element[g] = tuple(sorted(lg))
-        words.update(lg)
-    return LanguageSlice(max_len, by_element, frozenset(words))
+    words = (language_of(shadow, g) for g in shadow.system.ball(max_len))
+    return LanguageSlice(max_len, frozenset().union(*words))
 
 
 # ---------------------------------------------------------------------------

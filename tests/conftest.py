@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from garside import CoxeterSystem, make_system
+from garside import CoxeterSystem, language_of, make_system
 from garside.shadows import _top_below
 
 
@@ -87,6 +87,12 @@ def scan_projection(shadow, x):
     top, strays = _top_below(shadow.ordered, x)
     assert not strays, (x, strays)
     return top
+
+
+def languages(shadow, radius):
+    """Each ball element's voracious words, sorted, in ShortLex order of
+    the elements."""
+    return {g: tuple(sorted(language_of(shadow, g))) for g in shadow.system.ball(radius)}
 
 
 @pytest.fixture(params=ALL_SYSTEMS)

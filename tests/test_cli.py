@@ -1,14 +1,16 @@
 import os
 import stat
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from garside import CoxeterSystem, cli, parse_group_file, shadow_from_gates
 from garside.cli import main
-from garside.verify import _max_deviation, _prefix_table
-from garside.voracious import enumerate_language
+from garside.verify import _max_deviation, _prefix_masks
+
+from conftest import languages
 
 DINF = "name: D-infinity\ngenerators: s t\nmatrix:\n1 0\n0 1\n"
 S3 = "name: I2(3)\ngenerators: s t\nmatrix:\n1 3\n3 1\n"
@@ -405,8 +407,8 @@ def test_verify_affine_mlow1_passes_without_a_plateau(workspace):
 def _first_pair_scan_witness(system, shadow, max_len):
     """The second check's witness straight from the pair scan: the first
     (v, v', s, i) reaching the largest deviation, in scan order."""
-    by_element = enumerate_language(shadow, max_len).by_element
-    prefixes = _prefix_table(system)
+    by_element = languages(shadow, max_len)
+    prefixes = partial(_prefix_masks, system)
     best, witness = 0, None
     for g, words in by_element.items():
         for s in system.gens:
@@ -651,3 +653,49 @@ def test_a_cache_entry_that_is_a_directory_warns_and_is_left_alone(workspace, ca
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"warning: cache: cannot write {entry}:")
     assert entry.is_dir() and not list(workspace.rglob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# Cache keys that see the group's name, and a provenance that is checked
+
+
+def test_a_renamed_group_is_a_cache_miss(workspace):
+    # the report prints the group's name, so two groups that differ only in
+    # their name must not share a cached report
+    first, second = workspace / "first.txt", workspace / "second.txt"
+    first.write_text(DINF.replace("D-infinity", "first"))
+    second.write_text(DINF.replace("D-infinity", "second"))
+    shadow = workspace / "L.txt"
+    assert run("shadow", "--group", first, "--kind", "low", "--out", shadow) == 0
+    reports = {}
+    for group in (first, second):
+        for flag in ((), ("--no-cache",)):
+            out = workspace / f"{group.stem}{len(flag)}.txt"
+            assert run("verify", "--group", group, "--shadow", shadow,
+                       "--radius", "3", "--out", out, *flag) == 0
+            reports[group.stem, bool(flag)] = out.read_text()
+    assert "system: second\n" in reports["second", False]
+    for name in ("first", "second"):
+        assert reports[name, False] == reports[name, True]
+
+
+@pytest.mark.parametrize("cache_flag", [(), ("--no-cache",)])
+def test_a_low_provenance_must_list_the_low_elements(workspace, capsys, cache_flag):
+    # verify runs original-projection on the word of the provenance line, so
+    # an m-low(1) shadow relabelled low is rejected, not failed
+    group = workspace / "a2.txt"
+    m_low, gamma = workspace / "M1.txt", workspace / "G.txt"
+    assert run("shadow", "--group", group, "--kind", "mlow=1", "--out", m_low) == 0
+    assert run("shadow", "--group", group, "--kind", "gamma", "--out", gamma) == 0
+    m_low.write_text(m_low.read_text().replace("provenance: m-low(1)", "provenance: low"))
+    capsys.readouterr()
+    assert run("verify", "--group", group, "--shadow", m_low, "--radius", "4",
+               "--out", workspace / "r.txt", *cache_flag) == 2
+    assert capsys.readouterr().err.startswith("error: shadow-invalid: provenance low")
+    # on affine-A2 the cone-type gates are the low elements, so the same
+    # members stay valid under the low provenance
+    gamma.write_text(gamma.read_text().replace("provenance: gamma", "provenance: low"))
+    report = workspace / "g.txt"
+    assert run("verify", "--group", group, "--shadow", gamma, "--radius", "4",
+               "--out", report, *cache_flag) == 0
+    assert "check: original-projection pass radius=4" in report.read_text()

@@ -1,5 +1,10 @@
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +22,12 @@ from garside import (
     parallel_wall_constant,
     shadow_from_gates,
 )
-from garside import scalars, verify
+from garside import scalars, verify, voracious
 from garside.shi import elementary_walls, separation_count
 from garside.verify import (
     _max_deviation,
     _neighbour_deviations,
-    _prefix_table,
+    _prefix_masks,
     check_low_containment,
     check_original_projection,
     check_projection_monotone,
@@ -30,9 +35,9 @@ from garside.verify import (
     check_step_bound,
 )
 from garside.shadows import refinement_check
-from garside.voracious import cross_validate_regularity, enumerate_language
+from garside.voracious import cross_validate_regularity
 
-from conftest import _BUILDERS, ALL_SYSTEMS, get_system
+from conftest import _BUILDERS, ALL_SYSTEMS, get_system, languages
 
 
 
@@ -159,8 +164,8 @@ def test_column_scan_matches_the_pair_scan(name, kind, m):
     system = get_system(name)
     shadow = shadow_from_gates(system, kind, m)
     radius = 5
-    by_element = enumerate_language(shadow, radius).by_element
-    prefixes = _prefix_table(system)
+    by_element = languages(shadow, radius)
+    prefixes = partial(_prefix_masks, system)
     for side in ("right", "left"):
         expected = [
             (g, s, h)
@@ -192,8 +197,8 @@ def test_first_ftp_bound_violation_names_the_pair_scan_witness(name):
     system = get_system(name)
     radius = 5
     shadow = replace(low(system), constant_m=0)
-    by_element = enumerate_language(shadow, radius).by_element
-    prefixes = _prefix_table(system)
+    by_element = languages(shadow, radius)
+    prefixes = partial(_prefix_masks, system)
     best = pairs = 0
     for g, words in by_element.items():
         for s in system.gens:
@@ -423,3 +428,41 @@ def test_every_check_returns_one_report_line(affine_a2):
         assert isinstance(result.witness, str)
     names = [r.name for r in results]
     assert len(set(names)) == len(names)
+
+
+def test_the_suite_builds_one_language_slice(monkeypatch):
+    # condition one and the fellow-traveller scans read language_of; only
+    # regularity builds a slice
+    built = []
+
+    class Counted(voracious.LanguageSlice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(voracious, "LanguageSlice", Counted)
+    full_suite(low(_BUILDERS["triangle_334"]()), 6)
+    assert len(built) == 1
+
+
+_MONOTONE_FAILURE = """
+import sys
+from garside import verify, make_system, shadow_from_gates
+padding = [object() for _ in range(int(sys.argv[1]))]
+real = verify.voracious_projection
+verify.voracious_projection = lambda shadow, x: x if x.length == 2 else real(shadow, x)
+system = make_system(["s", "t", "u"], {("s", "t"): 3, ("t", "u"): 3, ("s", "u"): 3})
+print(verify.check_projection_monotone(shadow_from_gates(system, "low"), 6).witness)
+"""
+
+
+def test_a_projection_monotone_witness_does_not_depend_on_memory_addresses():
+    # the lower set is a frozenset of elements hashed by identity, so its
+    # order changes from process to process; the witness is the ShortLex
+    # first failing g' below the first failing g
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parent.parent))
+    for padding in (0, 1, 7, 100, 333, 2048):
+        done = subprocess.run([sys.executable, "-c", _MONOTONE_FAILURE, str(padding)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "g=sts g'=st\n", padding

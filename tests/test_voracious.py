@@ -27,7 +27,13 @@ from garside import (
 )
 
 from conftest import (
-    _BUILDERS, ALL_SYSTEMS, FINITE_SYSTEMS, get_system, oracle_ball, scan_projection
+    _BUILDERS,
+    ALL_SYSTEMS,
+    FINITE_SYSTEMS,
+    get_system,
+    languages,
+    oracle_ball,
+    scan_projection,
 )
 
 
@@ -235,8 +241,7 @@ def test_acceptance_examples(dinf):
 def assert_accepted_at_projection_of_inverse(shadow, max_len):
     system = shadow.system
     aut = build_voracious_fsa(shadow)
-    slice_ = enumerate_language(shadow, max_len)
-    for g, words in slice_.by_element.items():
+    for g, words in languages(shadow, max_len).items():
         expected = system.render_word(scan_projection(shadow, system.inverse(g)).word)
         for word in words:
             result = fsa_accepts(aut, word)
