@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, shortlex_key
-from .shi import _inverses_sorted, sign_patterns
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, Word, set_bits, shortlex_key
+from .shi import sign_patterns, walk_gates
 from .weak_order import reduced_words
 
 
@@ -64,14 +64,12 @@ def _prefix_index(
     stack = list(nodes)
     while stack:
         x = stack.pop()
-        right = system.inverse(x).mask
-        for s in range(system.rank):
-            if right >> s & 1:
-                y = system.right_multiply(x, s)
-                arrows.append((y, s, x))
-                if y not in nodes:
-                    nodes.add(y)
-                    stack.append(y)
+        for s in set_bits(system.inverse(x).mask & (1 << system.rank) - 1):  # x s < x
+            y = system.right_multiply(x, s)
+            arrows.append((y, s, x))
+            if y not in nodes:
+                nodes.add(y)
+                stack.append(y)
     ids = {x: i for i, x in enumerate(sorted(nodes, key=shortlex_key))}
     step: list[dict[int, int]] = [{} for _ in ids]
     for y, s, x in arrows:
@@ -145,13 +143,7 @@ class Automaton:
                 for sources, dst in fire[node]:
                     if here & sources:
                         reach[j + 1] |= 1 << dst
-        final, states = reach[n], []
-        while final:
-            q = final.bit_length() - 1
-            final ^= 1 << q
-            if q in self.accepts:
-                states.append(q)
-        return frozenset(states)
+        return frozenset(q for q in set_bits(reach[n]) if q in self.accepts)
 
     def accepts_word(self, word: Word) -> bool:
         return bool(self.accepting_states(word))
@@ -188,9 +180,7 @@ class Automaton:
             for letter, child in step[node].items():
                 longer = prefix + (letter,)
                 for sources, dst in fire[child]:
-                    while sources:
-                        src = sources.bit_length() - 1
-                        sources ^= 1 << src
+                    for src in set_bits(sources):
                         steps[src].append((dst, longer))
                 walk.append((child, longer))
         return steps
@@ -330,32 +320,24 @@ def minimize(aut: Automaton) -> Automaton:
         new_cls = [0] * (n + 1)
         for q in range(n + 1):
             sig = (cls[q],) + tuple(cls[delta[q][a]] for a in alphabet)
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_cls[q] = signatures[sig]
+            new_cls[q] = signatures.setdefault(sig, len(signatures))
         if new_cls == cls:
             break
         cls = new_cls
 
     dead_cls = cls[dead]
-    # deterministic relabeling: BFS from the start class in letter order
+    # deterministic relabeling: BFS from the start class in letter order;
+    # `rep` grows as classes are found, so reading it in order is the BFS
     relabel: dict[int, int] = {cls[aut.start]: 0}
     witness: list[Word] = [()]
     rep: list[int] = [aut.start]
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        q = rep[i]
+    for i, q in enumerate(rep):
         for a in alphabet:
-            tgt = delta[q][a]
-            c = cls[tgt]
-            if c == dead_cls:
-                continue
-            if c not in relabel:
+            c = cls[delta[q][a]]
+            if c != dead_cls and c not in relabel:
                 relabel[c] = len(rep)
-                rep.append(tgt)
+                rep.append(delta[q][a])
                 witness.append(witness[i] + (a,))
-                queue.append(len(rep) - 1)
 
     edges = [
         (i, relabel[cls[delta[q][a]]], gens[a])
@@ -397,23 +379,24 @@ def cone_type_id(g: Element) -> int:
 
 
 def cone_type_gates(system: CoxeterSystem) -> tuple[Element, ...]:
-    """Gates of the cone-type partition: the smallest Garside shadow.
+    """Gates of the cone-type partition, the smallest Garside shadow: x and
+    y share a part when x^{-1} and y^{-1} reach the same minimized-automaton
+    state, so a gate is the inverse of the BFS-shortest word to its state.
+    The tests check each against its part's minimum on a ball."""
+    return cone_type_walk(system)[0]
 
-    The partition groups x and y when the cone types of x^{-1} and y^{-1}
-    agree, i.e. when their inverses reach the same minimized-automaton
-    state; the gate of a part is therefore the inverse of the BFS-shortest
-    word reaching that state.  Each gate is the weak-order minimum of its
-    part, which the tests check against ball enumerations.
-    """
-    labels = cone_type_automaton(system).state_labels
-    return _inverses_sorted(system, map(system.parse_word, labels))
+
+def cone_type_walk(system: CoxeterSystem):
+    """`shi.walk_gates` of `cone_type_automaton`: its states are numbered
+    breadth-first and its edges sorted, so the first edge into a state is
+    the walk's.  Its table is the cone-type shadow's delta (the cone-type
+    partition is the partition by projection onto it)."""
+    aut = cone_type_automaton(system)
+    return walk_gates(system, aut.state_labels, [(i, g.word[0], j) for i, j, g in aut.edges])
 
 
 def cone_type_fingerprint(g: Element, radius: int) -> frozenset[Element]:
     """Ball slice of the cone type of g: elements f with l(gf) = l(g) + l(f)."""
     system = g.system
-    return frozenset(
-        f
-        for f in system.ball(radius)
-        if system.multiply(g, f).length == g.length + f.length
-    )
+    return frozenset(f for f in system.ball(radius)
+                     if system.multiply(g, f).length == g.length + f.length)

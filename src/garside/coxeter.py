@@ -309,6 +309,14 @@ def shortlex_key(g: "Element") -> tuple[int, Word]:
     return len(g.word), g.word
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------------------
 # Elements
 
@@ -551,6 +559,12 @@ class CoxeterSystem:
         """Image of a root under the inverse of the element of `word`."""
         return self.act_word(word[::-1], root)
 
+    def _reflect_mask(self, s: int, mask: int) -> int:
+        """The mask of the images under s of the roots of a mask (s permutes
+        the roots, so the images' bits are distinct and their sum a union)."""
+        row, roots = self._reflections[s], self._roots
+        return sum(1 << (row[k] or self.reflect(s, roots[k])).id for k in set_bits(mask))
+
     # -- normal forms --------------------------------------------------------
 
     def right_multiply(self, g: Element, s: int) -> Element:
@@ -612,6 +626,15 @@ class CoxeterSystem:
             out = out._right[s] or self.right_multiply(out, s)
         return out
 
+    def left_multiply(self, s: int, g: Element) -> Element:
+        """Normal form of (generator s) * g: s then g's, with no walk over g,
+        where s is no left descent of g and N(s g) = {alpha_s} + s N(g) holds
+        no alpha_t with t < s (s is then its least left descent); else `multiply`."""
+        self._own(g)
+        if g.mask >> s & 1 or self._reflect_mask(s, (1 << s) - 1) & g.mask:
+            return self.multiply(self.gens[s], g)
+        return self._intern((s,) + g.word, 1 << s | self._reflect_mask(s, g.mask))
+
     def inverse(self, g: Element) -> Element:
         """g^-1, stored on g and on g^-1 when first built."""
         if g.system is not self:
@@ -658,11 +681,7 @@ class CoxeterSystem:
         """Walls with g and h in different half-spaces; size equals d(g, h).
         Read off the XOR of their inversion bitmasks."""
         self._own(g, h)
-        mask, out = g.mask ^ h.mask, []
-        while mask:
-            out.append(self._roots[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return frozenset(out)
+        return frozenset(self._roots[k] for k in set_bits(g.mask ^ h.mask))
 
     def is_suffix(self, w: Element, g: Element) -> bool:
         """True iff g = u*w with l(g) = l(u) + l(w): iff w^-1 <= g^-1 in the

@@ -6,19 +6,20 @@ locally, on s*b for the left descents s of each member b.  A suffix-closed
 set is join-closed iff below every element x the members have a maximum; a
 failing x yields a pair whose join is missing.  Scanning L_m, the m-low
 elements for the least m with every member m-low (`shi.low_index`),
-decides this exactly.  L_m is a finite Garside shadow (Dyer & Hohlweg,
+decides this exactly: L_m is a finite Garside shadow (Dyer & Hohlweg,
 *Small roots, low elements, and the weak order in Coxeter groups*, Adv.
-Math. 2016), so it holds the join of any members with an upper bound; and
-the ShortLex-first failing x is that missing join (`validate_shadow`).  So
-the scan of L_m names the same witness as a scan of any Cayley ball holding
-that x.  Both scans run in ShortLex order, so every run names the same
-witness.
+Math. 2016), so it holds the join of any members with an upper bound, and
+the ShortLex-first failing x is that missing join (`validate_shadow`): the
+witness a ShortLex scan of any ball holding x names, the same in every run.
 
 The projection of g onto a shadow B is the join of the shadow elements
 below g.  For s x > x, projection_B(s x) = projection_B(s projection_B(x))
 (Hohlweg, Nadeau & Williams, J. Algebra 2016).  So any reduced word of g,
 read through B's transition table delta(b, s) = projection_B(s b) from its
 last letter, gives projection_B(g), and from its first, projection_B(g^-1).
+The gate shadows L_m and the cone-type gates are shadows by theorem, and
+their partitions, m-Shi and by cone type, are the walks that find them, so
+a walk is its shadow's table: `shadow_from_gates` and its reloads scan nothing.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, shortlex_key
-from .shi import low_index, shi_gates
-from .automata import cone_type_gates
+from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, set_bits, shortlex_key
+from .shi import gate_walk, low_index, shi_gates
+from .automata import cone_type_walk
 from .weak_order import _first_above
 
 
@@ -69,10 +70,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class GarsideShadow:
-    """A validated finite Garside shadow with its length constant.
+    """A finite Garside shadow with its length constant, built by
+    `make_shadow` (validated), `garside_closure` or `shadow_from_gates`.
 
     The last two fields memoise each element's voracious language and its
-    words' prefix columns (`verify`); equality ignores them and `delta`.
+    words' prefix columns (`verify`); equality ignores them and `delta`,
+    which a gate shadow gets from its walk and any other from the scan.
     """
 
     system: CoxeterSystem
@@ -100,13 +103,12 @@ class GarsideShadow:
         index = {b: i for i, b in enumerate(ordered)}
         table = [[None] * system.rank for _ in ordered]
         for row, b in zip(table, ordered):
-            for s in range(system.rank):
-                if not b.mask >> s & 1:
-                    x = system.multiply(system.gens[s], b)
-                    top, strays = (x, ()) if x in index else _top_below(ordered, x)
-                    if strays:
-                        raise InternalInconsistencyError(f"members below {x} have no maximum")
-                    row[s] = index[top]
+            for s in set_bits(~b.mask & (1 << system.rank) - 1):  # s b > b
+                x = system.left_multiply(s, b)
+                top, strays = (x, ()) if x in index else _top_below(ordered, x)
+                if strays:
+                    raise InternalInconsistencyError(f"members below {x} have no maximum")
+                row[s] = index[top]
         return table
 
 
@@ -115,11 +117,10 @@ def _missing_suffixes(system: CoxeterSystem, members):
     and left descent s of b (bit s of its mask) with s*b not a member.  By
     induction on length, the members' suffixes are all members iff none is."""
     for b in sorted(members, key=shortlex_key):
-        for s in range(system.rank):
-            if b.mask >> s & 1:
-                w = system.multiply(system.gens[s], b)
-                if w not in members:
-                    yield b, w
+        for s in set_bits(b.mask & (1 << system.rank) - 1):  # s b < b
+            w = system.multiply(system.gens[s], b)
+            if w not in members:
+                yield b, w
 
 
 def _top_below(members, x: Element) -> tuple[Element, list[Element]]:
@@ -133,12 +134,8 @@ def _top_below(members, x: Element) -> tuple[Element, list[Element]]:
 
 def _join_failures(members, gates):
     """The join-closure scan: for each of the ShortLex-sorted m-low elements
-    x in turn, the pairs of members below x that have no maximum among the
-    members below x.  Exact when every member is m-low (module docstring).
-
-    Yields (top, b, x) with top and b from `_top_below`; their join exists
-    and lies below x.
-    """
+    x in turn, (top, b, x) for top and each stray b of `_top_below`, a pair
+    whose join exists below x.  Exact when every member is m-low."""
     members = sorted(members, key=shortlex_key)
     for x in gates:
         top, strays = _top_below(members, x)
@@ -150,14 +147,12 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     """Check the Garside shadow axioms for a finite element set.
 
     Returns Valid, or a Violation carrying the ShortLex-first missing
-    generator, suffix or join.  Joins are decided over L_m, the m-low
-    elements for the least m with every member m-low: L_m is a Garside
-    shadow (Dyer & Hohlweg, Adv. Math. 2016), so it holds every join of
-    members.  The ShortLex-first failing gate x is itself the missing join
-    of `top` and its first stray b.  j = join(top, b) exists and j <= x.
-    j is in L_m and fails: a maximum of the members below j would be j, a
-    member below x longer than top.  So j, no later than x in ShortLex, is x.
-    Elements of another system raise MixedSystemError.
+    generator, suffix or join; joins by the scan of L_m (module docstring).
+    The first failing x is the missing join of `top` and its first stray b:
+    j = join(top, b) <= x is in L_m and fails, since a maximum of the
+    members below j would be j, a member below x longer than top.  So j,
+    no later than x in ShortLex, is x.  Elements of another system raise
+    MixedSystemError.
     """
     members = frozenset(elements)
     system._own(*members)
@@ -177,54 +172,63 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
 
 
 def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShadow:
-    """Validate and wrap an element set; raises on a failed validation, or
-    on a `low` provenance (which `verify` trusts) for other elements."""
-    result = validate_shadow(system, elements)
+    """Validate and wrap an element set, such as a file's; raises on a failed
+    validation, or on a `low` provenance (which `verify` trusts) for other
+    elements than the low shadow's.  The system's gate shadow that the
+    provenance names, if built and of these members, is returned itself, not
+    validated again (the low one is built to compare; a number in the
+    provenance starts no walk)."""
+    members = frozenset(elements)
+    if provenance == "low":
+        shadow_from_gates(system, "low")
+    for built in system.cache("gate_shadows").values():
+        if (built.provenance, built.members) == (provenance, members):
+            return built
+    result = validate_shadow(system, members)
     if not result:
         raise ValueError(f"not a Garside shadow: {result.violation}")
-    members = frozenset(elements)
-    if provenance == "low" and members != frozenset(shi_gates(system, 0)):
+    if provenance == "low":
         raise ValueError("provenance low, but the members are not the low elements")
-    return GarsideShadow(
-        system=system,
-        ordered=tuple(sorted(members, key=shortlex_key)),
-        members=members,
-        constant_m=max(g.length for g in members),
-        provenance=provenance,
-    )
+    return _wrap(system, members, provenance)
+
+
+def _wrap(system: CoxeterSystem, members, provenance: str) -> GarsideShadow:
+    """The shadow of members known to form one, unchecked."""
+    ordered = tuple(sorted(members, key=shortlex_key))
+    return GarsideShadow(system, ordered, frozenset(ordered), ordered[-1].length, provenance)
+
+
+def _check_walk(system: CoxeterSystem, gates, delta) -> None:
+    """The check of a gate walk's table: delta[i][s] = j is None iff s is a
+    left descent of b = gates[i], and else names c = gates[j] below s b.
+    N(s b) is alpha_s and s N(b), so c <= s b iff s sends the other walls
+    of c into N(b): one mask test, through the reflection table."""
+    for b, row in zip(gates, delta):
+        for s, j in enumerate(row):
+            image = 0 if j is None else system._reflect_mask(s, gates[j].mask & ~(1 << s))
+            if (j is None) != bool(b.mask >> s & 1) or image & ~b.mask:
+                raise InternalInconsistencyError(f"the gate walk's delta is wrong at {b}, {s}")
 
 
 def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) -> GarsideShadow:
-    """The shadows of gates: low elements, m-low elements, or cone-type gates.
-
-    Validation failure here is a fatal internal error, not a user error.
-    Results are cached per system, so repeated calls share one validated
-    object (and its transition table).  The 0-low elements are the low
-    ones, so m-low with m = 0 is the low shadow.
-    """
-    if kind == "m-low" and m == 0:
-        kind, m = "low", None
+    """The shadows of gates: the low elements (`low`), the m-low elements for
+    an int m >= 0 (`m-low`; m = 0 gives the low shadow), or the cone-type
+    gates (`gamma`).  Their walk (`shi.gate_walk`, `automata.cone_type_walk`)
+    gives delta too, which `_check_walk` tests (module docstring).  Results
+    are cached per system, so repeated calls share one object."""
+    if kind == "m-low" and type(m) is int and m >= 0:  # a bool is not an m
+        if not m:
+            kind, m = "low", None
+    elif kind not in ("low", "gamma") or m is not None:
+        raise ValueError(f"gate kinds are low, gamma, and m-low with an int m >= 0; "
+                         f"not {kind!r} with m={m!r}")
     cache = system.cache("gate_shadows")
-    cache_key = (kind, m)
-    if cache_key in cache:
-        return cache[cache_key]
-    if kind == "low":
-        gates, provenance = shi_gates(system, 0), "low"
-    elif kind == "m-low":
-        if m is None:
-            raise ValueError("m-low needs the closeness parameter m")
-        gates, provenance = shi_gates(system, m), f"m-low({m})"
-    elif kind == "gamma":
-        gates, provenance = cone_type_gates(system), "gamma"
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    try:
-        shadow = cache[cache_key] = make_shadow(system, gates, provenance)
-    except ValueError as exc:
-        raise InternalInconsistencyError(
-            f"{provenance} gates failed shadow validation: {exc}"
-        ) from None
-    return shadow
+    if (kind, m) not in cache:
+        gates, delta = cone_type_walk(system) if kind == "gamma" else gate_walk(system, m or 0)
+        _check_walk(system, gates, delta)
+        shadow = cache[kind, m] = _wrap(system, gates, kind if m is None else f"m-low({m})")
+        object.__setattr__(shadow, "delta", delta)  # fills the cached property
+    return cache[kind, m]
 
 
 def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
@@ -235,25 +239,22 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
     joins found by scanning L_m, each the first of those gates above its
     pair, are added until nothing changes.  Raises CutoffExceeded when L_m
     holds an element longer than the cutoff."""
-    current: set[Element] = {system.identity, *system.gens}
-    current.update(seed)
+    current: set[Element] = {system.identity, *system.gens, *seed}
     system._own(*current)
     m = max(map(low_index, current))
     gates = shi_gates(system, m)
     if gates[-1].length > cutoff:
-        raise CutoffExceeded(
-            f"the join scan reads the {m}-low elements, up to length "
-            f"{gates[-1].length}; cutoff is {cutoff}"
-        )
+        raise CutoffExceeded(f"the join scan reads the {m}-low elements, up to length "
+                             f"{gates[-1].length}; cutoff is {cutoff}")
     while True:
         size = len(current)
         while missing := {w for _, w in _missing_suffixes(system, current)}:
             current |= missing
         pairs = {(top, b) for top, b, _ in _join_failures(current, gates)}
         current |= {_first_above(gates, pair) for pair in pairs}
-        if len(current) == size:
+        if len(current) == size:  # both scans came back empty: a shadow
             break
-    return make_shadow(system, current, "closure-of-seed")
+    return _wrap(system, current, "closure-of-seed")
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +281,7 @@ def partition_part(shadow: GarsideShadow, b: Element, radius: int) -> tuple[Elem
     """Ball slice of the fiber of the projection over b; b gates the part."""
     if b not in shadow:
         raise ValueError(f"{b} is not a member of the shadow")
-    return tuple(
-        g for g in shadow.system.ball(radius) if b_projection(shadow, g) == b
-    )
+    return tuple(g for g in shadow.system.ball(radius) if b_projection(shadow, g) == b)
 
 
 def _first_split(elements, key, value):
@@ -305,11 +304,8 @@ def refinement_check(small: GarsideShadow, large: GarsideShadow, radius: int) ->
     implementation bug, not a property of the input."""
     if not small.members <= large.members:
         raise ValueError("refinement_check requires the first shadow inside the second")
-    x, parts = _first_split(
-        small.system.ball(radius),
-        lambda x: b_projection(large, x),
-        lambda x: b_projection(small, x),
-    )
+    x, parts = _first_split(small.system.ball(radius), lambda x: b_projection(large, x),
+                            lambda x: b_projection(small, x))
     if x is not None:
         return CheckResult("refinement", False, f"radius={radius}", f"x={x}")
     return CheckResult("refinement", True, f"radius={radius} parts={parts}")
@@ -335,7 +331,8 @@ def shadow_to_text(shadow: GarsideShadow) -> str:
 
 
 def shadow_from_text(system: CoxeterSystem, text: str) -> GarsideShadow:
-    """Reload a serialized shadow; revalidates both hash and axioms."""
+    """Reload a serialized shadow; checks the hash, and revalidates the axioms
+    unless they are a gate shadow already built (`make_shadow`)."""
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     if not lines or lines[0].strip() != _SHADOW_HEADER:
         raise ShadowFileError("missing shadow header")

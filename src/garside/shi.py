@@ -18,13 +18,13 @@ tests also hold against the outward walk.
 E_m is numbered in its sorted order, `SmallRootSet.ordered`: bit k of a
 sign pattern is the k-th wall, as in `shi_sign_vector`.  `sign_patterns`
 walks the reachable patterns, held as ints, once; they are the states of
-the canonical reduced-word automaton (`automata.canonical_automaton`), and
-the gate of each m-Shi part is the inverse of the shortest word realizing
-its pattern (`shi_gates`).  The tests check the gates against per-part
-minima computed naively on balls, and the walk against one over sets of
-roots.  Whether one element is a gate is decided locally, from the least m
-for which it is m-low (`low_index`, read by `is_shi_gate`); the tests hold
-that against the definition, a scan of the length-l(g) ball.
+the canonical reduced-word automaton (`automata.canonical_automaton`).
+Along the walk it gives the gates of the m-Shi parts and their table, the
+transition table of L_m (`gate_walk`).  The tests check the gates against
+per-part minima on balls, the table against the below-x scan, and the walk
+against one over sets of roots.  Whether one element is a gate is decided
+from the least m for which it is m-low (`low_index`, read by
+`is_shi_gate`); the tests hold that against a scan of the length-l(g) ball.
 """
 
 from __future__ import annotations
@@ -33,14 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .coxeter import (
-    CoxeterSystem,
-    Element,
-    InternalInconsistencyError,
-    Root,
-    Word,
-    shortlex_key,
-)
+from .coxeter import (CoxeterSystem, Element, InternalInconsistencyError, Root, Word, set_bits,
+                      shortlex_key)
 from .scalars import sign_of
 
 _MAX_ROOTS = 200_000  # size limit of both walks; the sets are provably finite
@@ -220,11 +214,7 @@ def sign_patterns(system: CoxeterSystem, m: int) -> tuple[list[Word], list[tuple
     witnesses, transitions = [()], []
     # `states` grows as new patterns are found; reading it in order is the BFS
     for i, state in enumerate(states):
-        members, rest = [], state  # the bits of the state, lowest first
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
+        members = list(set_bits(state))
         for s, alpha in enumerate(simple):
             if state & alpha:
                 continue  # s is a descent: not a reduced continuation
@@ -243,25 +233,36 @@ def sign_patterns(system: CoxeterSystem, m: int) -> tuple[list[Word], list[tuple
 
 
 def shi_gates(system: CoxeterSystem, m: int) -> tuple[Element, ...]:
-    """Gates of the m-Shi partition, ShortLex sorted: the m-low elements.
+    """Gates of the m-Shi partition, ShortLex sorted: the m-low elements,
+    one per reachable sign pattern, each the weak-order minimum of its part."""
+    return gate_walk(system, m)[0]
 
-    One gate per reachable sign pattern; the gate is the unique weak-order
-    minimum of its part, obtained as the inverse of the shortest word
-    whose element sends exactly that pattern of m-elementary walls
-    negative.
-    """
+
+def gate_walk(system: CoxeterSystem, m: int):
+    """`walk_gates` of the sign-pattern walk, kept per system: the m-Shi
+    partition is the partition by projection onto L_m (Dyer & Hohlweg, Adv.
+    Math. 2016), so the walk's table is L_m's delta."""
     per_system = system.cache("shi_gates")
-    if m in per_system:
-        return per_system[m]
-    witnesses, _ = sign_patterns(system, m)
-    out = per_system[m] = _inverses_sorted(system, witnesses)
-    return out
+    if m not in per_system:
+        per_system[m] = walk_gates(system, *sign_patterns(system, m))
+    return per_system[m]
 
 
-def _inverses_sorted(system: CoxeterSystem, words) -> tuple[Element, ...]:
-    """The inverses of the elements of reduced words, ShortLex sorted.  The
-    reversed word is a reduced word of the inverse, so each takes one walk."""
-    return tuple(sorted((system.element(word[::-1]) for word in words), key=shortlex_key))
+def walk_gates(system: CoxeterSystem, states, transitions):
+    """The gates of a breadth-first walk from id over reduced words (one per
+    state), ShortLex sorted, and its transitions (i, s, j) as a table on
+    their ranks: delta[rank i][s] = rank j, None where no transition is.
+    State j's gate is the inverse of its shortest witness; the first
+    transition into j extends the witness of i by s, so gate_j = s gate_i."""
+    gates = [system.identity] + [None] * (len(states) - 1)
+    for i, s, j in transitions:
+        gates[j] = gates[j] or system.left_multiply(s, gates[i])
+    order = sorted(range(len(gates)), key=lambda k: shortlex_key(gates[k]))
+    rank = {k: a for a, k in enumerate(order)}
+    delta = [[None] * system.rank for _ in order]
+    for i, s, j in transitions:
+        delta[rank[i]][s] = rank[j]
+    return tuple(map(gates.__getitem__, order)), delta
 
 
 def low_index(g: Element) -> int:
@@ -274,11 +275,10 @@ def low_index(g: Element) -> int:
     those walls is m-elementary (Dyer & Hohlweg, Adv. Math. 2016).
     """
     system = g.system
-    right, out = system.inverse(g).mask, 0
-    for s in range(system.rank):
-        if right >> s & 1:
-            wall = (g.mask ^ system.right_multiply(g, s).mask).bit_length() - 1
-            out = max(out, separation_count(system, system._roots[wall]))
+    out = 0
+    for s in set_bits(system.inverse(g).mask & (1 << system.rank) - 1):
+        wall = (g.mask ^ system.right_multiply(g, s).mask).bit_length() - 1
+        out = max(out, separation_count(system, system._roots[wall]))
     return out
 
 

@@ -21,12 +21,12 @@ from garside import (
     word_infix,
     word_prefix,
 )
-from garside.coxeter import shortlex_key
+from garside.coxeter import set_bits, shortlex_key
 from garside.scalars import PHI, SQRT2, SQRT3
 from garside.shi import elementary_walls
 
 from conftest import (
-    ALL_SYSTEMS, _BUILDERS, _ORACLES as ORACLES, get_system, oracle_ball,
+    ALL_SYSTEMS, _BUILDERS, _ORACLES as ORACLES, get_system, oracle_ball, oracle_eval,
 )
 from test_scalars import Model, assert_matches
 
@@ -304,6 +304,29 @@ def test_multiply_inverse_metric(dinf, system):
     for g in system.ball(3):
         assert system.multiply(g, system.inverse(g)).is_identity()
         assert system.word_metric(g, g) == 0
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("affine_g2", "h3"))
+def test_left_products_match_oracle(name):
+    # on a fresh system, so that the shortcut interns each product first;
+    # its word and inversion set must be those of the oracle's normal form
+    system, other = _BUILDERS[name](), get_system(name)
+    radius = 4 if system.rank >= 4 else 5
+    table = oracle_ball(name, radius + 1)
+    for g in list(system.ball(radius)):
+        for s in range(system.rank):
+            h = system.left_multiply(s, g)
+            expected = table[oracle_eval(name, (s,) + g.word)][1]
+            assert h.word == expected, (g, s)
+            assert system.inversion_walls(h) == other.inversion_walls(other.element(expected))
+    with pytest.raises(MixedSystemError):
+        system.left_multiply(0, other.identity)
+
+
+def test_set_bits():
+    assert list(set_bits(0)) == []
+    assert list(set_bits(0b101101)) == [0, 2, 3, 5]
+    assert list(set_bits(1 << 300 | 2)) == [1, 300]
 
 
 def test_mixed_system_multiplication_rejected(dinf, s3):

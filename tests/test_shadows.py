@@ -29,8 +29,10 @@ from garside import (
     weak_leq,
 )
 
+from garside.automata import cone_type_automaton
 from garside.coxeter import InternalInconsistencyError, shortlex_key
-from garside.shadows import GarsideShadow
+from garside.shadows import GarsideShadow, _check_walk
+from garside.shi import gate_walk, sign_patterns
 
 from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, scan_projection, _BUILDERS
 
@@ -117,6 +119,155 @@ def test_gate_shadows_validate(name, kind, m):
     shadow = shadow_from_gates(get_system(name), kind, m)
     assert shadow.constant_m == max(g.length for g in shadow)
     assert validate_shadow(shadow.system, shadow.members).ok
+
+
+def _count_calls(monkeypatch, *names):
+    """Counters on functions of `garside.shadows`, looked up there at call time."""
+    import garside.shadows as module
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _witness_gates(system, kind, m):
+    """The gates as the inverses of the walk's witness words, each built by
+    one walk from the identity over its reversed word."""
+    if kind == "gamma":
+        words = map(system.parse_word, cone_type_automaton(system).state_labels)
+    else:
+        words = sign_patterns(system, m or 0)[0]
+    return sorted((system.element(word[::-1]) for word in words), key=shortlex_key)
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+@pytest.mark.parametrize("kind,m", SHADOW_KINDS)
+def test_gate_shadow_delta_is_the_walk_and_matches_the_scan(monkeypatch, name, kind, m):
+    # a fresh system, so no memo of another test builds the shadow; the
+    # walk's table must equal the below-x scan's entry for entry, and the
+    # gates the inverses of the witnesses, with no join scan on the way
+    system = _BUILDERS[name]()
+    calls = _count_calls(monkeypatch, "validate_shadow", "_join_failures", "_top_below")
+    shadow = shadow_from_gates(system, kind, m)
+    delta = shadow.delta
+    assert calls == {"validate_shadow": 0, "_join_failures": 0, "_top_below": 0}
+    monkeypatch.undo()
+    assert list(shadow.ordered) == _witness_gates(system, kind, m)
+    scanned = GarsideShadow(system, shadow.ordered, shadow.members, shadow.constant_m, "scan")
+    assert delta == scanned.delta
+    assert shadow_from_gates(system, kind, m) is shadow
+
+
+def test_the_walk_check_rejects_a_wrong_table(affine_a2):
+    gates, delta = gate_walk(affine_a2, 1)
+    _check_walk(affine_a2, gates, delta)
+    # an entry sending b by s to a member not below s*b, then a missing entry
+    i, s = next((i, s) for i, row in enumerate(delta) for s, j in enumerate(row) if j is not None)
+    above = affine_a2.multiply(affine_a2.gens[s], gates[i])
+    for wrong_j in (next(k for k, c in enumerate(gates) if c.mask & ~above.mask), None):
+        wrong = [list(row) for row in delta]
+        wrong[i][s] = wrong_j
+        with pytest.raises(InternalInconsistencyError, match="delta is wrong"):
+            _check_walk(affine_a2, gates, wrong)
+
+
+@pytest.mark.parametrize(
+    "kind,m",
+    [
+        ("m-low", True),  # a bool is an int, but would be cached as m-low(1)
+        ("m-low", False),
+        ("m-low", 1.5),
+        ("m-low", 1.0),
+        ("m-low", "1"),
+        ("m-low", None),
+        ("m-low", -1),
+        ("low", 3),  # would build a second low shadow beside the first
+        ("low", 0),
+        ("gamma", 5),
+        ("mlow", 1),
+        ("closure", None),
+    ],
+)
+def test_shadow_from_gates_checks_its_m(kind, m):
+    system = _BUILDERS["affine_a2"]()
+    with pytest.raises(ValueError, match="gate kinds are"):
+        shadow_from_gates(system, kind, m)
+    assert system.cache("gate_shadows") == {}
+    assert shadow_from_gates(system, "m-low", 1).provenance == "m-low(1)"
+    assert shadow_from_gates(system, "m-low", 0) is shadow_from_gates(system, "low")
+
+
+def test_a_gate_shadow_reloads_as_itself(monkeypatch):
+    system = _BUILDERS["triangle_334"]()
+    shadows = [shadow_from_gates(system, kind, m) for kind, m in SHADOW_KINDS]
+    calls = _count_calls(monkeypatch, "validate_shadow")
+    for shadow in shadows:
+        assert shadow_from_text(system, shadow_to_text(shadow)) is shadow
+    assert calls["validate_shadow"] == 0
+
+
+def test_a_low_file_reloads_as_the_low_shadow_of_a_fresh_system(monkeypatch):
+    text = shadow_to_text(shadow_from_gates(_BUILDERS["affine_g2"](), "low"))
+    fresh = _BUILDERS["affine_g2"]()
+    calls = _count_calls(monkeypatch, "validate_shadow")
+    again = shadow_from_text(fresh, text)
+    assert calls["validate_shadow"] == 0
+    assert again is shadow_from_gates(fresh, "low") and shadow_to_text(again) == text
+
+
+@pytest.mark.parametrize("kind,m", (("m-low", 1), ("gamma", None)))
+def test_other_gate_files_validate_on_a_fresh_system(monkeypatch, kind, m):
+    shadow = shadow_from_gates(_BUILDERS["affine_g2"](), kind, m)
+    text = shadow_to_text(shadow)
+    fresh = _BUILDERS["affine_g2"]()
+    calls = _count_calls(monkeypatch, "validate_shadow")
+    again = shadow_from_text(fresh, text)
+    assert calls["validate_shadow"] == 1
+    assert shadow_to_text(again) == text and again.members == {
+        fresh.element(g.word) for g in shadow.members}
+    assert fresh.cache("gate_shadows") == {}  # loading built no gate shadow
+
+
+def test_a_provenance_number_starts_no_walk(monkeypatch):
+    # the low elements labelled m-low(50) load as such, by validation over
+    # L_0; nothing walks the sign patterns of E_50
+    system = _BUILDERS["affine_g2"]()
+    text = shadow_to_text(shadow_from_gates(system, "low"))
+    text = text.replace("provenance: low", "provenance: m-low(50)")
+    walked = []
+    monkeypatch.setattr("garside.shi.sign_patterns",
+                        lambda system, m, _walk=sign_patterns: walked.append(m) or _walk(system, m))
+    fresh = _BUILDERS["affine_g2"]()
+    assert shadow_from_text(fresh, text).provenance == "m-low(50)"
+    assert shadow_from_text(system, text).provenance == "m-low(50)"
+    assert walked == [0]
+
+
+def test_a_relabelled_gate_file_keeps_its_label(monkeypatch):
+    system = _BUILDERS["triangle_334"]()
+    gamma = shadow_from_gates(system, "gamma")
+    low1 = shadow_from_gates(system, "m-low", 1)
+    text = shadow_to_text(low1).replace("provenance: m-low(1)", "provenance: gamma")
+    calls = _count_calls(monkeypatch, "validate_shadow")
+    for target in (system, _BUILDERS["triangle_334"]()):
+        again = shadow_from_text(target, text)
+        assert again.provenance == "gamma" and again is not gamma
+        assert [g.word for g in again] == [g.word for g in low1]
+    assert calls["validate_shadow"] == 2
+
+
+def test_a_closure_is_not_validated_again(monkeypatch):
+    system = _BUILDERS["affine_a2"]()
+    stu = system.element("stu")
+    calls = _count_calls(monkeypatch, "validate_shadow", "make_shadow")
+    closure = garside_closure(system, [stu], 12)
+    assert calls == {"validate_shadow": 0, "make_shadow": 0}
+    monkeypatch.undo()
+    assert len(closure) == 28 and validate_shadow(system, closure.members).ok
 
 
 def _join_verdict_by_ball_scan(system, members):
