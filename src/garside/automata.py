@@ -11,15 +11,15 @@ m-elementary walls), its minimization (states are cone types), both with
 one edge per letter labelled by the generator, and the automaton of a
 voracious language built elsewhere.
 
-Acceptance and enumeration walk one prefix index built with the automaton.
-Its nodes are the elements below a label in the right weak order, since the
-prefixes of the reduced words of g are exactly the elements of [e, g].  No
+Enumeration walks one prefix index built with the automaton: its nodes are
+the elements below a label in the right weak order, the prefixes of the
+reduced words of g being the elements of [e, g].  Acceptance reads a table
+built lazily from it (the subset construction), one lookup per letter.  No
 label's words are listed on the way; the exports list them on demand.
 
-Acceptance is implemented twice on purpose: once by walking the prefix
-index from every reached position, and once by expanding every label into
-a chain of fresh single-letter states and running the resulting NFA.  The
-two must agree everywhere; the tests enforce it.
+Acceptance is implemented twice on purpose: once by that table, and once by
+expanding every label into a chain of fresh single-letter states and running
+the resulting NFA.  The two must agree everywhere; the tests enforce it.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class Automaton:
     label is an element other than the identity, all of one system whose
     generators are `generator_names`.  `_index` is the prefix index
     (step, fire) of the labels, built once with the edges' validation;
-    `_nfa_delta` is the letter table of the oracle `nfa_accepting_states`,
-    built on its first call.
+    `_table` is the acceptance table (`_move`) and `_nfa_delta` the letter
+    table of the oracle `nfa_accepting_states`, each built on first use.
     """
 
     generator_names: tuple[str, ...]
@@ -102,6 +102,7 @@ class Automaton:
     accepts: frozenset[int]
     edges: tuple[tuple[int, int, Element], ...]
     _index: tuple = field(init=False, compare=False, repr=False)
+    _table: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _nfa_delta: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -119,31 +120,48 @@ class Automaton:
     def n_states(self) -> int:
         return len(self.state_labels)
 
-    # -- acceptance and enumeration: walks of the prefix index ---------------
+    # -- acceptance and enumeration, both read from the prefix index ----------
 
     def accepting_states(self, word: Word) -> frozenset[int]:
-        """All accept states reachable by decompositions consuming `word`.
+        """All accept states reachable by decompositions consuming `word`:
+        one lookup per letter in the table, whose missing moves `_move` adds."""
+        if self._table is None:
+            start = ((0, 1 << self.start),)
+            object.__setattr__(self, "_table", ({start: 0}, [(start, self.accepts & {self.start})], [{}]))
+        moves = self._table[2]
+        state = 0
+        for letter in word:
+            nxt = moves[state].get(letter)
+            state = self._move(state, letter) if nxt is None else nxt
+        return self._table[1][state][1]
 
-        reach[i] is the mask of states reached after word[:i]; from each
-        nonempty one the walk reads word[i:] down the prefix index and fires
-        every edge whose label ends at a node it passes."""
-        step, fire = self._index
-        n = len(word)
-        reach = [0] * (n + 1)
-        reach[0] = 1 << self.start
-        for i in range(n):
-            here = reach[i]
-            if not here:
-                continue
-            node = 0
-            for j in range(i, n):
-                node = step[node].get(word[j])
-                if node is None:
-                    break
-                for sources, dst in fire[node]:
-                    if here & sources:
-                        reach[j + 1] |= 1 << dst
-        return frozenset(q for q in set_bits(reach[n]) if q in self.accepts)
+    def _move(self, state: int, letter: int) -> int:
+        """The table state after `letter` from `state`, added if new.  The
+        table holds configuration ids, (configuration, accept states) by id,
+        and moves by id and letter.  A configuration holds (node, mask) for
+        each prefix-index node where a decomposition thread stands, mask the
+        states it began at; node 0 holds the states reached.  Threads step
+        down the index and fire the edges whose labels end where they stand.
+        Threads begun at distinct positions have read distinct lengths, so
+        their nodes (numbered in ShortLex order) differ and stay increasing."""
+        self._check_letter(letter)
+        (step, fire), (ids, states, moves) = self._index, self._table
+        threads, reach = [], 0
+        for node, mask in states[state][0]:
+            child = step[node].get(letter)
+            if child is not None:  # one node's fire entries have distinct dsts
+                threads.append((child, mask))
+                reach |= sum(1 << dst for sources, dst in fire[child] if mask & sources)
+        config = (((0, reach),) if reach else ()) + tuple(threads)
+        nxt = moves[state][letter] = ids.setdefault(config, len(states))
+        if nxt == len(states):
+            states.append((config, self.accepts.intersection(set_bits(reach))))
+            moves.append({})
+        return nxt
+
+    def _check_letter(self, letter) -> None:
+        if letter not in range(len(self.generator_names)):
+            raise ValueError(f"{letter!r} is not a letter: letters are 0..{len(self.generator_names) - 1}")
 
     def accepts_word(self, word: Word) -> bool:
         return bool(self.accepting_states(word))
@@ -263,9 +281,8 @@ def nfa_accepting_states(aut: Automaton, word: Word) -> frozenset[int]:
         object.__setattr__(aut, "_nfa_delta", delta)
     current = {aut.start}
     for letter in word:
+        aut._check_letter(letter)
         current = set().union(*(delta[q].get(letter, ()) for q in current))
-        if not current:
-            break
     return frozenset(q for q in current if q in aut.accepts)
 
 

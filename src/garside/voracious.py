@@ -10,10 +10,10 @@ language is recognized by an automaton whose states are the shadow
 members: an edge runs from b to w whenever projecting w*b onto B gives
 back w, labelled by the element w^{-1}, which reads all reduced words of
 w^{-1} (the maximal chains of [e, w^{-1}]; Björner & Brenti, GTM 231,
-ch. 3).  No label word is stored: acceptance walks the automaton's prefix
-index, and the exports list an edge's words only when they write it.
-Every projection, the edges' too, folds words through the shadow's
-transition table `GarsideShadow.delta`.
+ch. 3).  No label word is stored: acceptance reads a table built lazily
+from the automaton's prefix index, and the exports list an edge's words
+only when they write it.  Every projection, the edges' too, folds words
+through the shadow's transition table `GarsideShadow.delta`.
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from garside import CoxeterSystem, language_of, make_system
+from garside import Automaton, CoxeterSystem, language_of, make_system
 from garside.shadows import _top_below
 
 
@@ -93,6 +93,39 @@ def languages(shadow, radius):
     """Each ball element's voracious words, sorted, in ShortLex order of
     the elements."""
     return {g: tuple(sorted(language_of(shadow, g))) for g in shadow.system.ball(radius)}
+
+
+def fresh_automaton(aut):
+    """A copy of `aut` whose acceptance table is not built yet."""
+    return Automaton(aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges)
+
+
+def assert_table_ignores_reading_order(aut, words):
+    """`words` (a prefix-closed list) read in order on one fresh copy of `aut`
+    and in reverse order on another reach the same accept states and the
+    same configurations, whose nodes increase; each call adds at most one
+    table state per letter, and a second pass over the words adds none.
+    Returns the accept states of each word."""
+    def read(reader, word):
+        size = len(reader._table[0])
+        states = reader.accepting_states(word)
+        assert len(reader._table[0]) <= size + len(word), word
+        return states
+
+    forward, backward = fresh_automaton(aut), fresh_automaton(aut)
+    for reader in (forward, backward):
+        assert reader._table is None  # nothing is built before the first call
+        assert reader.accepting_states(()) == aut.accepts & {aut.start}
+        assert len(reader._table[0]) == 1
+    ahead = {word: read(forward, word) for word in words}
+    behind = {word: read(backward, word) for word in reversed(words)}
+    assert ahead == behind
+    configurations = set(forward._table[0])
+    assert all(a < b for c in configurations for (a, _), (b, _) in zip(c, c[1:]))
+    assert configurations == set(backward._table[0])
+    assert all(forward.accepting_states(word) == ahead[word] for word in words)
+    assert set(forward._table[0]) == configurations
+    return ahead
 
 
 @pytest.fixture(params=ALL_SYSTEMS)

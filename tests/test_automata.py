@@ -19,7 +19,13 @@ from garside import (
     weak_leq,
 )
 
-from conftest import ALL_SYSTEMS, get_system, oracle_ball
+from conftest import (
+    ALL_SYSTEMS,
+    assert_table_ignores_reading_order,
+    fresh_automaton,
+    get_system,
+    oracle_ball,
+)
 
 
 def test_automaton_invariants_enforced(dinf, s3):
@@ -59,17 +65,61 @@ def test_element_label_reads_its_reduced_words(s3):
 
 
 def test_automaton_equality_ignores_the_edge_index(system):
-    # the prefix index is derived from the edges: it must not change
-    # equality or hashing, nor show in the repr
+    # the prefix index and the acceptance table are derived from the edges:
+    # warm or cold, they must not change equality or hashing, nor show in
+    # the repr
     aut = cone_type_automaton(system)
     twin = Automaton(
         aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges
     )
     assert twin == aut and hash(twin) == hash(aut) and repr(twin) == repr(aut)
     assert "_index" not in repr(aut)
+    cold = fresh_automaton(aut)
+    twin.accepting_states((0, 1, 0))
+    assert twin._table is not None and cold._table is None
+    assert twin == cold and hash(twin) == hash(cold) and repr(twin) == repr(cold)
+    assert "_table" not in repr(twin)
     assert twin != Automaton(
         aut.generator_names, aut.state_labels, aut.start, aut.accepts, aut.edges[1:]
     )
+
+
+def test_the_acceptance_table_ignores_reading_order(system):
+    # every word up to length 5 (4 for rank 4), reduced or not, in ShortLex
+    # order, on the canonical automaton and the cone-type automaton
+    length = 5 if system.rank <= 3 else 4
+    words = [w for n in range(length + 1) for w in product(range(system.rank), repeat=n)]
+    for aut in (canonical_automaton(system, 1), cone_type_automaton(system)):
+        ahead = assert_table_ignores_reading_order(aut, words)
+        assert all(nfa_accepting_states(aut, w) == states for w, states in ahead.items())
+
+
+def test_the_acceptance_table_is_built_on_first_use(s3):
+    # a table state per configuration: one thread at node 0 to start; a
+    # word past the dead state stays there
+    sts = s3.element("sts")
+    aut = Automaton(s3.generator_names, ("-", "x"), 0, frozenset({1}), ((0, 1, sts),))
+    assert aut._table is None
+    assert aut.accepting_states((0, 1, 0)) == {1}
+    ids, states, moves = aut._table
+    assert states[0] == (((0, 1),), frozenset())
+    assert len(ids) == len(states) == len(moves) == 4
+    assert aut.accepting_states((0, 0, 1, 0, 1)) == frozenset()
+    dead = moves[moves[1][0]]
+    assert states[moves[1][0]] == ((), frozenset()) and set(dead.values()) == {moves[1][0]}
+
+
+def test_the_acceptance_table_reports_only_accept_states(s3):
+    # state 0 is reached again but does not accept: the table's accept
+    # states are the reached ones that accept, as the oracle's are
+    sts, t = s3.element("sts"), s3.generator("t")
+    aut = Automaton(s3.generator_names, ("-", "x"), 0, frozenset({1}), ((0, 1, sts), (1, 0, t), (1, 1, t)))
+    nfa = letter_expanded(aut)
+    for length in range(9):
+        for word in product(range(2), repeat=length):
+            assert aut.accepting_states(word) == nfa_accepting_states(nfa, word), word
+    assert aut.accepting_states((0, 1, 0, 1)) == {1}
+    assert (((0, 0b11),), {1}) in [(c[:1], states) for c, states in aut._table[1]]
 
 
 def test_canonical_accepts_empty_and_rejects_ss(system):

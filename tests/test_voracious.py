@@ -3,6 +3,7 @@ from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garside import automata, voracious, weak_order
 from garside import (
@@ -30,6 +31,8 @@ from conftest import (
     _BUILDERS,
     ALL_SYSTEMS,
     FINITE_SYSTEMS,
+    assert_table_ignores_reading_order,
+    fresh_automaton,
     get_system,
     languages,
     oracle_ball,
@@ -265,7 +268,7 @@ def test_accept_state_is_projection_of_inverse_on_a_large_shadow():
 
 
 def test_dp_acceptance_equals_letter_expansion():
-    # every word up to length 5, reduced or not: the prefix-index walk and
+    # every word up to length 5, reduced or not: the acceptance table and
     # the NFA of the letter-expanded automaton reach the same accept states
     for name in ALL_SYSTEMS:
         system = get_system(name)
@@ -277,6 +280,65 @@ def test_dp_acceptance_equals_letter_expansion():
                     dp = {aut.state_labels[q] for q in aut.accepting_states(word)}
                     via_nfa = {nfa.state_labels[q] for q in nfa_accepting_states(nfa, word)}
                     assert dp == via_nfa, (name, kind, m, word)
+
+
+ORACLE_KINDS = (("gamma", None), ("low", None), ("m-low", 1))
+
+
+@cache
+def automaton_and_oracle(name, kind, m):
+    """The voracious automaton of a shadow with its letter expansion, kept
+    across calls so that its acceptance table stays warm."""
+    shadow = shadow_from_gates(get_system(name), kind, m)
+    aut = build_voracious_fsa(shadow)
+    return shadow, aut, letter_expanded(aut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(ALL_SYSTEMS),
+    kind=st.sampled_from(ORACLE_KINDS),
+    data=st.data(),
+)
+def test_the_table_agrees_with_the_oracle_on_long_words(name, kind, data):
+    # words of up to 14 letters, each with the least voracious word of its
+    # element and that word followed by a drawn tail, so that both accepted
+    # and rejected words reach deep into the table
+    shadow, aut, nfa = automaton_and_oracle(name, *kind)
+    system = shadow.system
+    letters = st.integers(0, system.rank - 1)
+    word = data.draw(st.lists(letters, max_size=14).map(tuple))
+    voracious_word = min(language_of(shadow, system.element(word)))
+    tail = data.draw(st.lists(letters, max_size=14 - len(voracious_word)).map(tuple))
+    for w in (word, voracious_word, voracious_word + tail):
+        dp = {aut.state_labels[q] for q in aut.accepting_states(w)}
+        assert dp == {nfa.state_labels[q] for q in nfa_accepting_states(nfa, w)}, w
+    assert aut.accepting_states(voracious_word)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_the_voracious_table_ignores_reading_order(name):
+    # every word up to length 5 (4 for rank 4), on fresh automata
+    system = get_system(name)
+    length = 5 if system.rank <= 3 else 4
+    words = [w for n in range(length + 1) for w in product(range(system.rank), repeat=n)]
+    for kind, m in ORACLE_KINDS:
+        assert_table_ignores_reading_order(automaton_and_oracle(name, kind, m)[1], words)
+
+
+@pytest.mark.parametrize("word,letter", [("stu", "'s'"), ((0, 7), "7"), ((-1,), "-1"), ((0, 0, 9), "9")])
+def test_a_word_of_non_letters_raises(word, letter):
+    # a string, an out-of-range letter, a negative one and a bad letter past
+    # the dead state raise on both routes, cold or warm, and enter no table
+    _, aut, nfa = automaton_and_oracle("affine_a2", "low", None)
+    assert fsa_accepts(aut, (0, 1, 2)).states == ("ut",)
+    match = f"^{letter} is not a letter: letters are 0..2$"
+    for reader in (fresh_automaton(aut), aut):
+        with pytest.raises(ValueError, match=match):
+            fsa_accepts(reader, word)
+        assert not any(set(moves) - {0, 1, 2} for moves in reader._table[2])
+    with pytest.raises(ValueError, match=match):
+        nfa_accepting_states(nfa, word)
 
 
 def old_layout(shadow, aut, dot):
