@@ -167,7 +167,9 @@ class Automaton:
         return bool(self.accepting_states(word))
 
     def enumerate_language(self, max_len: int) -> dict[Word, frozenset[int]]:
-        """All accepted words of length <= max_len with their accept states."""
+        """All accepted words of length <= max_len (>= 0) with their accept states."""
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
         steps = self._label_steps(max_len)
         found: dict[Word, set[int]] = {}
         frontier: list[tuple[int, Word]] = [(self.start, ())]

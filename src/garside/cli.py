@@ -229,10 +229,8 @@ def cmd_shadow(args) -> int:
         if m < 0:
             raise CliError(EXIT_IO, "bad-kind", f"bad m in {kind!r}")
         kind_key, builder = f"mlow={m}", lambda: shadow_from_gates(system, "m-low", m)
-    elif kind == "low":
-        kind_key, builder = "low", lambda: shadow_from_gates(system, "low")
-    elif kind == "gamma":
-        kind_key, builder = "gamma", lambda: shadow_from_gates(system, "gamma")
+    elif kind in ("low", "gamma"):
+        kind_key, builder = kind, lambda: shadow_from_gates(system, kind)
     elif kind == "closure":
         seed_words = []
         seed_text = ""

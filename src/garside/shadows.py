@@ -73,9 +73,9 @@ class GarsideShadow:
     """A finite Garside shadow with its length constant, built by
     `make_shadow` (validated), `garside_closure` or `shadow_from_gates`.
 
-    The last two fields memoise each element's voracious language and its
-    words' prefix columns (`verify`); equality ignores them and `delta`,
-    which a gate shadow gets from its walk and any other from the scan.
+    Equality ignores `steps`, the voracious-step table g -> (nu(g), b,
+    Red(b^-1)) that `voracious._step` fills, and `delta`, which a gate
+    shadow gets from its walk and any other from the scan.
     """
 
     system: CoxeterSystem
@@ -83,8 +83,7 @@ class GarsideShadow:
     members: frozenset[Element]
     constant_m: int
     provenance: str
-    language_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    column_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self):
         return len(self.ordered)
@@ -163,6 +162,8 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
         return ValidationResult(False, f"suffix {w} of {b} missing", (b, w))
 
     gates = shi_gates(system, max(map(low_index, members)))
+    if members == frozenset(gates):  # L_m itself, a shadow by theorem
+        return ValidationResult(True)
     search_radius = gates[-1].length
     for top, b, x in _join_failures(members, gates):
         return ValidationResult(
@@ -177,7 +178,8 @@ def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShad
     elements than the low shadow's.  The system's gate shadow that the
     provenance names, if built and of these members, is returned itself, not
     validated again (the low one is built to compare; a number in the
-    provenance starts no walk)."""
+    provenance starts no walk).  Members that are L_m, m >= 1 their largest
+    `low_index`, labelled `m-low(m)`, get delta from validation's walk."""
     members = frozenset(elements)
     if provenance == "low":
         shadow_from_gates(system, "low")
@@ -189,7 +191,13 @@ def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShad
         raise ValueError(f"not a Garside shadow: {result.violation}")
     if provenance == "low":
         raise ValueError("provenance low, but the members are not the low elements")
-    return _wrap(system, members, provenance)
+    shadow = _wrap(system, members, provenance)
+    m = max(map(low_index, members))
+    gates, delta = gate_walk(system, m)  # validation's walk
+    if provenance == f"m-low({m})" and m and members == frozenset(gates):
+        _check_walk(system, gates, delta)
+        object.__setattr__(shadow, "delta", delta)
+    return shadow
 
 
 def _wrap(system: CoxeterSystem, members, provenance: str) -> GarsideShadow:

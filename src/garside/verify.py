@@ -13,18 +13,18 @@ implementation bug.  The second bound involves the parallel-wall constant,
 which is computed exactly from the small roots (`parallel_wall_constant`);
 its ball estimate is kept only as an oracle for the tests.
 
-Condition one and the fellow-traveller scans read each ball element's
-words from `language_of`, their one owner, which memoises them on the
-shadow.  The scans compare the distinct prefix points of two elements'
-words position by position, never word pairs; the scan over every word
-pair, `_max_deviation`, is their oracle, and runs only to name a
-report's witness when a check's running maximum rises.  Left
-multiplication is an isometry, so each Cayley edge is visited once, from
-its shorter end, and the prefix columns are memoised on the shadow: a
-suite walks each element's words once, and condition one reads off those
-walks that every word spells its element.  `original-projection`
-compares with the wall description, whose critical walls are read as
-masks off N(g^-1) (`op_voracious_projection`).
+Condition one and the fellow-traveller scans read the voracious chain,
+not word sets: the words of g are L(nu(g)) Red(b^-1) (`voracious`), so
+g's prefix columns are nu(g)'s, then the layers of nu(g)*[e, b^-1], built
+in a table local to each check, and condition one checks each chain step
+on the walk that builds them.  The scans compare the columns of two
+elements position by position, never word pairs; the scan over every word
+pair, `_max_deviation`, is their oracle, and runs on the words of
+`language_of` only to name a report's witness when a check's running
+maximum rises.  Left multiplication is an isometry, so each Cayley edge
+is visited once, from its shorter end.  `original-projection` compares
+with the wall description, whose critical walls are read as masks off
+N(g^-1) (`op_voracious_projection`).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .coxeter import CoxeterSystem, Element, Word, shortlex_key
 from .shadows import CheckResult, GarsideShadow, _first_split, b_projection
 from .shi import elementary_walls, is_shi_gate, separation_count
 from .voracious import (
+    _step,
     cross_validate_regularity,
     language_of,
     op_voracious_projection,
@@ -95,20 +96,18 @@ class VerdictBundle:
 
 def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
     """Every ball element is represented by at least one (and finitely many)
-    voracious words, and each of them spells it: the walk that builds the
-    element's prefix columns ends at its mask, at its length."""
+    voracious words, and each of them spells it: by induction, iff each
+    step has l(nu(g)) + l(b) = l(g) and nu(g)*b^-1 = g, that is, iff the
+    walk building g's prefix columns (`_chain_columns`) ends at g, at l(g)."""
     system = shadow.system
     ball = system.ball(radius)
-    most = max(len(language_of(shadow, g)) for g in ball)
+    table = _chain_columns(shadow, ball)
+    most = max(n for n, _, _ in table.values())
     details = f"radius={radius} elements={len(ball)} max-words={most}"
-    for g in ball:
-        columns = _prefix_columns(shadow, g)
-        if len(columns) != g.length or g.length and columns[-1] != (g.mask,):
-            words = language_of(shadow, g)
-            word = min(v for v in words if len(v) != g.length or system.element(v) is not g)
-            return CheckResult(
-                "condition-one", False, details, f"g={g} word={system.render_word(word)}"
-            )
+    for g, (_, columns, end) in table.items():
+        if end is not g or len(columns) != g.length:  # so every word of g fails
+            word = system.render_word(min(language_of(shadow, g)))
+            return CheckResult("condition-one", False, details, f"g={g} word={word}")
     return CheckResult("condition-one", True, details)
 
 
@@ -151,29 +150,32 @@ def _max_deviation(words, words2, path, prefixes):
     return best, witness
 
 
-def _witness(words, words2, path, prefixes):
-    """The first witness (v, v2, i) of the pair scan over the sorted words,
-    read off the oracle."""
-    return _max_deviation(sorted(words), sorted(words2), path, prefixes)[1]
+def _witness(shadow: GarsideShadow, g: Element, h: Element, path, prefixes):
+    """The pair scan's first witness (v, v2, i) over g's and h's sorted words."""
+    words, words2 = (sorted(language_of(shadow, x)) for x in (g, h))
+    return _max_deviation(words, words2, path, prefixes)[1]
 
 
-def _prefix_columns(shadow: GarsideShadow, g: Element) -> list[tuple[int, ...]]:
-    """Column i-1 holds the masks of the distinct length-i prefixes of g's
-    words, i up to the longest word, a word staying at its last point past
-    its end: l(g) columns ending in g's mask alone if every word spells g
-    (condition one).  Memoised on the shadow, as the language is."""
-    cache = shadow.column_cache
-    columns = cache.get(g)
-    if columns is None:
-        words = language_of(shadow, g)
-        n = max(map(len, words))
-        columns = [set() for _ in range(n)]
-        for v in words:
-            points = _prefix_masks(shadow.system, v)
-            for column, p in zip(columns, points[1:] + points[-1:] * (n - len(v))):
-                column.add(p)
-        columns = cache[g] = list(map(tuple, columns))
-    return columns
+def _chain_columns(shadow: GarsideShadow, ball) -> dict:
+    """g -> (|L(g)|, g's prefix columns, where g's words end) over a ShortLex
+    ball; column i-1 holds the masks of the distinct length-i prefixes.  The
+    words are L(nu(g)) Red(b^-1), and the prefixes of the reduced words of
+    b^-1 are [e, b^-1]: so g's columns are nu(g)'s (shorter, so there first),
+    then the layers by length of x*[e, b^-1], x where nu(g)'s words end."""
+    system = shadow.system
+    walks, table = {}, {}
+    for g in ball:
+        nu, b, words = _step(shadow, g)
+        if b not in walks:  # [e, b^-1] less e, each p after p less its last letter
+            walks[b] = sorted(_lower_set(system.inverse(b)), key=shortlex_key)[1:]
+        count, columns, end = table.get(nu, (1, (), g))  # the identity's nu is itself
+        points, layers, x = {(): end}, [[] for _ in range(b.length)], end  # p.word: end*p
+        for p in walks[b]:  # the last is b^-1
+            x, s = points[p.word[:-1]], p.word[-1]
+            x = points[p.word] = x._right[s] or system.right_multiply(x, s)
+            layers[p.length - 1].append(x.mask)
+        table[g] = count * len(words), columns + tuple(map(tuple, layers)), x
+    return table
 
 
 def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
@@ -195,7 +197,7 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     system = shadow.system
     ball = system.ball(max_len)
     prefixes = partial(_prefix_masks, system)
-    columns = {g: _prefix_columns(shadow, g) for g in ball}
+    table = _chain_columns(shadow, ball)
     if side == "left":
         # s*p for the prefix points p, keyed as column points are: s*g =
         # (s*g')*t for g = g'*t, g' earlier in ShortLex order.  No point of
@@ -211,21 +213,19 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     for g in ball:
         if len(g.word) == max_len:
             break  # a longer neighbour lies outside the ball
-        words_g = language_of(shadow, g)
+        n_g, columns_g, _ = table[g]
         for i, s in enumerate(system.gens):
             h = system.right_multiply(g, i) if side == "right" else lefts[g.mask][i]
             if len(h.word) < len(g.word):
                 continue
-            words_h = language_of(shadow, h)
-            cols_g, end = columns[g], g.mask
+            n_h, columns_h, _ = table[h]
+            cols_g, end = columns_g, g.mask
             if side == "left":  # s times g's prefixes, ending at h
                 cols_g, end = [[lefts[p][i].mask for p in c] for c in cols_g], h.mask
-            pairs = chain.from_iterable(map(product, cols_g + [[end]], columns[h]))
+            pairs = chain.from_iterable(map(product, [*cols_g, [end]], columns_h))
             d = max(map(int.bit_count, starmap(xor, pairs)))
             path = prefixes if side == "right" else lambda v, s=s.word: prefixes(s + v)[1:]
-            yield g, s, h, 2 * len(words_g) * len(words_h), d, partial(
-                _witness, words_g, words_h, path, prefixes
-            )
+            yield g, s, h, 2 * n_g * n_h, d, partial(_witness, shadow, g, h, path, prefixes)
 
 
 def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
@@ -327,10 +327,6 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
 def check_lemma_chain(shadow: GarsideShadow, radius: int) -> CheckResult:
     """Interleaving of the iterated projections of g and of g*s below it."""
     system = shadow.system
-
-    def step(chain, k):
-        return chain[min(k, len(chain) - 1)]
-
     checked = 0
     for g in system.ball(radius):
         right = system.inverse(g).mask  # bit i set iff g*s_i is below g
@@ -340,12 +336,10 @@ def check_lemma_chain(shadow: GarsideShadow, radius: int) -> CheckResult:
                 continue
             chain_g2 = voracious_chain(shadow, system.right_multiply(g, i)).steps
             n = max(len(chain_g), len(chain_g2))
+            a, a2 = (c + c[-1:] * (n + 1 - len(c)) for c in (chain_g, chain_g2))
             for k in range(1, n + 1):
                 checked += 1
-                if not (
-                    weak_leq(step(chain_g2, k), step(chain_g, k))
-                    and weak_leq(step(chain_g, k), step(chain_g2, k - 1))
-                ):
+                if not (weak_leq(a2[k], a[k]) and weak_leq(a[k], a2[k - 1])):
                     return CheckResult(
                         "lemma-chain", False, f"radius={radius}", f"g={g} s={s} k={k}"
                     )

@@ -1,11 +1,11 @@
 """Voracious projections, the voracious language, and its automaton.
 
-Given a Garside shadow B, the voracious projection sends g to
-g * projection_B(g^{-1}); iterating it walks any element down to the
-identity in steps of bounded length.  Recording minimal-length words for
-each step yields the voracious words of g, and the union over all g is
-the voracious language of B.  `language_of` builds an element's words
-and memoises them on the shadow; it is their one owner.  For finite B the
+Given a Garside shadow B, the voracious projection sends g to nu(g) = g*b,
+b = projection_B(g^{-1}), once per element into the shadow's step table
+(`_step`); iterating it walks any element down to the identity in steps
+of bounded length.  The voracious words of g are L(nu(g)) Red(b^{-1}),
+built along the chain by `language_of`, which keeps none, and their union
+over all g is the voracious language of B.  For finite B the
 language is recognized by an automaton whose states are the shadow
 members: an edge runs from b to w whenever projecting w*b onto B gives
 back w, labelled by the element w^{-1}, which reads all reduced words of
@@ -49,8 +49,8 @@ class VoraciousChain:
 
 @dataclass(frozen=True)
 class LanguageSlice:
-    """All voracious words of bounded length; `language_of` keeps them by
-    element."""
+    """All voracious words of bounded length, the union of `language_of`
+    over a ball."""
 
     max_len: int
     words: frozenset  # all words in the slice
@@ -65,16 +65,25 @@ class Acceptance:
 REJECTED = Acceptance(False, ())
 
 
+def _step(shadow: GarsideShadow, g: Element) -> tuple[Element, Element, frozenset]:
+    """(nu(g), b, Red(b^-1)) for b = projection_B(g^-1) and nu(g) = g*b: g's
+    entry in the shadow's step table, folded and multiplied on first use."""
+    step = shadow.steps.get(g)
+    if step is None:
+        system, b = shadow.system, _fold(shadow, g)
+        step = shadow.steps[g] = system.multiply(g, b), b, reduced_words(system.inverse(b))
+    return step
+
+
 def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
     """One voracious step: g times the shadow projection of its inverse."""
-    return shadow.system.multiply(g, _fold(shadow, g))
+    return _step(shadow, g)[0]
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
-    system = shadow.system
-    steps = [g]
+    table, steps = shadow.steps, [g]
     while not g.is_identity():
-        g = system.multiply(g, _fold(shadow, g))
+        g = (table.get(g) or _step(shadow, g))[0]
         if g.length >= steps[-1].length:
             raise InternalInconsistencyError(f"voracious projection failed to shorten {steps[-1]}")
         steps.append(g)
@@ -117,27 +126,15 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     The words for the identity are just the empty word; otherwise every
     word for the projection nu = g*b, b the projection of g^{-1}, extends
     by every reduced word of the remaining segment nu^{-1} g = b^{-1}.
-    All results are reduced words of g.  The chain is walked down to the
-    first cached element or the identity, then the cache is filled on the
-    way back up, so long elements need no recursion.
+    All results are reduced words of g.  The chain is read off the step
+    table from g down, each step's tail Red(b^{-1}), kept there, going in
+    front of the words built so far, so long elements need no recursion.
     """
-    cache = shadow.language_cache
-    out = cache.get(g)
-    if out is not None:
-        return out
-    system = shadow.system
-    system._own(g)
-    steps = []  # (element, reduced words of its last segment)
-    while out is None and not g.is_identity():
-        b = _fold(shadow, g)
-        steps.append((g, reduced_words(system.inverse(b))))
-        g = system.multiply(g, b)
-        out = cache.get(g)
-    if out is None:
-        out = cache[g] = frozenset({()})
-    for x, tails in reversed(steps):
-        out = cache[x] = frozenset(u + v for u in out for v in tails)
-    return out
+    steps, out = shadow.steps, [()]
+    while g.word:
+        g, _, words = steps.get(g) or _step(shadow, g)
+        out = [u + v for u in words for v in out]
+    return frozenset(out)
 
 
 def enumerate_language(shadow: GarsideShadow, max_len: int) -> LanguageSlice:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from garside import Automaton, CoxeterSystem, language_of, make_system
-from garside.shadows import _top_below
+from garside.shadows import _fold, _top_below
 
 
 def _dinf():
@@ -87,6 +87,31 @@ def scan_projection(shadow, x):
     top, strays = _top_below(shadow.ordered, x)
     assert not strays, (x, strays)
     return top
+
+
+def fold_chain(shadow, g):
+    """The voracious chain of g by fresh folds, the oracle for the step
+    table: each step multiplies by projection_B(g^-1), g's normal form read
+    through delta, and nothing is kept."""
+    system, steps = shadow.system, [g]
+    while not g.is_identity():
+        g = system.multiply(g, _fold(shadow, g))
+        steps.append(g)
+    return tuple(steps)
+
+
+def chain_words(name, radius, shadow, steps):
+    """The voracious words along a chain from the ball of that radius by
+    their definition, L(x) = L(nu(x)) Red(nu(x)^-1 x), the reduced words of
+    each segment read off the brute-force word table of the oracle model."""
+    system = shadow.system
+    table = oracle_ball(name, radius)
+    words = {()}
+    for x, nu in reversed(list(zip(steps, steps[1:]))):
+        segment = system.multiply(system.inverse(nu), x)
+        tails = table[oracle_eval(name, segment.word)][2]
+        words = {u + v for u in words for v in tails}
+    return words
 
 
 def languages(shadow, radius):

@@ -50,6 +50,15 @@ def test_automaton_invariants_enforced(dinf, s3):
             Automaton(other, ("-",), 0, frozenset({0}), ((0, 0, st),))
 
 
+def test_enumerate_language_rejects_a_negative_length(s3):
+    # as the voracious slice does: no length gives the empty word alone
+    aut = Automaton(s3.generator_names, ("-", "x"), 0, frozenset({0, 1}), ((0, 1, s3.gens[0]),))
+    assert aut.enumerate_language(0) == {(): {0}}
+    for max_len in (-1, -5):
+        with pytest.raises(ValueError, match=f"^max_len must be >= 0, got {max_len}$"):
+            aut.enumerate_language(max_len)
+
+
 def test_element_label_reads_its_reduced_words(s3):
     # one edge labelled by the longest element of I2(3) reads exactly its two
     # reduced words, and its prefix index has one node per element below it

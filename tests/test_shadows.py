@@ -219,6 +219,25 @@ def test_a_low_file_reloads_as_the_low_shadow_of_a_fresh_system(monkeypatch):
     assert again is shadow_from_gates(fresh, "low") and shadow_to_text(again) == text
 
 
+def test_an_m_low_file_reloads_with_its_walk_s_delta(monkeypatch):
+    # validation walks L_M for M the members' largest low index; members
+    # that are those gates, labelled m-low(M), take the walk's delta, so
+    # neither the join scan nor the below-x scan of delta runs
+    texts = [shadow_to_text(shadow_from_gates(_BUILDERS["affine_g2"](), "m-low", m))
+             for m in (1, 2, 4)]
+    calls = _count_calls(monkeypatch, "_join_failures", "_top_below")
+    reloaded = []
+    for text in texts:
+        again = shadow_from_text(_BUILDERS["affine_g2"](), text)
+        reloaded.append((again, again.delta))
+        assert shadow_to_text(again) == text
+    assert calls == {"_join_failures": 0, "_top_below": 0}
+    monkeypatch.undo()
+    for again, delta in reloaded:  # the scan's table, on a shadow of the same members
+        assert delta == GarsideShadow(again.system, again.ordered, again.members,
+                                      again.constant_m, again.provenance).delta
+
+
 @pytest.mark.parametrize("kind,m", (("m-low", 1), ("gamma", None)))
 def test_other_gate_files_validate_on_a_fresh_system(monkeypatch, kind, m):
     shadow = shadow_from_gates(_BUILDERS["affine_g2"](), kind, m)

@@ -25,6 +25,7 @@ from garside import (
 from garside import scalars, verify, voracious
 from garside.shi import elementary_walls, separation_count
 from garside.verify import (
+    _chain_columns,
     _max_deviation,
     _neighbour_deviations,
     _prefix_masks,
@@ -57,13 +58,15 @@ def test_condition_one(dinf, s3):
 
 
 def test_condition_one_fails_on_a_word_of_another_element():
-    # the language memo files the words of ts under st: condition one names
-    # the first element with a word that does not spell it, and the suite
-    # still reports every check
+    # the step table files the step of ts, (id, st, {ts}), under st, so the
+    # words of st become those of ts: condition one names the first element
+    # with a word that does not spell it, and the suite still reports every
+    # check
     system = _BUILDERS["affine_a2"]()
     shadow = low(system)
     g, other = system.element("st"), system.element("ts")
-    shadow.language_cache[g] = language_of(shadow, other)
+    shadow.steps[g] = voracious._step(shadow, other)
+    assert language_of(shadow, g) == language_of(shadow, other) == {other.word}
     report = check_condition_one(shadow, 3)
     assert not report.passed and report.witness == "g=st word=ts"
     lines = full_suite(shadow, 3).to_text().splitlines()
@@ -74,22 +77,23 @@ def test_condition_one_fails_on_a_word_of_another_element():
 
 
 def test_each_element_is_walked_once_per_suite():
-    # condition one walks the words of ball(R), second-ftp only the last
-    # layer of ball(R + 1), and first-ftp none: every walk fills the column memo
+    # condition one computes the steps of ball(R), second-ftp only those of
+    # the last layer of ball(R + 1), and every other check none: each step
+    # is folded once and filed in the step table
     class Walks(dict):
         def __init__(self):
             super().__init__()
             self.walked = []
 
-        def __setitem__(self, g, columns):
+        def __setitem__(self, g, step):
             self.walked.append(g)
-            super().__setitem__(g, columns)
+            super().__setitem__(g, step)
 
     system = _BUILDERS["triangle_334"]()
-    shadow = replace(low(system), column_cache=Walks())
+    shadow = replace(low(system), steps=Walks())
     radius = 6
     full_suite(shadow, radius)
-    assert shadow.column_cache.walked == list(system.ball(radius + 1))
+    assert shadow.steps.walked == list(system.ball(radius + 1))
 
 
 def test_first_ftp_dinf(dinf):
@@ -187,6 +191,32 @@ def test_column_scan_matches_the_pair_scan(name, kind, m):
             assert (d, witness_of()) == _max_deviation(words, words2, path, prefixes), (side, g, s)
             assert d == _max_deviation(words2, words, path, prefixes)[0], (side, h, s)
         assert scanned == expected
+
+
+def prefix_columns_by_words(shadow, g):
+    """The word route to g's prefix columns, the oracle for the chain's:
+    column i-1 holds the masks of the distinct length-i prefixes of g's
+    words, each word walked over the Cayley edges and staying at its last
+    point past its end; sorted."""
+    words = language_of(shadow, g)
+    n = max(map(len, words))
+    columns = [set() for _ in range(n)]
+    for v in words:
+        points = _prefix_masks(shadow.system, v)
+        for column, p in zip(columns, points[1:] + points[-1:] * (n - len(v))):
+            column.add(p)
+    return [sorted(column) for column in columns]
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+@pytest.mark.parametrize("kind, m", [("low", None), ("gamma", None), ("m-low", 1)])
+def test_chain_columns_match_the_word_route(name, kind, m):
+    # the scans take maxima over columns, so only their sets are compared
+    system = get_system(name)
+    shadow = shadow_from_gates(system, kind, m)
+    for g, (n, columns, end) in _chain_columns(shadow, system.ball(10)).items():
+        assert n == len(language_of(shadow, g)) and end is g, g
+        assert [sorted(column) for column in columns] == prefix_columns_by_words(shadow, g), g
 
 
 @pytest.mark.parametrize("name", ["dinf", "affine_a2", "triangle_334", "aa_product"])

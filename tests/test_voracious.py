@@ -32,6 +32,8 @@ from conftest import (
     ALL_SYSTEMS,
     FINITE_SYSTEMS,
     assert_table_ignores_reading_order,
+    chain_words,
+    fold_chain,
     fresh_automaton,
     get_system,
     languages,
@@ -42,6 +44,9 @@ from conftest import (
 
 def low(system):
     return shadow_from_gates(system, "low")
+
+
+SHADOW_KINDS = (("low", None), ("gamma", None), ("m-low", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +173,29 @@ def test_language_spec_examples(dinf):
 
 def test_language_of_long_element_needs_no_recursion():
     # one voracious step per letter: 3000 steps, past the recursion limit;
-    # a fresh system, so its 3000 cached languages are freed with it
+    # a fresh system, so its 3000 table steps are freed with it.  The chain
+    # of (st)^600, read off the table those steps filled, is the fresh folds'
     dinf = _BUILDERS["dinf"]()
+    shadow = low(dinf)
     g = dinf.element("st" * 1500)
-    assert language_of(low(dinf), g) == {g.word}
+    assert language_of(shadow, g) == {g.word}
+    h = dinf.element("st" * 600)
+    assert h in shadow.steps
+    assert voracious_chain(shadow, h).steps == fold_chain(shadow, h)
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+@pytest.mark.parametrize("kind,m", SHADOW_KINDS)
+def test_language_and_chain_match_the_word_model(name, kind, m):
+    # the chain read off the step table is the fresh folds', and the words
+    # built along it are those of the definition over the oracle's words
+    system = get_system(name)
+    shadow = shadow_from_gates(system, kind, m)
+    radius = 5 if system.rank >= 4 else 6
+    for g in system.ball(radius):
+        steps = fold_chain(shadow, g)
+        assert voracious_chain(shadow, g).steps == steps
+        assert language_of(shadow, g) == chain_words(name, radius, shadow, steps), g
 
 
 def test_language_words_are_reduced_and_represent(system):
@@ -392,9 +416,6 @@ def oracle_fsa_edges(shadow):
         for j, w in enumerate(shadow.ordered)
         if not w.is_identity() and projection(system.multiply(w, b)) == w
     )
-
-
-SHADOW_KINDS = (("low", None), ("gamma", None), ("m-low", 1))
 
 
 @pytest.mark.parametrize("name", list(_BUILDERS))
