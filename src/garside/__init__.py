@@ -46,6 +46,7 @@ from .shi import (
     wall_separation_oracle,
 )
 from .automata import (
+    Acceptance,
     Automaton,
     canonical_automaton,
     cone_type_automaton,
@@ -73,7 +74,6 @@ from .shadows import (
     validate_shadow,
 )
 from .voracious import (
-    Acceptance,
     LanguageSlice,
     VoraciousChain,
     build_voracious_fsa,

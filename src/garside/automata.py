@@ -85,6 +85,17 @@ def _prefix_index(
 
 
 @dataclass(frozen=True)
+class Acceptance:
+    """Whether a word is accepted, and the sorted labels of its accept states."""
+
+    accepted: bool
+    states: tuple[str, ...]
+
+
+REJECTED = Acceptance(False, ())
+
+
+@dataclass(frozen=True)
 class Automaton:
     """Finite state automaton with element edge labels.
 
@@ -92,8 +103,9 @@ class Automaton:
     label is an element other than the identity, all of one system whose
     generators are `generator_names`.  `_index` is the prefix index
     (step, fire) of the labels, built once with the edges' validation;
-    `_table` is the acceptance table (`_move`) and `_nfa_delta` the letter
-    table of the oracle `nfa_accepting_states`, each built on first use.
+    `_table` is the acceptance table (`_move`), whose states store their
+    accept states and `Acceptance`, and `_nfa_delta` the letter table of
+    the oracle `nfa_accepting_states`, each built on first use.
     """
 
     generator_names: tuple[str, ...]
@@ -123,25 +135,35 @@ class Automaton:
     # -- acceptance and enumeration, both read from the prefix index ----------
 
     def accepting_states(self, word: Word) -> frozenset[int]:
-        """All accept states reachable by decompositions consuming `word`:
-        one lookup per letter in the table, whose missing moves `_move` adds."""
+        """All accept states reachable by decompositions consuming `word`."""
+        return self._read(word)[1]
+
+    def _read(self, word: Word) -> tuple:
+        """The entry of the table state `word` reaches: one lookup per
+        letter in the table, whose missing moves `_move` adds."""
         if self._table is None:
             start = ((0, 1 << self.start),)
-            object.__setattr__(self, "_table", ({start: 0}, [(start, self.accepts & {self.start})], [{}]))
+            object.__setattr__(self, "_table", ({start: 0}, [self._entry(start, 1 << self.start)], [{}]))
         moves = self._table[2]
         state = 0
         for letter in word:
             nxt = moves[state].get(letter)
             state = self._move(state, letter) if nxt is None else nxt
-        return self._table[1][state][1]
+        return self._table[1][state]
+
+    def _entry(self, config: tuple, reach: int) -> tuple:
+        """(configuration, accept states, `Acceptance`) of a new table state."""
+        accepting = self.accepts.intersection(set_bits(reach))
+        labels = tuple(sorted(self.state_labels[q] for q in accepting))
+        return config, accepting, Acceptance(True, labels) if accepting else REJECTED
 
     def _move(self, state: int, letter: int) -> int:
         """The table state after `letter` from `state`, added if new.  The
-        table holds configuration ids, (configuration, accept states) by id,
-        and moves by id and letter.  A configuration holds (node, mask) for
-        each prefix-index node where a decomposition thread stands, mask the
-        states it began at; node 0 holds the states reached.  Threads step
-        down the index and fire the edges whose labels end where they stand.
+        table holds configuration ids, `_entry` by id, and moves by id and
+        letter.  A configuration holds (node, mask) for each prefix-index
+        node where a decomposition thread stands, mask the states it began
+        at; node 0 holds the states reached.  Threads step down the index
+        and fire the edges whose labels end where they stand.
         Threads begun at distinct positions have read distinct lengths, so
         their nodes (numbered in ShortLex order) differ and stay increasing."""
         self._check_letter(letter)
@@ -155,7 +177,7 @@ class Automaton:
         config = (((0, reach),) if reach else ()) + tuple(threads)
         nxt = moves[state][letter] = ids.setdefault(config, len(states))
         if nxt == len(states):
-            states.append((config, self.accepts.intersection(set_bits(reach))))
+            states.append(self._entry(config, reach))
             moves.append({})
         return nxt
 

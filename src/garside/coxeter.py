@@ -329,8 +329,8 @@ class Element:
     one directly raises `TypeError`.  `mask` is its inversion set: bit i is
     set iff the interned root of id i separates it from the identity.
     `_right[s]` (g*s) and `_inverse` are its Cayley-graph neighbours, filled
-    on first use by `right_multiply` and `inverse`, read by those two and
-    by `multiply`.
+    on first use by `right_multiply` and `inverse`; `element`, `multiply` and
+    `inverse` walk `_right` and call `right_multiply` only where it is empty.
     """
 
     __slots__ = ("system", "word", "mask", "_right", "_inverse")
@@ -604,18 +604,17 @@ class CoxeterSystem:
         return out
 
     def element(self, word) -> Element:
-        """Normal form of an arbitrary word (string, names, or indices)."""
+        """Normal form of an arbitrary word (string, names, or indices),
+        walked over the stored edges as in `multiply`."""
         if isinstance(word, str):
             word = self.parse_word(word)
-        else:
-            word = tuple(
-                w if isinstance(w, int) else self.generator(w).word[0] for w in word
-            )
-        g = self.identity
+        g, rank = self.identity, self.rank
         for s in word:
-            if not 0 <= s < self.rank:
+            if not isinstance(s, int):
+                s = self.generator(s).word[0]
+            if not 0 <= s < rank:
                 raise ValueError(f"generator index {s} out of range")
-            g = self.right_multiply(g, s)
+            g = g._right[s] or self.right_multiply(g, s)
         return g
 
     def multiply(self, g: Element, h: Element) -> Element:
@@ -643,7 +642,7 @@ class CoxeterSystem:
         if out is None:
             out = self.identity
             for s in reversed(g.word):
-                out = self.right_multiply(out, s)
+                out = out._right[s] or self.right_multiply(out, s)
             object.__setattr__(g, "_inverse", out)
             object.__setattr__(out, "_inverse", g)
         return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .automata import Automaton
+from .automata import Acceptance, Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
 from .shadows import CheckResult, GarsideShadow, _fold, _top_below
 from .shi import separation_count
@@ -56,15 +56,6 @@ class LanguageSlice:
     words: frozenset  # all words in the slice
 
 
-@dataclass(frozen=True)
-class Acceptance:
-    accepted: bool
-    states: tuple[str, ...]  # labels of accepting final states
-
-
-REJECTED = Acceptance(False, ())
-
-
 def _step(shadow: GarsideShadow, g: Element) -> tuple[Element, Element, frozenset]:
     """(nu(g), b, Red(b^-1)) for b = projection_B(g^-1) and nu(g) = g*b: g's
     entry in the shadow's step table, folded and multiplied on first use."""
@@ -81,11 +72,12 @@ def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
-    table, steps = shadow.steps, [g]
-    while not g.is_identity():
+    table, steps, n = shadow.steps, [g], len(g.word)
+    while n:
         g = (table.get(g) or _step(shadow, g))[0]
-        if g.length >= steps[-1].length:
+        if len(g.word) >= n:
             raise InternalInconsistencyError(f"voracious projection failed to shorten {steps[-1]}")
+        n = len(g.word)
         steps.append(g)
     return VoraciousChain(steps[0], tuple(steps))
 
@@ -201,11 +193,9 @@ def build_voracious_fsa(shadow: GarsideShadow) -> Automaton:
 
 
 def fsa_accepts(aut: Automaton, word: Word) -> Acceptance:
-    """Decomposition acceptance; reports the labels of all accepting runs."""
-    states = aut.accepting_states(word)
-    if not states:
-        return REJECTED
-    return Acceptance(True, tuple(sorted(aut.state_labels[q] for q in states)))
+    """Decomposition acceptance; reports the labels of all accepting runs.
+    The result is the one the automaton's table state for `word` stores."""
+    return aut._read(word)[2]
 
 
 def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResult:
@@ -223,14 +213,13 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     missing = tuple(sorted(slice_.words - set(from_automaton)))
     extra = tuple(sorted(set(from_automaton) - slice_.words))
     mismatches = []
-    for word, states in from_automaton.items():
-        if word not in slice_.words:
-            continue
-        g = system.inverse(system.element(word))
-        predicted = render(_top_below(shadow.ordered, g)[0].word)
-        got = sorted(aut.state_labels[q] for q in states)
-        if got != [predicted]:
-            mismatches.append((word, got, predicted))
+    for g in system.ball(max_len):
+        predicted = render(_top_below(shadow.ordered, system.inverse(g))[0].word)
+        for word in language_of(shadow, g):
+            if word in from_automaton:  # else missing
+                got = sorted(aut.state_labels[q] for q in from_automaton[word])
+                if got != [predicted]:
+                    mismatches.append((word, got, predicted))
     details = f"max-len={max_len} words={len(slice_.words)}"
     if not missing and not extra and not mismatches:
         return CheckResult("regularity", True, details)

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from garside import (
+    Acceptance,
     Automaton,
     MixedSystemError,
     canonical_automaton,
@@ -10,6 +11,7 @@ from garside import (
     cone_type_fingerprint,
     cone_type_gates,
     cone_type_id,
+    fsa_accepts,
     label_words,
     letter_expanded,
     make_system,
@@ -111,11 +113,11 @@ def test_the_acceptance_table_is_built_on_first_use(s3):
     assert aut._table is None
     assert aut.accepting_states((0, 1, 0)) == {1}
     ids, states, moves = aut._table
-    assert states[0] == (((0, 1),), frozenset())
+    assert states[0][:2] == (((0, 1),), frozenset())
     assert len(ids) == len(states) == len(moves) == 4
     assert aut.accepting_states((0, 0, 1, 0, 1)) == frozenset()
     dead = moves[moves[1][0]]
-    assert states[moves[1][0]] == ((), frozenset()) and set(dead.values()) == {moves[1][0]}
+    assert states[moves[1][0]][:2] == ((), frozenset()) and set(dead.values()) == {moves[1][0]}
 
 
 def test_the_acceptance_table_reports_only_accept_states(s3):
@@ -128,7 +130,19 @@ def test_the_acceptance_table_reports_only_accept_states(s3):
         for word in product(range(2), repeat=length):
             assert aut.accepting_states(word) == nfa_accepting_states(nfa, word), word
     assert aut.accepting_states((0, 1, 0, 1)) == {1}
-    assert (((0, 0b11),), {1}) in [(c[:1], states) for c, states in aut._table[1]]
+    assert (((0, 0b11),), {1}) in [(c[:1], states) for c, states, _ in aut._table[1]]
+
+
+def test_a_table_state_stores_the_sorted_labels_of_its_accept_states(s3):
+    # one word reaches three states, two of them accepting, whose labels
+    # sort against their numbers: the state's one result lists those two
+    s = s3.generator("s")
+    edges = ((0, 0, s), (0, 1, s), (0, 2, s))
+    aut = Automaton(s3.generator_names, ("z", "m", "a"), 0, frozenset({0, 2}), edges)
+    result = fsa_accepts(aut, (0,))
+    assert result == Acceptance(True, ("a", "z"))
+    assert fsa_accepts(aut, (0,)) is result
+    assert aut._table[1][aut._table[2][0][0]][1:] == ({0, 2}, result)
 
 
 def test_canonical_accepts_empty_and_rejects_ss(system):

@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 import threading
 from functools import partial
 from pathlib import Path
@@ -125,6 +127,19 @@ def test_negative_radius_exits_1(workspace, capsys):
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad-radius:")
         assert not out.exists()
+
+
+def test_python_m_garside_runs_the_cli(workspace):
+    # the package runs as a module, with main's exit code, without installing it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "garside", "verify", "--group", str(workspace / "a2.txt"),
+         "--shadow", str(workspace / "L.txt"), "--radius", "-1", "--out", str(workspace / "r.txt")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: bad-radius:")
+    assert not (workspace / "r.txt").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -435,6 +435,53 @@ def test_unknown_generator_name_in_word_list(affine_a2):
     assert affine_a2.element(["s", "t"]) == affine_a2.element("st")
 
 
+def test_element_checks_letters_alike_on_every_route(affine_a2):
+    # a string is parsed first and a name converted where it is read; every
+    # route walks the stored edges, checking each letter before it indexes
+    # them, and gives the same element or the same ValueError
+    system, names = affine_a2, affine_a2.generator_names
+    for word in ((), (0,), (0, 1, 2, 1, 0, 0), (2, 1, 2, 1, 0, 2, 0)):
+        g = system.element(word)
+        assert system.element(list(word)) is g
+        assert system.element(system.render_word(word)) is g
+        assert system.element(tuple(names[s] for s in word)) is g
+    st = system.element((0, 1))
+    for s in range(system.rank):
+        system.right_multiply(st, s)  # st._right[-1] is now st*u
+    for bad, message in ((-1, "generator index -1 out of range"),
+                         (system.rank, "generator index 3 out of range"),
+                         (1.0, "unknown generator 1.0"),
+                         ("x", "unknown generator 'x'")):
+        for word in ((0, 1, bad), [0, 1, bad], ("s", "t", bad)):
+            with pytest.raises(ValueError) as info:
+                system.element(word)
+            assert str(info.value) == message, word
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        system.element("stx")
+    # bool is an int: True is the letter 1 on every route
+    for word in ((0, True), [0, True], ("s", True)):
+        assert system.element(word) is st
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ALL_SYSTEMS), data=st.data())
+def test_long_tuple_words_match_the_oracle(name, data):
+    # a long walk u u^-1 v ends at v's element, whose ShortLex word the
+    # oracle ball gives; the long word u alone evaluates in the oracle like
+    # its normal form, as the converted list route finds it
+    system = get_system(name)
+    radius = 5 if system.rank >= 4 else 6
+    letters = st.integers(0, system.rank - 1)
+    u = data.draw(st.lists(letters, min_size=20, max_size=60).map(tuple))
+    v = data.draw(st.lists(letters, max_size=radius).map(tuple))
+    expected = oracle_ball(name, radius)[oracle_eval(name, v)][1]
+    for _ in range(2):  # the second pass reads the edges the first stored
+        assert system.element(u + u[::-1] + v).word == expected
+        g = system.element(u)
+        assert g is system.element(list(u))
+        assert g.length <= len(u) and oracle_eval(name, g.word) == oracle_eval(name, u)
+
+
 def test_descents(dinf):
     assert dinf.descents(dinf.identity, "left") == frozenset()
     assert dinf.descents(dinf.gens[0], "left") == frozenset({"s"})

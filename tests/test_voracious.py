@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside import automata, voracious, weak_order
+from garside.automata import REJECTED
 from garside import (
+    Acceptance,
     GarsideShadow,
+    InternalInconsistencyError,
     MixedSystemError,
     b_projection,
     build_voracious_fsa,
+    canonical_automaton,
+    cone_type_automaton,
     cross_validate_regularity,
     enumerate_language,
     fsa_accepts,
@@ -95,6 +100,32 @@ def test_chain_terminates_quickly(system):
         assert lengths == sorted(lengths, reverse=True)
         for a, b in zip(chain.steps, chain.steps[1:]):
             assert system.word_metric(a, b) <= shadow.constant_m
+
+
+def test_a_chain_step_that_does_not_shorten_raises():
+    # a step table entry x -> (y, ...) with y no shorter than x stops the
+    # chain with an inconsistency at x, at its first step or a later one;
+    # the first two y have chains that end and avoid x, so a weaker guard
+    # shows as a missing error, not as an endless loop
+    system = _BUILDERS["affine_a2"]()
+    shadow = low(system)
+    g = system.element("stustu")
+    steps = voracious_chain(shadow, g).steps
+    assert len(steps) >= 3
+
+    def ending_elsewhere(x, length):
+        return next(y for y in system.ball(length) if y.length == length and y is not x
+                    and x not in voracious_chain(shadow, y).steps)
+
+    for x, y in ((g, ending_elsewhere(g, g.length)),
+                 (steps[1], ending_elsewhere(steps[1], steps[1].length + 1)),
+                 (g, g)):
+        entry = shadow.steps[x]
+        shadow.steps[x] = (y,) + entry[1:]
+        with pytest.raises(InternalInconsistencyError, match=f"failed to shorten {x}$"):
+            voracious_chain(shadow, g)
+        shadow.steps[x] = entry
+    assert voracious_chain(shadow, g).steps == steps
 
 
 def test_original_projection_examples(dinf):
@@ -348,6 +379,30 @@ def test_the_voracious_table_ignores_reading_order(name):
     words = [w for n in range(length + 1) for w in product(range(system.rank), repeat=n)]
     for kind, m in ORACLE_KINDS:
         assert_table_ignores_reading_order(automaton_and_oracle(name, kind, m)[1], words)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_acceptance_results_are_stored_per_table_state(name):
+    # each table state keeps one result: the sorted labels of its accept
+    # states, or REJECTED; cold and warm reads return that one object, and
+    # two automata of one system never return each other's results
+    system = _BUILDERS[name]()
+    length = 4 if system.rank <= 3 else 3
+    words = [w for n in range(length + 1) for w in product(range(system.rank), repeat=n)]
+    low_aut, mlow_aut = (build_voracious_fsa(shadow_from_gates(system, kind, m))
+                         for kind, m in (("low", None), ("m-low", 1)))
+    results = []  # equal automata (a finite group's two shadows) are still two tables
+    for aut in (canonical_automaton(system, 1), cone_type_automaton(system), low_aut, mlow_aut):
+        reader, expect = fresh_automaton(aut), fresh_automaton(aut)
+        cold = [fsa_accepts(reader, w) for w in words]
+        for w, result in zip(words, cold):
+            labels = tuple(sorted(aut.state_labels[q] for q in expect.accepting_states(w)))
+            assert result == (Acceptance(True, labels) if labels else REJECTED), w
+            assert fsa_accepts(reader, w) is result, w
+        stored = {id(entry[2]) for entry in reader._table[1]}
+        assert {id(r) for r in cold} <= stored
+        results.append(stored - {id(REJECTED)})
+    assert results[2] and results[3] and results[2].isdisjoint(results[3])
 
 
 @pytest.mark.parametrize("word,letter", [("stu", "'s'"), ((0, 7), "7"), ((-1,), "-1"), ((0, 0, 9), "9")])
