@@ -597,7 +597,7 @@ class CoxeterSystem:
         else:
             if gammas[0].sign() < 0:
                 raise InternalInconsistencyError(f"no letter of {word} drops for descent {s}")
-            out = word + (s,)
+            out = word + (int(s),)  # a bool letter is stored as its int
         out = self._intern(out, g.mask ^ (1 << gammas[0].abs().id))
         g._right[s] = out
         out._right[s] = g
@@ -605,13 +605,13 @@ class CoxeterSystem:
 
     def element(self, word) -> Element:
         """Normal form of an arbitrary word (string, names, or indices),
-        walked over the stored edges as in `multiply`."""
+        walked over the stored edges as in `multiply`; a bool reads as its int."""
         if isinstance(word, str):
             word = self.parse_word(word)
         g, rank = self.identity, self.rank
         for s in word:
-            if not isinstance(s, int):
-                s = self.generator(s).word[0]
+            if type(s) is not int:
+                s = int(s) if isinstance(s, int) else self.generator(s).word[0]
             if not 0 <= s < rank:
                 raise ValueError(f"generator index {s} out of range")
             g = g._right[s] or self.right_multiply(g, s)
@@ -632,7 +632,7 @@ class CoxeterSystem:
         self._own(g)
         if g.mask >> s & 1 or self._reflect_mask(s, (1 << s) - 1) & g.mask:
             return self.multiply(self.gens[s], g)
-        return self._intern((s,) + g.word, 1 << s | self._reflect_mask(s, g.mask))
+        return self._intern((int(s),) + g.word, 1 << s | self._reflect_mask(s, g.mask))
 
     def inverse(self, g: Element) -> Element:
         """g^-1, stored on g and on g^-1 when first built."""

@@ -20,15 +20,18 @@ last letter, gives projection_B(g), and from its first, projection_B(g^-1).
 The gate shadows L_m and the cone-type gates are shadows by theorem, and
 their partitions, m-Shi and by cone type, are the walks that find them, so
 a walk is its shadow's table: `shadow_from_gates` and its reloads scan nothing.
+Any other shadow B lies in some L_m, and every member of B below g is below
+projection_{L_m}(g), so projection_B = projection_B o projection_{L_m}: the
+join scan that validates B (or ends its closure) finds projection_B on each
+m-low element, and B's table is those tops read through L_m's walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .coxeter import CoxeterSystem, Element, InternalInconsistencyError, set_bits, shortlex_key
-from .shi import gate_walk, low_index, shi_gates
+from .shi import gate_walk, low_index
 from .automata import cone_type_walk
 from .weak_order import _first_above
 
@@ -45,12 +48,14 @@ class ShadowFileError(ValueError):
 class ValidationResult:
     """`search_radius`, the length of the longest element the join scan read
     (0 if it did not run), sizes the scan as the ball that covers it; the
-    benchmark's tracer reads it."""
+    benchmark's tracer reads it.  A valid result carries `delta`, the
+    transition table of the members in ShortLex order (`GarsideShadow`)."""
 
     ok: bool
     violation: str | None = None
     witness: tuple = ()
     search_radius: int = 0
+    delta: list | None = field(default=None, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -73,9 +78,11 @@ class GarsideShadow:
     """A finite Garside shadow with its length constant, built by
     `make_shadow` (validated), `garside_closure` or `shadow_from_gates`.
 
-    Equality ignores `steps`, the voracious-step table g -> (nu(g), b,
-    Red(b^-1)) that `voracious._step` fills, and `delta`, which a gate
-    shadow gets from its walk and any other from the scan.
+    `delta[i][s] = j` names projection_B(s b_i) = b_j for b_i = ordered[i],
+    None if s is a left descent of b_i; a gate shadow takes it from its
+    walk, any other from the join scan that validated or closed it (module
+    docstring).  Equality ignores it and `steps`, the voracious-step table
+    g -> (nu(g), b, Red(b^-1)) that `voracious._step` fills.
     """
 
     system: CoxeterSystem
@@ -83,6 +90,7 @@ class GarsideShadow:
     members: frozenset[Element]
     constant_m: int
     provenance: str
+    delta: list[list[int | None]] = field(compare=False, repr=False)
     steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self):
@@ -93,22 +101,6 @@ class GarsideShadow:
 
     def __contains__(self, g: Element) -> bool:
         return g in self.members
-
-    @cached_property
-    def delta(self) -> list[list[int | None]]:
-        """delta[i][s] = j for projection_B(s b_i) = b_j (b_i = ordered[i]): s b_i
-        if a member, else by the below-x scan; None if s is a left descent."""
-        system, ordered = self.system, self.ordered
-        index = {b: i for i, b in enumerate(ordered)}
-        table = [[None] * system.rank for _ in ordered]
-        for row, b in zip(table, ordered):
-            for s in set_bits(~b.mask & (1 << system.rank) - 1):  # s b > b
-                x = system.left_multiply(s, b)
-                top, strays = (x, ()) if x in index else _top_below(ordered, x)
-                if strays:
-                    raise InternalInconsistencyError(f"members below {x} have no maximum")
-                row[s] = index[top]
-        return table
 
 
 def _missing_suffixes(system: CoxeterSystem, members):
@@ -131,27 +123,35 @@ def _top_below(members, x: Element) -> tuple[Element, list[Element]]:
     return top, [b for b in below if b.mask & top.mask != b.mask]
 
 
-def _join_failures(members, gates):
-    """The join-closure scan: for each of the ShortLex-sorted m-low elements
-    x in turn, (top, b, x) for top and each stray b of `_top_below`, a pair
-    whose join exists below x.  Exact when every member is m-low."""
+def _join_scan(members, gates):
+    """The join-closure scan: `_top_below` of each of the ShortLex-sorted
+    m-low elements x in turn, lazily.  Each stray b makes (top, b) a pair
+    whose join exists below x; exact when every member is m-low.  With no
+    strays, top = projection_B(x) (module docstring)."""
     members = sorted(members, key=shortlex_key)
-    for x in gates:
-        top, strays = _top_below(members, x)
-        for b in strays:
-            yield top, b, x
+    return (_top_below(members, x) for x in gates)
+
+
+def _scanned_delta(gates, delta, tops):
+    """B's delta from L_m's, for tops[k] = projection_B(gates[k]): the
+    members are the gates that are their own tops, in ShortLex order, and
+    delta_B(b, s) = projection_B(projection_{L_m}(s b)) is the top at L_m's
+    entry (module docstring)."""
+    index = {x: i for i, x in enumerate(x for x, top in zip(gates, tops) if top is x)}
+    return [[j if j is None else index[tops[j]] for j in row]
+            for x, row in zip(gates, delta) if x in index]
 
 
 def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     """Check the Garside shadow axioms for a finite element set.
 
-    Returns Valid, or a Violation carrying the ShortLex-first missing
-    generator, suffix or join; joins by the scan of L_m (module docstring).
-    The first failing x is the missing join of `top` and its first stray b:
-    j = join(top, b) <= x is in L_m and fails, since a maximum of the
-    members below j would be j, a member below x longer than top.  So j,
-    no later than x in ShortLex, is x.  Elements of another system raise
-    MixedSystemError.
+    Returns Valid, with delta, or a Violation carrying the ShortLex-first
+    missing generator, suffix or join; joins and delta by the scan of L_m
+    (module docstring).  The first failing x is the missing join of `top`
+    and its first stray b: j = join(top, b) <= x is in L_m and fails, since
+    a maximum of the members below j would be j, a member below x longer
+    than top.  So j, no later than x in ShortLex, is x.  Elements of
+    another system raise MixedSystemError.
     """
     members = frozenset(elements)
     system._own(*members)
@@ -161,15 +161,16 @@ def validate_shadow(system: CoxeterSystem, elements) -> ValidationResult:
     for b, w in _missing_suffixes(system, members):
         return ValidationResult(False, f"suffix {w} of {b} missing", (b, w))
 
-    gates = shi_gates(system, max(map(low_index, members)))
+    gates, delta = gate_walk(system, max(map(low_index, members)))
     if members == frozenset(gates):  # L_m itself, a shadow by theorem
-        return ValidationResult(True)
-    search_radius = gates[-1].length
-    for top, b, x in _join_failures(members, gates):
-        return ValidationResult(
-            False, f"join {x} of {top} and {b} missing", (top, b, x), search_radius
-        )
-    return ValidationResult(True, None, (), search_radius)
+        return ValidationResult(True, delta=delta)
+    search_radius, tops = gates[-1].length, []
+    for x, (top, strays) in zip(gates, _join_scan(members, gates)):
+        if strays:
+            return ValidationResult(False, f"join {x} of {top} and {strays[0]} missing",
+                                    (top, strays[0], x), search_radius)
+        tops.append(top)
+    return ValidationResult(True, None, (), search_radius, _scanned_delta(gates, delta, tops))
 
 
 def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShadow:
@@ -178,8 +179,7 @@ def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShad
     elements than the low shadow's.  The system's gate shadow that the
     provenance names, if built and of these members, is returned itself, not
     validated again (the low one is built to compare; a number in the
-    provenance starts no walk).  Members that are L_m, m >= 1 their largest
-    `low_index`, labelled `m-low(m)`, get delta from validation's walk."""
+    provenance starts no walk).  Otherwise delta is validation's."""
     members = frozenset(elements)
     if provenance == "low":
         shadow_from_gates(system, "low")
@@ -191,23 +191,19 @@ def make_shadow(system: CoxeterSystem, elements, provenance: str) -> GarsideShad
         raise ValueError(f"not a Garside shadow: {result.violation}")
     if provenance == "low":
         raise ValueError("provenance low, but the members are not the low elements")
-    shadow = _wrap(system, members, provenance)
-    m = max(map(low_index, members))
-    gates, delta = gate_walk(system, m)  # validation's walk
-    if provenance == f"m-low({m})" and m and members == frozenset(gates):
-        _check_walk(system, gates, delta)
-        object.__setattr__(shadow, "delta", delta)
-    return shadow
+    return _shadow(system, members, provenance, result.delta)
 
 
-def _wrap(system: CoxeterSystem, members, provenance: str) -> GarsideShadow:
-    """The shadow of members known to form one, unchecked."""
+def _shadow(system: CoxeterSystem, members, provenance: str, delta) -> GarsideShadow:
+    """The shadow of members known to form one, with `delta` on their
+    ShortLex order, which `_check_walk` tests."""
     ordered = tuple(sorted(members, key=shortlex_key))
-    return GarsideShadow(system, ordered, frozenset(ordered), ordered[-1].length, provenance)
+    _check_walk(system, ordered, delta)
+    return GarsideShadow(system, ordered, frozenset(ordered), ordered[-1].length, provenance, delta)
 
 
 def _check_walk(system: CoxeterSystem, gates, delta) -> None:
-    """The check of a gate walk's table: delta[i][s] = j is None iff s is a
+    """The check of a shadow's table: delta[i][s] = j is None iff s is a
     left descent of b = gates[i], and else names c = gates[j] below s b.
     N(s b) is alpha_s and s N(b), so c <= s b iff s sends the other walls
     of c into N(b): one mask test, through the reflection table."""
@@ -215,15 +211,15 @@ def _check_walk(system: CoxeterSystem, gates, delta) -> None:
         for s, j in enumerate(row):
             image = 0 if j is None else system._reflect_mask(s, gates[j].mask & ~(1 << s))
             if (j is None) != bool(b.mask >> s & 1) or image & ~b.mask:
-                raise InternalInconsistencyError(f"the gate walk's delta is wrong at {b}, {s}")
+                raise InternalInconsistencyError(f"the shadow's delta is wrong at {b}, {s}")
 
 
 def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) -> GarsideShadow:
     """The shadows of gates: the low elements (`low`), the m-low elements for
     an int m >= 0 (`m-low`; m = 0 gives the low shadow), or the cone-type
     gates (`gamma`).  Their walk (`shi.gate_walk`, `automata.cone_type_walk`)
-    gives delta too, which `_check_walk` tests (module docstring).  Results
-    are cached per system, so repeated calls share one object."""
+    gives delta too (module docstring).  Results are cached per system, so
+    repeated calls share one object."""
     if kind == "m-low" and type(m) is int and m >= 0:  # a bool is not an m
         if not m:
             kind, m = "low", None
@@ -233,9 +229,7 @@ def shadow_from_gates(system: CoxeterSystem, kind: str, m: int | None = None) ->
     cache = system.cache("gate_shadows")
     if (kind, m) not in cache:
         gates, delta = cone_type_walk(system) if kind == "gamma" else gate_walk(system, m or 0)
-        _check_walk(system, gates, delta)
-        shadow = cache[kind, m] = _wrap(system, gates, kind if m is None else f"m-low({m})")
-        object.__setattr__(shadow, "delta", delta)  # fills the cached property
+        cache[kind, m] = _shadow(system, gates, kind if m is None else f"m-low({m})", delta)
     return cache[kind, m]
 
 
@@ -245,12 +239,13 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
     For the least m with the seed and the generators m-low, the Garside
     shadow L_m holds the closure (module docstring), so suffixes and the
     joins found by scanning L_m, each the first of those gates above its
-    pair, are added until nothing changes.  Raises CutoffExceeded when L_m
-    holds an element longer than the cutoff."""
+    pair, are added until nothing changes; the last scan, over the closure,
+    gives delta.  Raises CutoffExceeded when L_m holds an element longer
+    than the cutoff."""
     current: set[Element] = {system.identity, *system.gens, *seed}
     system._own(*current)
     m = max(map(low_index, current))
-    gates = shi_gates(system, m)
+    gates, delta = gate_walk(system, m)
     if gates[-1].length > cutoff:
         raise CutoffExceeded(f"the join scan reads the {m}-low elements, up to length "
                              f"{gates[-1].length}; cutoff is {cutoff}")
@@ -258,11 +253,12 @@ def garside_closure(system: CoxeterSystem, seed, cutoff: int) -> GarsideShadow:
         size = len(current)
         while missing := {w for _, w in _missing_suffixes(system, current)}:
             current |= missing
-        pairs = {(top, b) for top, b, _ in _join_failures(current, gates)}
-        current |= {_first_above(gates, pair) for pair in pairs}
+        scan = list(_join_scan(current, gates))
+        current |= {_first_above(gates, (top, b)) for top, strays in scan for b in strays}
         if len(current) == size:  # both scans came back empty: a shadow
             break
-    return _wrap(system, current, "closure-of-seed")
+    tops = [top for top, _ in scan]
+    return _shadow(system, current, "closure-of-seed", _scanned_delta(gates, delta, tops))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ w^{-1} (the maximal chains of [e, w^{-1}]; Björner & Brenti, GTM 231,
 ch. 3).  No label word is stored: acceptance reads a table built lazily
 from the automaton's prefix index, and the exports list an edge's words
 only when they write it.  Every projection, the edges' too, folds words
-through the shadow's transition table `GarsideShadow.delta`.
+through the shadow's transition table `GarsideShadow.delta`, which the
+walk or the join scan that made the shadow gave.
 
 A second, independent projection is implemented straight from the
 original wall description (walls separating g from the identity that are
@@ -21,8 +22,9 @@ closest to g); the two must coincide for the shadow of low elements, and
 the tests compare them exhaustively on balls.
 
 `cross_validate_regularity` compares the automaton's language with the
-enumerated slice, accept states included (predicted by the below-x scan
-of `shadows`, so the table is checked, not trusted), and returns the
+slice, built element by element as in `enumerate_language`, accept states
+included (predicted by the below-x scan of `shadows`, which reads no
+table, so the table is checked, not trusted), and returns the
 `regularity` line of a verification report as a `CheckResult`.
 """
 
@@ -207,19 +209,20 @@ def cross_validate_regularity(shadow: GarsideShadow, max_len: int) -> CheckResul
     the first word accepted at other states than predicted.
     """
     system, render = shadow.system, shadow.system.render_word
-    aut = build_voracious_fsa(shadow)
-    slice_ = enumerate_language(shadow, max_len)
+    aut, ball = build_voracious_fsa(shadow), system.ball(max_len)
     from_automaton = aut.enumerate_language(max_len)
-    missing = tuple(sorted(slice_.words - set(from_automaton)))
-    extra = tuple(sorted(set(from_automaton) - slice_.words))
-    mismatches = []
-    for g in system.ball(max_len):
+    languages, mismatches = [], []
+    for g in ball:
         predicted = render(_top_below(shadow.ordered, system.inverse(g))[0].word)
-        for word in language_of(shadow, g):
+        languages.append(words := language_of(shadow, g))
+        for word in words:
             if word in from_automaton:  # else missing
                 got = sorted(aut.state_labels[q] for q in from_automaton[word])
                 if got != [predicted]:
                     mismatches.append((word, got, predicted))
+    slice_ = LanguageSlice(max_len, frozenset().union(*languages))  # as `enumerate_language`
+    missing = tuple(sorted(slice_.words - set(from_automaton)))
+    extra = tuple(sorted(set(from_automaton) - slice_.words))
     details = f"max-len={max_len} words={len(slice_.words)}"
     if not missing and not extra and not mismatches:
         return CheckResult("regularity", True, details)

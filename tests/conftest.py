@@ -89,6 +89,23 @@ def scan_projection(shadow, x):
     return top
 
 
+def scan_delta(ordered):
+    """The transition table of ShortLex-sorted shadow members by the below-x
+    scan, the oracle for the tables of the walks and of the join scan:
+    delta[i][s] names the top of the members below s b_i, asserting a
+    maximum, and is None where s is a left descent of b_i."""
+    system = ordered[0].system
+    index = {b: i for i, b in enumerate(ordered)}
+    table = [[None] * system.rank for _ in ordered]
+    for row, b in zip(table, ordered):
+        for s in range(system.rank):
+            if not b.mask >> s & 1:  # s b > b
+                top, strays = _top_below(ordered, system.left_multiply(s, b))
+                assert not strays, (b, s, strays)
+                row[s] = index[top]
+    return table
+
+
 def fold_chain(shadow, g):
     """The voracious chain of g by fresh folds, the oracle for the step
     table: each step multiplies by projection_B(g^-1), g's normal form read

@@ -458,9 +458,20 @@ def test_element_checks_letters_alike_on_every_route(affine_a2):
             assert str(info.value) == message, word
     with pytest.raises(ValueError, match="unknown generator 'x'"):
         system.element("stx")
-    # bool is an int: True is the letter 1 on every route
+    # bool is an int: True is the letter 1 on every route, and is interned
+    # as 1 by every route that builds an element, even the first to reach it
     for word in ((0, True), [0, True], ("s", True)):
         assert system.element(word) is st
+    fresh = _BUILDERS["affine_a2"]()
+    g = fresh.element((0, True, False, 2, True))
+    for word in ((0, True), (True, 0, 2, True)):
+        assert fresh.element(word) is fresh.element(tuple(map(int, word)))
+    assert fresh.right_multiply(g, True) is fresh.multiply(g, fresh.gens[1])
+    assert fresh.left_multiply(True, g) is fresh.multiply(fresh.gens[1], g)
+    assert fresh.right_multiply(fresh.gens[2], True).word == (2, 1)
+    assert fresh.left_multiply(True, fresh.gens[0]).word == (1, 0)
+    assert all(type(s) is int for word in fresh._elements for s in word)
+    assert all(type(s) is int for word in system._elements for s in word)
 
 
 @settings(max_examples=60, deadline=None)

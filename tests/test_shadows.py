@@ -31,10 +31,11 @@ from garside import (
 
 from garside.automata import cone_type_automaton
 from garside.coxeter import InternalInconsistencyError, shortlex_key
-from garside.shadows import GarsideShadow, _check_walk
-from garside.shi import gate_walk, sign_patterns
+from garside.shadows import _check_walk
+from garside.shi import gate_walk, low_index, sign_patterns
 
-from conftest import ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, scan_projection, _BUILDERS
+from conftest import (ALL_SYSTEMS, get_system, oracle_ball, oracle_eval, scan_delta,
+                      scan_projection, _BUILDERS)
 
 SHADOW_KINDS = (("low", None), ("m-low", 1), ("m-low", 2), ("gamma", None))
 
@@ -151,14 +152,13 @@ def test_gate_shadow_delta_is_the_walk_and_matches_the_scan(monkeypatch, name, k
     # walk's table must equal the below-x scan's entry for entry, and the
     # gates the inverses of the witnesses, with no join scan on the way
     system = _BUILDERS[name]()
-    calls = _count_calls(monkeypatch, "validate_shadow", "_join_failures", "_top_below")
+    calls = _count_calls(monkeypatch, "validate_shadow", "_join_scan", "_top_below")
     shadow = shadow_from_gates(system, kind, m)
     delta = shadow.delta
-    assert calls == {"validate_shadow": 0, "_join_failures": 0, "_top_below": 0}
+    assert calls == {"validate_shadow": 0, "_join_scan": 0, "_top_below": 0}
     monkeypatch.undo()
     assert list(shadow.ordered) == _witness_gates(system, kind, m)
-    scanned = GarsideShadow(system, shadow.ordered, shadow.members, shadow.constant_m, "scan")
-    assert delta == scanned.delta
+    assert delta == scan_delta(shadow.ordered)
     assert shadow_from_gates(system, kind, m) is shadow
 
 
@@ -225,17 +225,52 @@ def test_an_m_low_file_reloads_with_its_walk_s_delta(monkeypatch):
     # neither the join scan nor the below-x scan of delta runs
     texts = [shadow_to_text(shadow_from_gates(_BUILDERS["affine_g2"](), "m-low", m))
              for m in (1, 2, 4)]
-    calls = _count_calls(monkeypatch, "_join_failures", "_top_below")
+    calls = _count_calls(monkeypatch, "_join_scan", "_top_below")
     reloaded = []
     for text in texts:
         again = shadow_from_text(_BUILDERS["affine_g2"](), text)
         reloaded.append((again, again.delta))
         assert shadow_to_text(again) == text
-    assert calls == {"_join_failures": 0, "_top_below": 0}
+    assert calls == {"_join_scan": 0, "_top_below": 0}
     monkeypatch.undo()
-    for again, delta in reloaded:  # the scan's table, on a shadow of the same members
-        assert delta == GarsideShadow(again.system, again.ordered, again.members,
-                                      again.constant_m, again.provenance).delta
+    for again, delta in reloaded:  # the scan's table, on the same members
+        assert delta == scan_delta(again.ordered)
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_every_shadow_s_delta_is_the_scan_s(name):
+    # a gamma file on a fresh system and closures take delta from the join
+    # scan, an m-low file under another label from the walk
+    gamma = shadow_to_text(shadow_from_gates(_BUILDERS[name](), "gamma"))
+    low1 = shadow_to_text(shadow_from_gates(_BUILDERS[name](), "m-low", 1))
+    system = _BUILDERS[name]()
+    seed = system.element(tuple(range(system.rank)) * 2)
+    shadows = (shadow_from_text(system, gamma), garside_closure(system, [], 20),
+               garside_closure(system, [seed], 20),
+               shadow_from_text(system, low1.replace("m-low(1)", "relabelled")))
+    assert system.cache("gate_shadows") == {}
+    for shadow in shadows:
+        assert shadow.delta == scan_delta(shadow.ordered), shadow.provenance
+
+
+def test_a_reload_or_a_closure_scans_only_to_validate(monkeypatch):
+    # a pass of the join scan reads L_M, |L_M| calls of the below-x scan: a
+    # gamma file on a fresh system takes one pass, a closure one per turn of
+    # its loop, and neither delta nor projecting costs a further scan
+    text = shadow_to_text(shadow_from_gates(_BUILDERS["affine_g2"](), "gamma"))
+    system = _BUILDERS["affine_g2"]()
+    l_m = lambda shadow: gate_walk(system, max(map(low_index, shadow)))[0]
+    calls = _count_calls(monkeypatch, "_join_scan", "_top_below")
+    reloaded = shadow_from_text(system, text)
+    for g in system.ball(5):
+        b_projection(reloaded, g)
+    assert calls == {"_join_scan": 1, "_top_below": len(l_m(reloaded))}
+    calls.update(_join_scan=0, _top_below=0)
+    closure = garside_closure(system, [system.element("stu")], 30)
+    for g in system.ball(5):
+        b_projection(closure, g)
+    turns = calls["_join_scan"]
+    assert turns > 1 and calls["_top_below"] == turns * len(l_m(closure))
 
 
 @pytest.mark.parametrize("kind,m", (("m-low", 1), ("gamma", None)))
@@ -504,12 +539,13 @@ def test_every_reduced_word_folds_to_the_scan(name, radius, kind, m):
 
 def test_transition_table_asserts_a_maximum(s3):
     # {e, s, t, st, ts} is suffix-closed but lacks the join sts of st and ts,
-    # so below t*st = sts the members have no maximum
+    # so below t*st = sts the members have no maximum: no shadow, and so no
+    # table, is made of them, and the oracle's table asserts a maximum
     members = frozenset(s3.element(w) for w in ("", "s", "t", "st", "ts"))
-    ordered = tuple(sorted(members, key=shortlex_key))
-    fake = GarsideShadow(s3, ordered, members, 2, "not join-closed")
-    with pytest.raises(InternalInconsistencyError, match="no maximum"):
-        fake.delta
+    with pytest.raises(ValueError, match="not a Garside shadow: join sts of"):
+        make_shadow(s3, members, "not join-closed")
+    with pytest.raises(AssertionError):
+        scan_delta(tuple(sorted(members, key=shortlex_key)))
 
 
 def test_partition_parts(dinf):

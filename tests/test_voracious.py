@@ -563,13 +563,13 @@ def test_regularity_checks_the_transition_table(affine_a2):
     # a wrong delta entry reaches the automaton and the language slice
     # alike; only a prediction that does not read delta can see it
     shadow = low(affine_a2)
-    fake = GarsideShadow(affine_a2, shadow.ordered, shadow.members, shadow.constant_m, "fake")
     position = {b: i for i, b in enumerate(shadow.ordered)}
     table = [row[:] for row in shadow.delta]
     s, t = affine_a2.gens[:2]
     assert table[position[s]][1] == position[t * s]  # projection_B(ts) = ts
     table[position[s]][1] = position[t]
-    vars(fake)["delta"] = table
+    fake = GarsideShadow(affine_a2, shadow.ordered, shadow.members, shadow.constant_m, "fake",
+                         table)
     report = cross_validate_regularity(fake, 3)
     assert not report.passed
     assert report.witness == "missing=() extra=() word=st states=t predicted=ts"
