@@ -219,6 +219,7 @@ def _produce(args, system: CoxeterSystem, parts: tuple[str, ...], compute) -> st
 
 
 def cmd_shadow(args) -> int:
+    _check_radius("--cutoff", args.cutoff)
     system = _load_system(args.group)
     kind = args.kind
     if kind.startswith("mlow="):

@@ -223,10 +223,11 @@ class Root:
     """A root in simple-root coordinates, each an int or, outside Z, a
     `Scalar`, so a value has one form; positive or negative, never mixed.
 
-    A system interns the roots it hands out: one object per value, with a
-    dense `id` (simple roots first) and its negative as the partner that
-    `-` and `abs` return.  A root built directly has `id` None.  Equality
-    and hashing compare values, so correctness never depends on interning.
+    A system interns the roots it hands out: one object per value, built
+    once and kept under its coefficient tuple, with a dense `id` (simple
+    roots first) and its negative as the partner that `-` and `abs` return.
+    A root built outside a system has `id` None.  Equality and hashing
+    compare values, so correctness never depends on interning.
     """
 
     __slots__ = ("coeffs", "_hash", "_sign", "id", "_neg")
@@ -435,15 +436,14 @@ class CoxeterSystem:
             )
             for s in range(self.rank)
         )
-        # interned roots by value and by id, and their images: _reflections[s][id]
-        self._canonical: dict[Root, Root] = {}
+        # interned roots by coefficient tuple and by id, and their images:
+        # _reflections[s][id]
+        self._canonical: dict[tuple, Root] = {}
         self._roots: list[Root] = []
         self._reflections = tuple([] for _ in range(self.rank))
-        self.simple_roots = tuple(
-            Root(tuple(int(t == s) for t in range(self.rank)))
-            for s in range(self.rank)
+        self.simple_roots = self._adopt(
+            [tuple(int(t == s) for t in range(self.rank)) for s in range(self.rank)]
         )
-        self._adopt(self.simple_roots)
         self._elements: dict[Word, Element] = {}
         self.identity = self._intern((), 0)
         object.__setattr__(self.identity, "_inverse", self.identity)
@@ -457,7 +457,8 @@ class CoxeterSystem:
     # -- basic plumbing ----------------------------------------------------
 
     def _intern(self, word: Word, mask: int | None = None) -> Element:
-        """The element of a normal-form word; built by `element` if no mask is given."""
+        """The element interned under a normal-form word; else, with no mask
+        given, `element(word)` for any word."""
         el = self._elements.get(word)
         if el is None:
             if mask is None:
@@ -502,23 +503,26 @@ class CoxeterSystem:
     # -- root action --------------------------------------------------------
 
     def _intern_root(self, root: Root) -> Root:
-        """This system's canonical object for the value of root (see `Root`)."""
-        canonical = self._canonical.get(root)
-        if canonical is None:
-            canonical = Root(root.coeffs)
-            self._adopt((canonical,))
-        return canonical
+        """This system's canonical object for the value of root (see `Root`):
+        root itself when it is the one of its id here, else looked up by value."""
+        i, roots = root.id, self._roots
+        if i is not None and i < len(roots) and roots[i] is root:
+            return root
+        return self._canonical.get(root.coeffs) or self._adopt((root.coeffs,))[0]
 
-    def _adopt(self, roots: Sequence[Root]) -> None:
-        """Intern new roots, then their negatives, numbering them in that order."""
+    def _adopt(self, values: Sequence[tuple]) -> tuple[Root, ...]:
+        """Intern new roots of these coefficient tuples, then their negatives,
+        numbering them in that order; returns the new roots."""
+        roots = tuple(map(Root, values))
         negatives = [Root([-c for c in root.coeffs]) for root in roots]
         for root, neg in (*zip(roots, negatives), *zip(negatives, roots)):
             object.__setattr__(root, "_neg", neg)
             object.__setattr__(root, "id", len(self._roots))
-            self._canonical[root] = root
+            self._canonical[root.coeffs] = root
             self._roots.append(root)
             for row in self._reflections:
                 row.append(None)
+        return roots
 
     def reflect(self, s: int, root: Root) -> Root:
         """Apply the simple reflection for generator index s to a root.
@@ -526,7 +530,8 @@ class CoxeterSystem:
         The result is this system's interned root (see `Root`), read from
         the one reflection table `_reflections[s][id]`; a root from elsewhere
         is first looked up by value.  Entries are filled on first use, for
-        the root, its image and their negatives (s_s is a linear involution).
+        the root, its image and their negatives (s_s is a linear involution);
+        an image is looked up by its coefficients and built only if new.
         """
         root = self._intern_root(root)
         row = self._reflections[s]
@@ -534,7 +539,8 @@ class CoxeterSystem:
         if out is None:
             coeffs = list(root.coeffs)
             coeffs[s] = coeffs[s] - self._pairing(s, root)
-            out = self._intern_root(Root(coeffs))
+            coeffs = tuple(coeffs)
+            out = self._canonical.get(coeffs) or self._adopt((coeffs,))[0]
             row[root.id], row[out.id] = out, root
             row[root._neg.id], row[out._neg.id] = out._neg, root._neg
         return out
@@ -560,10 +566,15 @@ class CoxeterSystem:
         return self.act_word(word[::-1], root)
 
     def _reflect_mask(self, s: int, mask: int) -> int:
-        """The mask of the images under s of the roots of a mask (s permutes
-        the roots, so the images' bits are distinct and their sum a union)."""
-        row, roots = self._reflections[s], self._roots
-        return sum(1 << (row[k] or self.reflect(s, roots[k])).id for k in set_bits(mask))
+        """The mask of the images under s of the roots of a mask, the union
+        of their bits, read off the mask's bits lowest first."""
+        row, roots, out = self._reflections[s], self._roots, 0
+        while mask:
+            low = mask & -mask
+            k = low.bit_length() - 1
+            out |= 1 << (row[k] or self.reflect(s, roots[k])).id
+            mask ^= low
+        return out
 
     # -- normal forms --------------------------------------------------------
 

@@ -369,7 +369,8 @@ def shadow_from_text(system: CoxeterSystem, text: str) -> GarsideShadow:
     members = set()
     for word_text in body:
         try:
-            g = system.element(word_text)
+            # a normal form interned already is read, not walked from id
+            g = system._intern(system.parse_word(word_text))
         except ValueError as exc:
             raise ShadowFileError(str(exc)) from None
         if system.render_word(g.word) != word_text:

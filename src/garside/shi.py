@@ -214,13 +214,15 @@ def sign_patterns(system: CoxeterSystem, m: int) -> tuple[list[Word], list[tuple
     witnesses, transitions = [()], []
     # `states` grows as new patterns are found; reading it in order is the BFS
     for i, state in enumerate(states):
-        members = list(set_bits(state))
         for s, alpha in enumerate(simple):
             if state & alpha:
                 continue  # s is a descent: not a reduced continuation
-            # s permutes the roots and sends none of the state to alpha_s,
-            # so the kept images are distinct bits and their sum is their union
-            key = alpha + sum(map(img[s].__getitem__, members))
+            # the union of alpha_s and the kept images of the state's walls
+            key, row, rest = alpha, img[s], state
+            while rest:
+                low = rest & -rest
+                key |= row[low.bit_length() - 1]
+                rest ^= low
             j = index.get(key)
             if j is None:
                 j = index[key] = len(states)

@@ -92,6 +92,16 @@ def test_closure_cutoff_bounds_the_scanned_length(workspace, capsys, group, cuto
         assert "elements: 16" in out.read_text()
 
 
+def test_negative_cutoff_is_an_argument_error(workspace, capsys, monkeypatch):
+    # checked before any work, as a negative --radius or --max-len is
+    monkeypatch.setattr(cli, "garside_closure", lambda *args: pytest.fail("closure built"))
+    out = workspace / "closed.txt"
+    assert run("shadow", "--group", workspace / "a2.txt", "--kind", "closure",
+               "--cutoff", "-1", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: bad-radius:")
+    assert not out.exists()
+
+
 def test_mlow0_is_the_low_shadow(workspace):
     # the 0-low elements are the low ones: one shadow, with provenance low,
     # so verify runs the low shadow's original-projection check on it too

@@ -149,7 +149,7 @@ def test_roots_are_interned(system):
         met += elementary_walls(system, m).ordered
     met += system.ball_walls(6)
     for root in met:
-        assert system._canonical.get(root) is root and -(-root) is root
+        assert system._canonical.get(root.coeffs) is root and -(-root) is root
     roots = sorted(system._canonical.values(), key=lambda root: root.id)
     assert [root.id for root in roots] == list(range(len(roots)))
     assert all(a is b for a, b in zip(roots, system.simple_roots))
@@ -161,6 +161,16 @@ def test_roots_are_interned(system):
         assert system.reflect(0, rebuilt) is system.reflect(0, root)
         foreign = twin.reflect(0, twin.reflect(0, rebuilt))
         assert foreign is not root and system._intern_root(foreign) is root
+
+
+def test_reflect_mask_is_the_union_of_the_images(system):
+    # the bit loop of _reflect_mask against one reflect per set bit
+    masks = [g.mask for g in system.ball(4)]
+    masks += [elementary_walls(system, m).mask for m in range(3)]
+    for s in range(system.rank):
+        for mask in masks:
+            images = [system.reflect(s, system._roots[k]).id for k in set_bits(mask)]
+            assert system._reflect_mask(s, mask) == reduce(int.__or__, (1 << i for i in images), 0)
 
 
 # arithmetic detours that leave a coordinate's ring and come back to it

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from garside import (
+    CoxeterMatrix,
     CoxeterSystem,
     CutoffExceeded,
     MixedSystemError,
@@ -592,6 +593,62 @@ def test_serialization_roundtrip(system):
         assert again.provenance == shadow.provenance
         assert again.constant_m == shadow.constant_m
         assert shadow_to_text(again) == text
+
+
+def _corrupted_files(shadow):
+    """Corruptions of a shadow's file, each with the error it must raise: a
+    reduced spelling of a member other than its normal form (none exists in
+    D-infinity), an unknown letter, a repeated line and, where names have
+    several letters, the longest member written with a doubled space."""
+    system, text, n = shadow.system, shadow_to_text(shadow), len(shadow)
+    lines = text.splitlines()
+
+    def edited(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    out = []
+    for i, g in enumerate(shadow.ordered, start=len(lines) - n):
+        other = sorted(w for w in reduced_words(g) if w != g.word)
+        if other:
+            out.append((edited(i, system.render_word(other[0])), "not a normal form"))
+            break
+    last, sep = lines[-1], system.word_separator
+    out.append((edited(len(lines) - 1, last + sep + "zz"), "unknown generator"))
+    raised = text.replace(f"elements: {n}", f"elements: {n + 1}")
+    out.append((raised + last + "\n", "listed twice"))
+    if sep and sep in last:
+        out.append((edited(len(lines) - 1, last.replace(sep, 2 * sep, 1)), "not a normal form"))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_reload_by_lookup_and_by_walk_agree(monkeypatch, name):
+    # where the file was built every member is interned and is read by its
+    # normal form; a fresh system walks those it has not interned from id
+    matrix = _BUILDERS[name]().matrix
+    renamed = CoxeterMatrix(tuple(f"{g}x" for g in matrix.generators), matrix.entries)
+    walks = []
+    element = CoxeterSystem.element
+    monkeypatch.setattr(CoxeterSystem, "element",
+                        lambda self, word: walks.append(word) or element(self, word))
+    for built in (CoxeterSystem(matrix), CoxeterSystem(renamed)):
+        assert bool(built.word_separator) is (built.matrix is renamed)
+        for kind in ("low", "gamma"):
+            shadow = shadow_from_gates(built, kind)
+            text = shadow_to_text(shadow)
+            fresh = CoxeterSystem(built.matrix)
+            walks.clear()
+            hit = shadow_from_text(built, text)
+            assert walks == []
+            miss = shadow_from_text(fresh, text)
+            # a fresh system holds id and the generators, and walks the rest
+            assert bool(walks) is (miss.constant_m > 1)
+            assert [g.word for g in hit.ordered] == [g.word for g in miss.ordered]
+            assert hit.delta == miss.delta
+            for bad, message in _corrupted_files(shadow):
+                for target in (built, fresh):
+                    with pytest.raises(ShadowFileError, match=message):
+                        shadow_from_text(target, bad)
 
 
 def test_serialization_rejects_corruption(s3, dinf):
