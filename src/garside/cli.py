@@ -108,6 +108,7 @@ def _cache_put(key: str, payload: str) -> None:
     """Store a result; a store that fails warns and does not fail the command."""
     path = _cache_dir() / f"{key}.txt"
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         _replace(path, payload, 0o666 & ~_umask())
     except OSError as exc:
         print(f"warning: cache: cannot write {path}: {exc}", file=sys.stderr)
@@ -125,7 +126,6 @@ def _replace(target: Path, payload: str, mode: int) -> None:
     the given permission bits, renamed over it."""
     tmp = None
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

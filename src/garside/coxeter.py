@@ -707,10 +707,11 @@ class CoxeterSystem:
 
         A layer holds the products g*s, g in the previous layer in order and
         s ascending, that grow and end in s: each element once, in order.
+        Once a layer is empty the group is finite and the ball is all of it.
         """
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
-        while len(self._ball_layers) <= radius:
+        while len(self._ball_layers) <= radius and self._ball_layers[-1]:
             layer = []
             for g in self._ball_layers[-1]:
                 for s in range(self.rank):

@@ -16,15 +16,18 @@ its ball estimate is kept only as an oracle for the tests.
 Condition one and the fellow-traveller scans read the voracious chain,
 not word sets: the words of g are L(nu(g)) Red(b^-1) (`voracious`), so
 g's prefix columns are nu(g)'s, then the layers of nu(g)*[e, b^-1], built
-in a table local to each check, and condition one checks each chain step
-on the walk that builds them.  The scans compare the columns of two
-elements position by position, never word pairs; the scan over every word
-pair, `_max_deviation`, is their oracle, and runs on the words of
-`language_of` only to name a report's witness when a check's running
-maximum rises.  Left multiplication is an isometry, so each Cayley edge
-is visited once, from its shorter end.  `original-projection` compares
-with the wall description, whose critical walls are read as masks off
-N(g^-1) (`op_voracious_projection`).
+in one table (`_chain_columns`) that `full_suite` shares among the three
+checks, over the ball of radius + 1, and that a check called alone builds
+for itself.  Condition one checks each chain step on the walk that builds
+them.  The scans compare the columns of two elements position by position,
+never word pairs; the scan over every word pair, `_max_deviation`, is
+their oracle, and runs on the words of `language_of` only to name a
+report's witness when a check's running maximum rises.  Left
+multiplication is an isometry, so each Cayley edge is visited once, from
+its shorter end.  `original-projection` compares with the wall
+description, which climbs to its answer and builds no lower set
+(`op_voracious_projection`); `projection-monotone` scans [nu(g), g] as
+nu(g)*[e, b^-1].
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from functools import partial
 from itertools import chain, islice, product, starmap
 from operator import xor
 
-from .coxeter import CoxeterSystem, Element, Word, shortlex_key
+from .coxeter import CoxeterSystem, Element, shortlex_key
 from .shadows import CheckResult, GarsideShadow, _first_split, b_projection
 from .shi import elementary_walls, is_shi_gate, separation_count
 from .voracious import (
+    _prefix_masks,
     _step,
     cross_validate_regularity,
     language_of,
@@ -99,12 +103,15 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
     voracious words, and each of them spells it: by induction, iff each
     step has l(nu(g)) + l(b) = l(g) and nu(g)*b^-1 = g, that is, iff the
     walk building g's prefix columns (`_chain_columns`) ends at g, at l(g)."""
+    return _condition_one(shadow, radius, _chain_columns(shadow, shadow.system.ball(radius)))
+
+
+def _condition_one(shadow: GarsideShadow, radius: int, table: dict) -> CheckResult:
     system = shadow.system
-    ball = system.ball(radius)
-    table = _chain_columns(shadow, ball)
-    most = max(n for n, _, _ in table.values())
+    ball = system.ball(radius)  # the table's first entries, as it is in ShortLex order
+    most = max(n for n, _, _ in islice(table.values(), len(ball)))
     details = f"radius={radius} elements={len(ball)} max-words={most}"
-    for g, (_, columns, end) in table.items():
+    for g, (_, columns, end) in islice(table.items(), len(ball)):
         if end is not g or len(columns) != g.length:  # so every word of g fails
             word = system.render_word(min(language_of(shadow, g)))
             return CheckResult("condition-one", False, details, f"g={g} word={word}")
@@ -113,17 +120,6 @@ def check_condition_one(shadow: GarsideShadow, radius: int) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # Fellow traveller properties
-
-
-def _prefix_masks(system: CoxeterSystem, word: Word) -> list[int]:
-    """The inversion bitmasks of a word's prefixes, by length, walked over
-    the stored Cayley edges; no walk is memoised."""
-    p = system.identity
-    out = [p.mask]
-    for s in word:
-        p = p._right[s] or system.right_multiply(p, s)
-        out.append(p.mask)
-    return out
 
 
 def _max_deviation(words, words2, path, prefixes):
@@ -173,15 +169,16 @@ def _chain_columns(shadow: GarsideShadow, ball) -> dict:
         for p in walks[b]:  # the last is b^-1
             x, s = points[p.word[:-1]], p.word[-1]
             x = points[p.word] = x._right[s] or system.right_multiply(x, s)
-            layers[p.length - 1].append(x.mask)
+            layers[len(p.word) - 1].append(x.mask)
         table[g] = count * len(words), columns + tuple(map(tuple, layers)), x
     return table
 
 
-def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
+def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str, table: dict):
     """The scan of both fellow-traveller checks, one visit per Cayley edge:
     for g in the ball of radius max_len and s with h = g*s ("right") or s*g
-    ("left") one letter longer, yields (g, s, h, n, d, witness):
+    ("left") one letter longer, yields (g, s, h, n, d, witness), reading the
+    columns from `table`, the chain table of that ball or of a larger one:
     n word pairs, their `_max_deviation` d, and a function computing its
     first witness (v, v2, i) with the pair scan.
 
@@ -197,7 +194,6 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
     system = shadow.system
     ball = system.ball(max_len)
     prefixes = partial(_prefix_masks, system)
-    table = _chain_columns(shadow, ball)
     if side == "left":
         # s*p for the prefix points p, keyed as column points are: s*g =
         # (s*g')*t for g = g'*t, g' earlier in ShortLex order.  No point of
@@ -206,16 +202,14 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
         for g in islice(ball, 1, None):
             if len(g.word) == max_len:
                 break
-            t = g.word[-1]
-            lefts[g.mask] = [
-                system.right_multiply(x, t) for x in lefts[system.right_multiply(g, t).mask]
-            ]
+            t = g.word[-1]  # the ball made g from g*t, and stored that edge
+            lefts[g.mask] = [x._right[t] or system.right_multiply(x, t) for x in lefts[g._right[t].mask]]
     for g in ball:
         if len(g.word) == max_len:
             break  # a longer neighbour lies outside the ball
         n_g, columns_g, _ = table[g]
         for i, s in enumerate(system.gens):
-            h = system.right_multiply(g, i) if side == "right" else lefts[g.mask][i]
+            h = (g._right[i] or system.right_multiply(g, i)) if side == "right" else lefts[g.mask][i]
             if len(h.word) < len(g.word):
                 continue
             n_h, columns_h, _ = table[h]
@@ -230,11 +224,15 @@ def _neighbour_deviations(shadow: GarsideShadow, max_len: int, side: str):
 
 def check_first_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerReport:
     """Deviation of prefixes of voracious words for g and g*s, against 2M."""
+    return _first_ftp(shadow, radius, _chain_columns(shadow, shadow.system.ball(radius)))
+
+
+def _first_ftp(shadow: GarsideShadow, radius: int, table: dict) -> FellowTravellerReport:
     render = shadow.system.render_word
     bound = 2 * shadow.constant_m
     best = pairs = 0
     witness = ""
-    for _, _, _, n, d, witness_of in _neighbour_deviations(shadow, radius, "right"):
+    for _, _, _, n, d, witness_of in _neighbour_deviations(shadow, radius, "right", table):
         pairs += n
         if d > best:
             best, (v, v2, i) = d, witness_of()
@@ -292,6 +290,10 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
     maximum over the radius ball already equals it (`plateau`) is reported
     for information only.
     """
+    return _second_ftp(shadow, radius, _chain_columns(shadow, shadow.system.ball(radius + 1)))
+
+
+def _second_ftp(shadow: GarsideShadow, radius: int, table: dict) -> FellowTravellerReport:
     system = shadow.system
     render = system.render_word
     m_const = shadow.constant_m
@@ -299,12 +301,12 @@ def check_second_ftp(shadow: GarsideShadow, radius: int) -> FellowTravellerRepor
     bound = 4 * m_const * (m_const + q) + 2 * q
     best = best_extended = pairs = 0
     witness = ""
-    for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius + 1, "left"):
+    for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius + 1, "left", table):
         pairs += n
         if d > best_extended:
             best_extended, (v, v2, i) = d, witness_of()
             witness = f"v={render(v)} v'={render(v2)} s={s} i={i}"
-        if g.length <= radius and h.length <= radius and d > best:
+        if d > best and len(h.word) <= radius:  # g is the shorter end
             best = d
     return FellowTravellerReport(
         name="second-ftp",
@@ -351,15 +353,14 @@ def check_projection_monotone(shadow: GarsideShadow, radius: int) -> CheckResult
     system = shadow.system
     checked = 0
     for g in system.ball(radius):
-        nu = voracious_projection(shadow, g)
-        above = [g2 for g2 in _lower_set(g) if weak_leq(nu, g2)]
+        nu = voracious_projection(shadow, g)  # [nu, g] = nu*[e, nu^-1 g], empty unless nu <= g
+        tail = system.multiply(system.inverse(nu), g)
+        above = [system.multiply(nu, p) for p in _lower_set(tail)] if weak_leq(nu, g) else []
         checked += len(above)
         failed = [g2 for g2 in above if not weak_leq(voracious_projection(shadow, g2), nu)]
         if failed:
             g2 = min(failed, key=shortlex_key)  # the lower set's order is not stable
-            return CheckResult(
-                "projection-monotone", False, f"radius={radius}", f"g={g} g'={g2}"
-            )
+            return CheckResult("projection-monotone", False, f"radius={radius}", f"g={g} g'={g2}")
     return CheckResult("projection-monotone", True, f"radius={radius} pairs={checked}")
 
 
@@ -374,16 +375,9 @@ def check_original_projection(shadow: GarsideShadow, radius: int) -> CheckResult
 
 def check_step_bound(shadow: GarsideShadow, radius: int) -> CheckResult:
     """d(projection of g, g) <= M on the whole ball."""
-    system = shadow.system
-    worst = 0
-    for g in system.ball(radius):
-        worst = max(worst, system.word_metric(voracious_projection(shadow, g), g))
-    passed = worst <= shadow.constant_m
-    return CheckResult(
-        "step-bound",
-        passed,
-        f"radius={radius} max-step={worst} bound={shadow.constant_m}",
-    )
+    system, m = shadow.system, shadow.constant_m
+    worst = max(system.word_metric(voracious_projection(shadow, g), g) for g in system.ball(radius))
+    return CheckResult("step-bound", worst <= m, f"radius={radius} max-step={worst} bound={m}")
 
 
 def check_low_containment(shadow: GarsideShadow) -> CheckResult:
@@ -416,12 +410,18 @@ def check_refinement_by_shi(shadow: GarsideShadow, radius: int) -> CheckResult:
 
 
 def full_suite(shadow: GarsideShadow, radius: int) -> VerdictBundle:
-    """Run every structural check against one shadow at one radius."""
+    """Run every structural check against one shadow at one radius.  Condition
+    one and the fellow-traveller scans share one chain table over ball(radius
+    + 1), built after regularity, so that its word sets are gone by then."""
+    for g in shadow.system.ball(radius):  # the step table fills in ShortLex order
+        _step(shadow, g)
+    regularity = cross_validate_regularity(shadow, radius)
+    table = _chain_columns(shadow, shadow.system.ball(radius + 1))
     checks = [
-        check_condition_one(shadow, radius),
-        cross_validate_regularity(shadow, radius),
-        check_first_ftp(shadow, radius),
-        check_second_ftp(shadow, radius),
+        _condition_one(shadow, radius, table),
+        regularity,
+        _first_ftp(shadow, radius, table),
+        _second_ftp(shadow, radius, table),
         check_projection_monotone(shadow, min(radius, 6)),
     ]
     if shadow.provenance == "low":

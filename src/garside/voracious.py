@@ -31,14 +31,12 @@ table, so the table is checked, not trusted), and returns the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .automata import Acceptance, Automaton
 from .coxeter import Element, InternalInconsistencyError, Word
 from .shadows import CheckResult, GarsideShadow, _fold, _top_below
 from .shi import separation_count
-from .weak_order import _lower_set, reduced_words
+from .weak_order import _climb_inside, reduced_words
 
 
 @dataclass(frozen=True)
@@ -92,22 +90,26 @@ def op_voracious_projection(g: Element) -> Element:
     identity by any of them.  Serves as an independent oracle for the
     projection attached to the shadow of low elements.
 
-    g^-1 maps the walls of N(g) onto those of N(g^-1), so the critical walls
-    are g(beta) for the roots beta of N(g^-1) that no wall separates from
-    the identity, and p <= g avoids them iff its mask misses theirs.
+    g^-1 maps the wall that step i of g's word crosses to the one that step
+    l-i+1 of its reverse crosses, so two mask walks give the critical walls.
+    The p <= g whose masks miss them are a lower set: the climb inside their
+    masks ends at its top, which the tests check is above all of it.
     """
-    system = g.system
-    critical = 0
-    for beta in system.inversion_walls(system.inverse(g)):
-        if separation_count(system, beta) == 0:
-            critical |= 1 << system.act_word(g.word, beta).abs().id
-    candidates = {p.mask: p for p in _lower_set(g) if not p.mask & critical}
-    best = candidates.get(reduce(or_, candidates))  # above them all, if it is one
-    if best is None:
-        raise InternalInconsistencyError(
-            f"no largest element below {g} avoiding its closest walls"
-        )
-    return best
+    system, critical = g.system, 0
+    up, down = _prefix_masks(system, g.word), _prefix_masks(system, g.word[::-1])[::-1]
+    for i in range(g.length):
+        if separation_count(system, system._roots[(down[i] ^ down[i + 1]).bit_length() - 1]) == 0:
+            critical |= up[i] ^ up[i + 1]
+    return _climb_inside(system, g.mask & ~critical)
+
+
+def _prefix_masks(system, word: Word) -> list[int]:
+    """The inversion bitmasks of a word's prefixes, by length, walked over
+    the stored Cayley edges; no walk is memoised."""
+    out = [system.identity]
+    for s in word:
+        out.append(out[-1]._right[s] or system.right_multiply(out[-1], s))
+    return [p.mask for p in out]
 
 
 # ---------------------------------------------------------------------------

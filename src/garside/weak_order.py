@@ -108,12 +108,18 @@ def meet(elements: Iterable[Element]) -> Element:
         raise ValueError("meet of an empty set")
     system = elements[0].system
     system._own(*elements)
-    common = reduce(and_, (g.mask for g in elements))
+    return _climb_inside(system, reduce(and_, (g.mask for g in elements)))
+
+
+def _climb_inside(system, allowed: int) -> Element:
+    """Climb from the identity by any letter that lengthens the element and
+    keeps its mask inside `allowed`.  Where the elements with masks inside it
+    have a largest one, the climb ends there: they are a lower set."""
     x = system.identity
     while True:
         for s in range(system.rank):
-            y = system.right_multiply(x, s)
-            if y.length > x.length and y.mask & common == y.mask:
+            y = x._right[s] or system.right_multiply(x, s)
+            if len(y.word) > len(x.word) and y.mask & allowed == y.mask:
                 x = y
                 break
         else:

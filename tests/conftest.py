@@ -8,11 +8,15 @@ root-based arithmetic.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from garside import Automaton, CoxeterSystem, language_of, make_system
 from garside.shadows import _fold, _top_below
+from garside.shi import separation_count
+from garside.weak_order import _lower_set
 
 
 def _dinf():
@@ -104,6 +108,23 @@ def scan_delta(ordered):
                 assert not strays, (b, s, strays)
                 row[s] = index[top]
     return table
+
+
+def projection_by_lower_set(g):
+    """The original projection with the whole lower set of g, the oracle for
+    the climb of `op_voracious_projection`: the critical walls are g(beta)
+    for the roots beta of N(g^-1) that no wall separates from the identity,
+    and the result is the element below g, avoiding them, that lies above
+    all the others; asserts that there is one."""
+    system = g.system
+    critical = 0
+    for beta in system.inversion_walls(system.inverse(g)):
+        if separation_count(system, beta) == 0:
+            critical |= 1 << system.act_word(g.word, beta).abs().id
+    candidates = {p.mask: p for p in _lower_set(g) if not p.mask & critical}
+    best = candidates.get(reduce(or_, candidates))
+    assert best is not None, f"no largest element below {g} avoiding its closest walls"
+    return best
 
 
 def fold_chain(shadow, g):

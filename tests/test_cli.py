@@ -270,6 +270,23 @@ def test_unwritable_out_exits_1_and_leaves_no_temp_file(workspace, capsys):
     assert not list(workspace.rglob("*.tmp"))
 
 
+def test_out_into_a_missing_directory_exits_1_and_makes_none(workspace, capsys):
+    # as the shell's `>` would
+    missing = workspace / "no" / "such"
+    code = run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", missing / "x")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: io:")
+    assert not (workspace / "no").exists()
+
+
+def test_a_missing_cache_directory_is_made(workspace, monkeypatch):
+    cache = workspace / "deep" / "cache"
+    monkeypatch.setenv("GARSIDE_CACHE_DIR", str(cache))
+    out = workspace / "L.txt"
+    assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", out) == 0
+    assert len(list(cache.glob("*.txt"))) == 1
+
+
 def _low_shadow_text(workspace):
     plain = workspace / "plain.txt"
     assert run("shadow", "--group", workspace / "s3.txt", "--kind", "low", "--out", plain) == 0
@@ -397,6 +414,20 @@ def test_full_group_language_line_count(workspace):
     # every element once, plus a second word for the longest element
     assert len(lines) == 7
     assert "sts" in lines and "tst" in lines
+
+
+@pytest.mark.parametrize("command, flag", [("language", "--max-len"), ("verify", "--radius")])
+def test_a_radius_past_a_finite_group_runs(workspace, command, flag):
+    # the ball stops at the group's longest element
+    group, shadow = workspace / "s3.txt", workspace / "L.txt"
+    assert run("shadow", "--group", group, "--kind", "low", "--out", shadow) == 0
+    outs = [workspace / f"{radius}.txt" for radius in (3, 1000000)]
+    for radius, out in zip((3, 1000000), outs):
+        assert run(command, "--group", group, "--shadow", shadow, flag, radius, "--out", out) == 0
+    if command == "language":
+        assert outs[1].read_text() == outs[0].read_text()
+    else:
+        assert "radius: 1000000\n" in outs[1].read_text()
 
 
 def test_verify_passes(workspace):

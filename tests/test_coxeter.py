@@ -709,6 +709,15 @@ def test_negative_ball_radius_rejected(dinf):
         dinf.ball(-1)
 
 
+@pytest.mark.parametrize("name, size, longest", [("s3", 6, 3), ("i24", 8, 4)])
+def test_a_ball_past_a_finite_group_stops_at_its_first_empty_layer(name, size, longest):
+    system = _BUILDERS[name]()  # fresh, so no layer is stored yet
+    ball = system.ball(10**6)
+    assert len(ball) == size and max(g.length for g in ball) == longest
+    assert len(system._ball_layers) == longest + 2  # the last one empty
+    assert system.ball(10**7).elements == ball.elements
+
+
 def test_render_word_joins_multi_letter_names_with_spaces():
     st = make_system(["s", "t"], {("s", "t"): 0})
     xy = make_system(["x1", "y"], {("x1", "y"): 3})

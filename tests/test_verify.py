@@ -180,7 +180,8 @@ def test_column_scan_matches_the_pair_scan(name, kind, m):
             and h.length == g.length + 1
         ]
         scanned = []
-        for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius, side):
+        table = _chain_columns(shadow, system.ball(radius))
+        for g, s, h, n, d, witness_of in _neighbour_deviations(shadow, radius, side, table):
             scanned.append((g, s, h))
             words, words2 = by_element[g], by_element[h]
             if side == "right":
@@ -473,6 +474,31 @@ def test_the_suite_builds_one_language_slice(monkeypatch):
     monkeypatch.setattr(voracious, "LanguageSlice", Counted)
     full_suite(low(_BUILDERS["triangle_334"]()), 6)
     assert len(built) == 1
+
+
+def test_the_suite_builds_one_chain_table_at_radius_plus_one(monkeypatch):
+    # condition one and the first scan read its ball(R) entries
+    radii = []
+    real = verify._chain_columns
+
+    def counted(shadow, ball):
+        radii.append(ball.radius)
+        return real(shadow, ball)
+
+    monkeypatch.setattr(verify, "_chain_columns", counted)
+    full_suite(low(_BUILDERS["triangle_334"]()), 6)
+    assert radii == [7]
+
+
+@pytest.mark.parametrize("kind, m", [("low", None), ("gamma", None), ("m-low", 1)])
+def test_the_suite_builds_no_lower_set_longer_than_m(kind, m):
+    # the chain table and projection-monotone read [e, b^-1] for the step
+    # tails b, which are at most M long; original-projection climbs
+    system = _BUILDERS["triangle_334"]()
+    shadow = shadow_from_gates(system, kind, m)
+    assert full_suite(shadow, 8).all_passed
+    lower_sets = system.cache("lower_sets")
+    assert lower_sets and max(g.length for g in lower_sets) <= shadow.constant_m
 
 
 _MONOTONE_FAILURE = """

@@ -43,6 +43,7 @@ from conftest import (
     get_system,
     languages,
     oracle_ball,
+    projection_by_lower_set,
     scan_projection,
 )
 
@@ -161,6 +162,17 @@ def test_original_projection_matches_the_wall_scan(name, radius):
     system = get_system(name)
     for g in system.ball(radius):
         assert op_voracious_projection(g) is projection_by_wall_scan(g), g
+
+
+@pytest.mark.parametrize(
+    "name, radius", [(name, 7) for name in ALL_SYSTEMS] + [("affine_g2", 5), ("h3", 5)]
+)
+def test_the_climb_finds_the_top_of_the_lower_set(name, radius):
+    # the climb reads no lower set; the oracle reads all of it and asserts
+    # that the elements avoiding the critical walls have a largest one
+    system = get_system(name)
+    for g in system.ball(radius):
+        assert op_voracious_projection(g) is projection_by_lower_set(g), g
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
