@@ -323,79 +323,71 @@ def canonical_automaton(system: CoxeterSystem, m: int = 0) -> Automaton:
     language is prefix-closed); descent letters lead to an implicit dead
     state.
     """
-    witnesses, transitions = sign_patterns(system, m)
-    return Automaton(
-        generator_names=system.generator_names,
-        state_labels=tuple(system.render_word(w) for w in witnesses),
-        start=0,
-        accepts=frozenset(range(len(witnesses))),
-        edges=tuple(sorted((i, j, system.gens[s]) for i, s, j in transitions)),
-    )
+    return _reduced_word_automaton(system, *sign_patterns(system, m))
 
 
-def minimize(aut: Automaton) -> Automaton:
-    """Minimal deterministic automaton for the same language.
+def _reduced_word_automaton(system: CoxeterSystem, witnesses, transitions) -> Automaton:
+    """The all-accepting automaton of a walk from id: one state per witness,
+    labelled by it, and one generator edge per transition (i, s, j)."""
+    return Automaton(system.generator_names, tuple(map(system.render_word, witnesses)), 0,
+                     frozenset(range(len(witnesses))),
+                     tuple(sorted((i, j, system.gens[s]) for i, s, j in transitions)))
 
-    Requires single-letter labels and a deterministic transition relation.
-    Works with an explicit dead state so that missing transitions count in
-    the refinement, then drops it again; minimization is idempotent.
-    """
-    alphabet = tuple(range(len(aut.generator_names)))
-    n = aut.n_states
-    dead = n
-    delta = [[dead] * len(alphabet) for _ in range(n + 1)]
-    gens: dict[int, Element] = {}  # letter -> its generator label
-    for src, dst, label in aut.edges:
-        if label.length != 1:
-            raise ValueError("minimize requires single-letter labels")
-        a = label.word[0]
-        gens[a] = label
-        if delta[src][a] != dead:
+
+def _refine(n: int, n_letters: int, transitions, accepting, start: int):
+    """Moore refinement of a deterministic table on states 0..n-1, made
+    complete by a dead state n.  For the other classes, numbered breadth-
+    first from the start's, letters in order: a representative state and a
+    shortest word each, and the transitions (i, a, j) in the walk's order."""
+    delta = [[n] * n_letters for _ in range(n + 1)]
+    for i, a, j in transitions:
+        if delta[i][a] != n:
             raise ValueError("minimize requires a deterministic automaton")
-        delta[src][a] = dst
-
-    # Moore partition refinement, dead state included.
-    cls = [1 if q in aut.accepts else 0 for q in range(n)] + [0]
+        delta[i][a] = j
+    cls = [int(q in accepting) for q in range(n)] + [0]
     while True:
         signatures: dict[tuple, int] = {}
-        new_cls = [0] * (n + 1)
-        for q in range(n + 1):
-            sig = (cls[q],) + tuple(cls[delta[q][a]] for a in alphabet)
-            new_cls[q] = signatures.setdefault(sig, len(signatures))
+        new_cls = [signatures.setdefault((cls[q], *map(cls.__getitem__, row)), len(signatures))
+                   for q, row in enumerate(delta)]
         if new_cls == cls:
             break
         cls = new_cls
-
-    dead_cls = cls[dead]
-    # deterministic relabeling: BFS from the start class in letter order;
     # `rep` grows as classes are found, so reading it in order is the BFS
-    relabel: dict[int, int] = {cls[aut.start]: 0}
-    witness: list[Word] = [()]
-    rep: list[int] = [aut.start]
+    dead, relabel, rep, witness, walk = cls[n], {cls[start]: 0}, [start], [()], []
     for i, q in enumerate(rep):
-        for a in alphabet:
-            c = cls[delta[q][a]]
-            if c != dead_cls and c not in relabel:
-                relabel[c] = len(rep)
-                rep.append(delta[q][a])
-                witness.append(witness[i] + (a,))
+        for a, r in enumerate(delta[q]):
+            if cls[r] != dead:
+                j = relabel.setdefault(cls[r], len(rep))
+                if j == len(rep):
+                    rep.append(r)
+                    witness.append(witness[i] + (a,))
+                walk.append((i, a, j))
+    return rep, witness, walk
 
-    edges = [
-        (i, relabel[cls[delta[q][a]]], gens[a])
-        for i, q in enumerate(rep)
-        for a in alphabet
-        if cls[delta[q][a]] != dead_cls
-    ]
-    accepts = frozenset(i for i, q in enumerate(rep) if q in aut.accepts)
+
+def minimize(aut: Automaton) -> Automaton:
+    """Minimal deterministic automaton for the same language, by `_refine`.
+
+    Requires single-letter labels and a deterministic transition relation.
+    Missing transitions lead to the refinement's dead state, which is
+    dropped again; minimization is idempotent.
+    """
+    gens: dict[int, Element] = {}  # letter -> its generator label
+    for _, _, label in aut.edges:
+        if label.length != 1:
+            raise ValueError("minimize requires single-letter labels")
+        gens[label.word[0]] = label
+    rep, witness, walk = _refine(aut.n_states, len(aut.generator_names),
+                                 [(src, g.word[0], dst) for src, dst, g in aut.edges],
+                                 aut.accepts, aut.start)
     # a nonempty witness reads edges, whose labels all come from one system
     render = next(iter(gens.values())).system.render_word if gens else None
-    labels = tuple(render(w) if w else aut.state_labels[0] for w in witness)
     return Automaton(
         generator_names=aut.generator_names,
-        state_labels=labels,
+        state_labels=tuple(render(w) if w else aut.state_labels[0] for w in witness),
         start=0,
-        accepts=accepts,
-        edges=tuple(sorted(edges)),
+        accepts=frozenset(i for i, q in enumerate(rep) if q in aut.accepts),
+        edges=tuple(sorted((i, j, gens[a]) for i, a, j in walk)),
     )
 
 
@@ -403,12 +395,24 @@ def minimize(aut: Automaton) -> Automaton:
 # Cone types
 
 
-def cone_type_automaton(system: CoxeterSystem) -> Automaton:
-    """Minimal automaton for the reduced words; states are the cone types."""
+def _cone_type_table(system: CoxeterSystem):
+    """The minimal automaton of the reduced words as (witnesses, transitions),
+    refined straight from `sign_patterns(system, 0)` and kept per system."""
     cache = system.cache("cone_types")
-    if not cache:
-        cache[0] = minimize(canonical_automaton(system, 0))
-    return cache[0]
+    if "table" not in cache:
+        witnesses, transitions = sign_patterns(system, 0)
+        n = len(witnesses)
+        cache["table"] = _refine(n, system.rank, transitions, range(n), 0)[1:]
+    return cache["table"]
+
+
+def cone_type_automaton(system: CoxeterSystem) -> Automaton:
+    """Minimal automaton for the reduced words; states are the cone types.
+    Built on first call from `cone_type_walk`'s table, not by `minimize`."""
+    cache = system.cache("cone_types")
+    if "automaton" not in cache:
+        cache["automaton"] = _reduced_word_automaton(system, *_cone_type_table(system))
+    return cache["automaton"]
 
 
 def cone_type_id(g: Element) -> int:
@@ -428,12 +432,10 @@ def cone_type_gates(system: CoxeterSystem) -> tuple[Element, ...]:
 
 
 def cone_type_walk(system: CoxeterSystem):
-    """`shi.walk_gates` of `cone_type_automaton`: its states are numbered
-    breadth-first and its edges sorted, so the first edge into a state is
-    the walk's.  Its table is the cone-type shadow's delta (the cone-type
-    partition is the partition by projection onto it)."""
-    aut = cone_type_automaton(system)
-    return walk_gates(system, aut.state_labels, [(i, g.word[0], j) for i, j, g in aut.edges])
+    """`shi.walk_gates` of the minimal table (breadth-first, transitions in
+    walk order), building no `Automaton`.  Its table is the cone-type
+    shadow's delta: the cone-type partition is by projection onto it."""
+    return walk_gates(system, *_cone_type_table(system))
 
 
 def cone_type_fingerprint(g: Element, radius: int) -> frozenset[Element]:

@@ -639,7 +639,8 @@ class CoxeterSystem:
     def left_multiply(self, s: int, g: Element) -> Element:
         """Normal form of (generator s) * g: s then g's, with no walk over g,
         where s is no left descent of g and N(s g) = {alpha_s} + s N(g) holds
-        no alpha_t with t < s (s is then its least left descent); else `multiply`."""
+        no alpha_t with t < s (s is then its least left descent); else `multiply`.
+        The gate walks (`shi.walk_gates`) do not call it: the fallback is off their path."""
         self._own(g)
         if g.mask >> s & 1 or self._reflect_mask(s, (1 << s) - 1) & g.mask:
             return self.multiply(self.gens[s], g)

@@ -19,11 +19,12 @@ E_m is numbered in its sorted order, `SmallRootSet.ordered`: bit k of a
 sign pattern is the k-th wall, as in `shi_sign_vector`.  `sign_patterns`
 walks the reachable patterns, held as ints, once; they are the states of
 the canonical reduced-word automaton (`automata.canonical_automaton`).
-Along the walk it gives the gates of the m-Shi parts and their table, the
-transition table of L_m (`gate_walk`).  The tests check the gates against
-per-part minima on balls, the table against the below-x scan, and the walk
-against one over sets of roots.  Whether one element is a gate is decided
-from the least m for which it is m-low (`low_index`, read by
+Along the walk it gives the gates of the m-Shi parts, each read off a
+shorter one by masks with no group product (`walk_gates`), and their
+table, L_m's (`gate_walk`).  The tests check the gates against part minima
+on balls and the left-product walk, the table against the below-x scan,
+and the walk against one over root sets.  Whether one element is a gate is
+decided from the least m for which it is m-low (`low_index`, read by
 `is_shi_gate`); the tests hold that against a scan of the length-l(g) ball.
 """
 
@@ -255,10 +256,21 @@ def walk_gates(system: CoxeterSystem, states, transitions):
     state), ShortLex sorted, and its transitions (i, s, j) as a table on
     their ranks: delta[rank i][s] = rank j, None where no transition is.
     State j's gate is the inverse of its shortest witness; the first
-    transition into j extends the witness of i by s, so gate_j = s gate_i."""
-    gates = [system.identity] + [None] * (len(states) - 1)
+    transition into j extends the witness of i by s, so gate_j = s gate_i,
+    of mask alpha_s + s N(gate_i).  Its normal form is its least left
+    descent t, then y = t gate_j's: gate_i if t = s, else a gate walked
+    before, found by mask (the gates are suffix-closed), with no product."""
+    gates, by_mask = [system.identity] + [None] * (len(states) - 1), {0: system.identity}
     for i, s, j in transitions:
-        gates[j] = gates[j] or system.left_multiply(s, gates[i])
+        if gates[j] is None:
+            y, mask = gates[i], 1 << s | system._reflect_mask(s, gates[i].mask)
+            t = (mask & -mask).bit_length() - 1  # bit s is set, so t <= s
+            if t != s and (y := by_mask.get(system._reflect_mask(t, mask ^ 1 << t))) is None:
+                raise InternalInconsistencyError(
+                    f"gate {system.render_word((s,) + gates[i].word)} by letter "
+                    f"{system.generator_names[s]}: its suffix after {system.generator_names[t]} "
+                    f"was not walked before it; the walk is not breadth-first")
+            gates[j] = by_mask[mask] = system._intern((t,) + y.word, mask)
     order = sorted(range(len(gates)), key=lambda k: shortlex_key(gates[k]))
     rank = {k: a for a, k in enumerate(order)}
     delta = [[None] * system.rank for _ in order]

@@ -5,6 +5,7 @@ import pytest
 from garside import (
     Acceptance,
     Automaton,
+    CoxeterSystem,
     MixedSystemError,
     canonical_automaton,
     cone_type_automaton,
@@ -20,6 +21,8 @@ from garside import (
     shi_gates,
     weak_leq,
 )
+from garside.automata import cone_type_walk
+from garside.shi import walk_gates
 
 from conftest import (
     ALL_SYSTEMS,
@@ -311,3 +314,17 @@ def test_multi_letter_names_render_with_spaces():
     assert aut.state_labels == ("-", "x1", "y", "x1 y", "y x1", "x1 y x1")
     assert "edge: 0 -> 1 labels=x1" in aut.to_text()
     assert '[label="y"]' in aut.to_dot()
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("affine_g2", "h3"))
+def test_the_cone_type_table_is_the_minimized_canonical_automaton(name):
+    # the reference route: minimize the canonical automaton, then walk the
+    # gates over its sorted edges
+    system = CoxeterSystem(get_system(name).matrix)
+    walk = cone_type_walk(system)
+    assert "automaton" not in system.cache("cone_types")  # the walk builds none
+    aut, mini = cone_type_automaton(system), minimize(canonical_automaton(system, 0))
+    assert aut.to_text() == mini.to_text()
+    assert aut.to_dot() == mini.to_dot()
+    edges = [(i, g.word[0], j) for i, j, g in mini.edges]
+    assert walk == walk_gates(system, mini.state_labels, edges)

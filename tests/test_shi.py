@@ -4,6 +4,7 @@ import pytest
 
 from garside import (
     CoxeterSystem,
+    InternalInconsistencyError,
     RootLimitExceeded,
     elementary_walls,
     elementary_walls_oracle,
@@ -17,6 +18,8 @@ from garside import (
     weak_leq,
 )
 from garside import shi
+from garside.automata import _cone_type_table
+from garside.coxeter import shortlex_key
 from conftest import ALL_SYSTEMS, get_system
 
 
@@ -250,3 +253,65 @@ def test_walks_past_the_size_limit_raise_a_typed_error(monkeypatch):
         elementary_walls(system, 2)
     with pytest.raises(RootLimitExceeded, match="sign-pattern walk for m=1 passed 10 patterns"):
         shi_gates(system, 1)
+
+
+def _walk_by_left_products(system, states, transitions):
+    """The gate walk by one left product per first transition: the oracle
+    for `walk_gates`, which reads each gate off a shorter one instead."""
+    gates = [system.identity] + [None] * (len(states) - 1)
+    for i, s, j in transitions:
+        gates[j] = gates[j] or system.left_multiply(s, gates[i])
+    order = sorted(range(len(gates)), key=lambda k: shortlex_key(gates[k]))
+    rank = {k: a for a, k in enumerate(order)}
+    delta = [[None] * system.rank for _ in order]
+    for i, s, j in transitions:
+        delta[rank[i]][s] = rank[j]
+    return [gates[k].word for k in order], delta
+
+
+def _chain_mask(system, word):
+    """The inversion set of a reduced word by its reflection chain:
+    alpha_w1, w1(alpha_w2), ..., each of them positive."""
+    roots = [system.act_word(word[:k], system.simple_roots[a]) for k, a in enumerate(word)]
+    assert all(root.sign() > 0 for root in roots), word
+    return sum(1 << root.id for root in roots)
+
+
+_WALKS = {f"m={m}": lambda system, m=m: shi.sign_patterns(system, m) for m in (0, 1, 2)}
+_WALKS["cone-types"] = _cone_type_table
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+@pytest.mark.parametrize("walk", _WALKS)
+def test_gate_walks_take_no_product_and_match_the_left_product_walk(name, walk, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the gate walk took a product")
+
+    system = CoxeterSystem(get_system(name).matrix)
+    states, transitions = _WALKS[walk](system)
+    with monkeypatch.context() as patched:
+        for method in ("multiply", "right_multiply", "left_multiply"):
+            patched.setattr(CoxeterSystem, method, forbidden)
+        gates, delta = shi.walk_gates(system, states, transitions)
+    assert all(x.mask == _chain_mask(system, x.word) for x in gates)
+    # the walk's own first transitions, each gate one left product of its source
+    rank = {0: 0}
+    for i, s, j in transitions:
+        if j not in rank:
+            rank[j] = delta[rank[i]][s]
+            assert gates[rank[j]] is system.left_multiply(s, gates[rank[i]])
+    # and the left-product walk on a second fresh system gives the same gates and table
+    other = CoxeterSystem(system.matrix)
+    assert _WALKS[walk](other) == (states, transitions)
+    assert _walk_by_left_products(other, states, transitions) == ([x.word for x in gates], delta)
+
+
+def test_a_walk_out_of_breadth_first_order_raises_a_typed_error():
+    # in A1~xA1~ a and c commute: c·a = ac is read before its suffix c
+    system = get_system("aa_product")
+    with pytest.raises(InternalInconsistencyError,
+                       match="gate ca by letter c: its suffix after a was not walked before it"):
+        shi.walk_gates(system, [(), (0,), (0, 2)], [(0, 0, 1), (1, 2, 2)])
+    # in breadth-first order, with c walked first, the same gate is found
+    gates, _ = shi.walk_gates(system, [(), (2,), (0,), (0, 2)], [(0, 2, 1), (0, 0, 2), (2, 2, 3)])
+    assert [x.word for x in gates] == [(), (0,), (2,), (0, 2)]
