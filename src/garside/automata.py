@@ -146,9 +146,14 @@ class Automaton:
             object.__setattr__(self, "_table", ({start: 0}, [self._entry(start, 1 << self.start)], [{}]))
         moves = self._table[2]
         state = 0
-        for letter in word:
-            nxt = moves[state].get(letter)
-            state = self._move(state, letter) if nxt is None else nxt
+        try:
+            for letter in word:
+                nxt = moves[state].get(letter)
+                state = self._move(state, letter) if nxt is None else nxt
+        except TypeError:
+            for letter in word:  # an unhashable letter fails its lookup: raise as `_move` would
+                self._check_letter(letter)
+            raise
         return self._table[1][state]
 
     def _entry(self, config: tuple, reach: int) -> tuple:

@@ -96,11 +96,15 @@ def _cache_key(*parts: str) -> str:
 
 
 def _cache_get(key: str) -> str | None:
-    """A cached result, or None; an entry that is not UTF-8 text is a miss."""
+    """A cached result, or None; an entry that is not UTF-8 text is a miss,
+    and one that cannot be read warns, as a failed store does, and is a miss."""
     path = _cache_dir() / f"{key}.txt"
     try:
         return path.read_text(encoding="utf-8") if path.is_file() else None
     except UnicodeDecodeError:
+        return None
+    except OSError as exc:
+        print(f"warning: cache: cannot read {path}: {exc}", file=sys.stderr)
         return None
 
 

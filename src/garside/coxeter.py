@@ -478,7 +478,7 @@ class CoxeterSystem:
     def generator(self, name: str) -> Element:
         try:
             return self.gens[self._gen_index[name]]
-        except KeyError:
+        except (KeyError, TypeError):  # a name that cannot be hashed is unknown too
             raise ValueError(f"unknown generator {name!r}") from None
 
     def render_word(self, word: Word) -> str:

@@ -81,8 +81,10 @@ class GarsideShadow:
     `delta[i][s] = j` names projection_B(s b_i) = b_j for b_i = ordered[i],
     None if s is a left descent of b_i; a gate shadow takes it from its
     walk, any other from the join scan that validated or closed it (module
-    docstring).  Equality ignores it and `steps`, the voracious-step table
-    g -> (nu(g), b, Red(b^-1)) that `voracious._step` fills.
+    docstring).  Equality ignores it, `steps`, the voracious-step table
+    g -> (nu(g), b, Red(b^-1)) that `voracious._step` fills, and `chains`,
+    g -> its `VoraciousChain` for each g that `voracious_chain` was asked
+    for; no word set is kept.
     """
 
     system: CoxeterSystem
@@ -92,6 +94,7 @@ class GarsideShadow:
     provenance: str
     delta: list[list[int | None]] = field(compare=False, repr=False)
     steps: dict = field(default_factory=dict, compare=False, repr=False)
+    chains: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self):
         return len(self.ordered)

@@ -11,7 +11,8 @@ vertex.  Two independent routes compute the set E_m of these walls:
   a finite Cayley ball, using nothing but half-space signs.
 
 The fast route is only trusted where the two agree; the test suite holds
-them against each other on every supported system.  The count of a single
+them against each other on every supported system.  The outward walk
+keeps the depth and count of each wall it finds; the count of any single
 wall comes from the inward walk, `CoxeterSystem.root_descent`, which the
 tests also hold against the outward walk.
 
@@ -51,6 +52,8 @@ class SmallRootSet:
     """The m-elementary walls of a system: in `root_sort_key` order, as a set
     and as a bitmask over root ids.  A simple reflection of one of them is
     found with `system.reflect`; it stays m-elementary iff it is in `roots`.
+    `depths` and `counts` give each wall of `ordered` the depth and the
+    separation count that the walk met it at, as `root_descent` gives them.
     """
 
     system: CoxeterSystem
@@ -58,6 +61,8 @@ class SmallRootSet:
     ordered: tuple[Root, ...]
     roots: frozenset[Root]
     mask: int
+    depths: tuple[int, ...]
+    counts: tuple[int, ...]
 
     def __len__(self):
         return len(self.ordered)
@@ -129,7 +134,9 @@ def elementary_walls(system: CoxeterSystem, m: int) -> SmallRootSet:
     kept = iter([system._roots[i] for i, n in values.items() if n <= m])
     ordered = tuple(r for n in sizes for r in sorted(islice(kept, n), key=lambda r: r.coeffs))
     mask = sum(1 << root.id for root in ordered)
-    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(ordered), mask)
+    depths = tuple(d for d, n in enumerate(sizes, 1) for _ in range(n))
+    counts = tuple(values[root.id] for root in ordered)
+    out = per_system[m] = SmallRootSet(system, m, ordered, frozenset(ordered), mask, depths, counts)
     return out
 
 

@@ -256,12 +256,13 @@ def parallel_wall_constant(system: CoxeterSystem, m: int) -> int:
     (m-1)-elementary wall, at distance its depth minus one, so Q(m) is a
     maximum over the finite set of small roots (Brink & Howlett, Math.
     Ann. 1993).  They are read off the m-elementary walls, which `verify`
-    needs for the Shi check anyway: the ones separated by at most m-1 walls.
+    needs for the Shi check anyway: the ones separated by at most m-1 walls,
+    with the depths and counts the walk that found them met them at.
     """
     if m <= 0:
         return 0
-    walls = elementary_walls(system, m).ordered
-    return max(depth for depth, n in map(system.root_descent, walls) if n < m) - 1
+    walls = elementary_walls(system, m)
+    return max(depth for depth, n in zip(walls.depths, walls.counts) if n < m) - 1
 
 
 def estimate_parallel_wall(system: CoxeterSystem, m: int, radius: int) -> int:

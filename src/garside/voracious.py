@@ -3,14 +3,15 @@
 Given a Garside shadow B, the voracious projection sends g to nu(g) = g*b,
 b = projection_B(g^{-1}), once per element into the shadow's step table
 (`_step`); iterating it walks any element down to the identity in steps
-of bounded length.  The voracious words of g are L(nu(g)) Red(b^{-1}),
-built along the chain by `language_of`, which keeps none, and their union
-over all g is the voracious language of B.  For finite B the
-language is recognized by an automaton whose states are the shadow
-members: an edge runs from b to w whenever projecting w*b onto B gives
-back w, labelled by the element w^{-1}, which reads all reduced words of
-w^{-1} (the maximal chains of [e, w^{-1}]; Björner & Brenti, GTM 231,
-ch. 3).  No label word is stored: acceptance reads a table built lazily
+of bounded length, and `voracious_chain` keeps the walk of each element
+it is asked for in the shadow's chain table.  The voracious words of g
+are L(nu(g)) Red(b^{-1}), built along the chain by `language_of`, which
+keeps none, and their union over all g is the voracious language of B.
+For finite B the language is recognized by an automaton whose states are
+the shadow members: an edge runs from b to w whenever projecting w*b onto
+B gives back w, labelled by the element w^{-1}, which reads all reduced
+words of w^{-1} (the maximal chains of [e, w^{-1}]; Björner & Brenti, GTM
+231, ch. 3).  No label word is stored: acceptance reads a table built lazily
 from the automaton's prefix index, and the exports list an edge's words
 only when they write it.  Every projection, the edges' too, folds words
 through the shadow's transition table `GarsideShadow.delta`, which the
@@ -72,6 +73,10 @@ def voracious_projection(shadow: GarsideShadow, g: Element) -> Element:
 
 
 def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
+    """g, nu(g), ... down to the identity, read off the step table on the
+    first call for g and kept in the shadow's chain table for later ones."""
+    if chain := shadow.chains.get(g):
+        return chain
     table, steps, n = shadow.steps, [g], len(g.word)
     while n:
         g = (table.get(g) or _step(shadow, g))[0]
@@ -79,7 +84,8 @@ def voracious_chain(shadow: GarsideShadow, g: Element) -> VoraciousChain:
             raise InternalInconsistencyError(f"voracious projection failed to shorten {steps[-1]}")
         n = len(g.word)
         steps.append(g)
-    return VoraciousChain(steps[0], tuple(steps))
+    chain = shadow.chains[steps[0]] = VoraciousChain(steps[0], tuple(steps))
+    return chain
 
 
 def op_voracious_projection(g: Element) -> Element:
@@ -129,7 +135,10 @@ def language_of(shadow: GarsideShadow, g: Element) -> frozenset:
     steps, out = shadow.steps, [()]
     while g.word:
         g, _, words = steps.get(g) or _step(shadow, g)
-        out = [u + v for u in words for v in out]
+        if len(words) == 1 == len(out):  # one word so far and one tail: no new list
+            out[0] = next(iter(words)) + out[0]
+        else:
+            out = [u + v for u in words for v in out]
     return frozenset(out)
 
 

@@ -711,6 +711,33 @@ def test_a_cache_entry_that_is_a_directory_warns_and_is_left_alone(workspace, ca
     assert entry.is_dir() and not list(workspace.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("method", ["is_file", "read_text"])
+def test_an_unreadable_cache_entry_warns_and_is_a_miss(workspace, monkeypatch, capsys, method):
+    # as an entry, or the cache directory, without read permission meets a
+    # user who is not root: the command recomputes, writes --out and exits 0
+    group, shadow = _dinf_low_shadow(workspace)
+    report = workspace / "r.txt"
+    verify = ("verify", "--group", group, "--shadow", shadow, "--radius", "4", "--out", report)
+    assert run(*verify) == 0
+    (entry,) = Path(os.environ["GARSIDE_CACHE_DIR"]).glob("*.txt")
+    expected = report.read_bytes()
+    report.unlink()
+    original, suite, computed = getattr(Path, method), cli.full_suite, []
+
+    def denied(self, *args, **kwargs):
+        if self == entry:
+            raise PermissionError(13, "Permission denied", str(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, denied)
+    monkeypatch.setattr(cli, "full_suite", lambda *a: computed.append(a) or suite(*a))
+    capsys.readouterr()
+    assert run(*verify) == 0
+    assert report.read_bytes() == expected and len(computed) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"warning: cache: cannot read {entry}: [Errno 13] Permission denied: '{entry}'"
+
+
 # ---------------------------------------------------------------------------
 # Cache keys that see the group's name, and a provenance that is checked
 

@@ -461,6 +461,7 @@ def test_element_checks_letters_alike_on_every_route(affine_a2):
     for bad, message in ((-1, "generator index -1 out of range"),
                          (system.rank, "generator index 3 out of range"),
                          (1.0, "unknown generator 1.0"),
+                         ([1], "unknown generator [1]"),
                          ("x", "unknown generator 'x'")):
         for word in ((0, 1, bad), [0, 1, bad], ("s", "t", bad)):
             with pytest.raises(ValueError) as info:

@@ -10,6 +10,7 @@ import pytest
 
 from garside import (
     CheckResult,
+    CoxeterSystem,
     FellowTravellerReport,
     check_condition_one,
     check_first_ftp,
@@ -96,6 +97,14 @@ def test_each_element_is_walked_once_per_suite():
     assert shadow.steps.walked == list(system.ball(radius + 1))
 
 
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_the_suite_keeps_no_chain(name):
+    # the suite reads the step table alone: no chain is stored on the shadow
+    shadow = low(_BUILDERS[name]())
+    full_suite(shadow, 4)
+    assert shadow.steps and not shadow.chains
+
+
 def test_first_ftp_dinf(dinf):
     report = check_first_ftp(low(dinf), 6)
     assert report.passed
@@ -137,6 +146,20 @@ def test_walls_below_m_are_read_off_the_m_elementary_walls(name):
             if separation_count(system, root) <= m - 1
         }
         assert kept == elementary_walls(system, m - 1).roots, m
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_the_small_root_walk_meets_each_wall_at_its_descent(name):
+    # the depths and counts that the outward walk keeps against the inward
+    # walk of root_descent, on a fresh system, whose descent tables the walk
+    # does not fill; Q(m) read off the walk against Q(m) read off root_descent
+    system = CoxeterSystem(get_system(name).matrix)
+    for m in range(4):
+        walls = elementary_walls(system, m)
+        descents = [system.root_descent(root) for root in walls.ordered]
+        assert list(zip(walls.depths, walls.counts)) == descents, m
+        if m:
+            assert parallel_wall_constant(system, m) == max(d for d, n in descents if n < m) - 1
 
 
 def test_parallel_wall_estimate_is_below_on_a_small_ball(affine_a2):

@@ -103,11 +103,30 @@ def test_chain_terminates_quickly(system):
             assert system.word_metric(a, b) <= shadow.constant_m
 
 
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_chains_are_the_iterated_projection_and_are_kept(name):
+    # on a fresh system the chain table starts empty; each chain is stored on
+    # its first call, and a repeated call returns the same object
+    system = _BUILDERS[name]()
+    shadow = low(system)
+    ball = system.ball(6 if system.rank <= 3 else 5)
+    for g in ball:
+        steps = [g]
+        while steps[-1].word:
+            steps.append(voracious_projection(shadow, steps[-1]))
+        chain = voracious_chain(shadow, g)
+        assert chain.element is g and chain.steps == tuple(steps)
+        assert voracious_chain(shadow, g) is chain and shadow.chains[g] is chain
+    assert list(shadow.chains) == list(ball)
+
+
 def test_a_chain_step_that_does_not_shorten_raises():
     # a step table entry x -> (y, ...) with y no shorter than x stops the
     # chain with an inconsistency at x, at its first step or a later one;
     # the first two y have chains that end and avoid x, so a weaker guard
-    # shows as a missing error, not as an endless loop
+    # shows as a missing error, not as an endless loop.  The chains stored
+    # so far read the unpatched table, so they are dropped before each patch,
+    # and a chain that raises is not stored
     system = _BUILDERS["affine_a2"]()
     shadow = low(system)
     g = system.element("stustu")
@@ -123,8 +142,10 @@ def test_a_chain_step_that_does_not_shorten_raises():
                  (g, g)):
         entry = shadow.steps[x]
         shadow.steps[x] = (y,) + entry[1:]
+        shadow.chains.clear()
         with pytest.raises(InternalInconsistencyError, match=f"failed to shorten {x}$"):
             voracious_chain(shadow, g)
+        assert g not in shadow.chains and x not in shadow.chains
         shadow.steps[x] = entry
     assert voracious_chain(shadow, g).steps == steps
 
@@ -417,10 +438,12 @@ def test_acceptance_results_are_stored_per_table_state(name):
     assert results[2] and results[3] and results[2].isdisjoint(results[3])
 
 
-@pytest.mark.parametrize("word,letter", [("stu", "'s'"), ((0, 7), "7"), ((-1,), "-1"), ((0, 0, 9), "9")])
+@pytest.mark.parametrize("word,letter", [("stu", "'s'"), ((0, 7), "7"), ((-1,), "-1"), ((0, 0, 9), "9"),
+                                         ((0, [1]), r"\[1\]")])
 def test_a_word_of_non_letters_raises(word, letter):
-    # a string, an out-of-range letter, a negative one and a bad letter past
-    # the dead state raise on both routes, cold or warm, and enter no table
+    # a string, an out-of-range letter, a negative one, a bad letter past
+    # the dead state and one that cannot be hashed raise on both routes,
+    # cold or warm, and enter no table
     _, aut, nfa = automaton_and_oracle("affine_a2", "low", None)
     assert fsa_accepts(aut, (0, 1, 2)).states == ("ut",)
     match = f"^{letter} is not a letter: letters are 0..2$"
